@@ -4,13 +4,22 @@ The oracle enumerates full binary tree topologies over the terminal
 atoms (at most six), with the classical edge-insertion recursion, so
 (2k-5)!! trees for k terminals.  On a tree the edge flows are forced
 by mass balance; positions of the auxiliary branch points are then a
-convex problem, solved by damped Weiszfeld sweeps.  Degenerate optima
-are reached through collisions (branch points landing on terminals or
-each other are contracted at 1e-7) and through zero-flow edges, which
-cost nothing and realize disconnected optima inside a tree topology,
-so forests and atom splittings need no separate enumeration.  As a
-safeguard the oracle also verifies that rerouting any single curve of
-the result along its straight chord does not improve the cost.
+convex sum of weighted Euclidean norms.  All branch points are solved
+jointly by damped Newton steps on the smoothed objective
+sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
+a tenth of the terminal radius R.  After each stage the dual
+y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges y
+is re-solved from the balance at the branch points and clipped to
+|y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
+because an optimum lies in the terminals' convex hull.  A topology is
+finished once its certified relative gap is within tol, and dropped as
+soon as its lower bound exceeds the best cost found so far
+(branch-and-bound in the spirit of Smith, Algorithmica 1992).
+Degenerate optima are reached through collisions (branch points
+landing on terminals or each other are contracted at 1e-7) and through
+zero-flow edges, which cost nothing and realize disconnected optima
+inside a tree topology, so forests and atom splittings need no separate
+enumeration.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime.
@@ -19,6 +28,7 @@ nonzero flow gets unit weight, which is the Fermat-point regime.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,6 +40,15 @@ from .currents import AtomicMeasure, TrafficPath
 COLLISION_TOL = 1e-7
 FLOW_TOL = 1e-12
 ORACLE_MAX_ATOMS = 6
+# smoothing continuation of the position stage: eps runs from SMOOTH_START to
+# SMOOTH_FLOOR terminal radii R, cut by SMOOTH_FACTOR per stage; a stage ends
+# when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R
+SMOOTH_START = 0.1
+SMOOTH_FACTOR = 10.0
+SMOOTH_FLOOR = 1e-13
+STAGE_DECREMENT = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 class OracleRangeError(ValueError):
@@ -37,7 +56,7 @@ class OracleRangeError(ValueError):
 
 
 class OptimizeError(RuntimeError):
-    """Position descent failed to converge; carries the best iterate."""
+    """Position stage did not certify its gap; carries the last iterate."""
 
     def __init__(self, message: str, best):
         super().__init__(message)
@@ -218,28 +237,142 @@ def _descend_graph(pos: np.ndarray, edges, weights, free_mask, tol: float,
     return pos, obj, False
 
 
-def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
-                       max_iters: int = 10000) -> tuple[Topology, float]:
-    """Convex position stage for a fixed topology: minimize the weighted length.
+def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: int,
+                     cutoff: float = math.inf) -> tuple[Topology, float] | None:
+    """Joint smoothed Newton solve of the position stage, stopped on a certified gap.
 
-    Raises OptimizeError (with the best iterate attached) if the damped
-    sweeps have not met the relative-change tolerance after max_iters.
+    Returns (topology, cost) once cost - lower_bound <= tol * cost, or None as
+    soon as the lower bound exceeds cutoff.  Raises OptimizeError with the
+    last iterate when max_iters Newton steps do not certify the gap, or when
+    steps at the smallest smoothing stop making progress.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     k = topology.n_terminals
-    n = k + len(topology.steiner_points)
     pos = topology.positions()
-    weights = []
-    for f in topology.flows():
-        th = abs(f)
-        weights.append(0.0 if th <= FLOW_TOL else (1.0 if alpha == 0.0 else th ** alpha))
-    free = [v >= k for v in range(n)]
-    out, obj, converged = _descend_graph(pos, topology.edges, weights, free, tol, max_iters)
-    result = topology.with_steiner(out[k:]) if n > k else topology
-    if not converged:
-        raise OptimizeError("position descent did not converge", result)
-    return result, obj
+    th = np.abs(np.asarray(topology.flows(), dtype=float))
+    live = th > FLOW_TOL
+    edges = np.asarray(topology.edges, dtype=int).reshape(-1, 2)[live]
+    w = np.ones(len(edges)) if alpha == 0.0 else th[live] ** alpha
+    # vertices touching no edge with flow do not affect the cost and stay put;
+    # every other branch point lies on a path between two terminals
+    free = np.unique(edges)
+    free = free[free >= k]
+    if not len(free):
+        return topology, topology.cost(alpha)
+    nf, dim = len(free), topology.dim
+    col = np.full(len(pos), -1)
+    col[free] = np.arange(nf)
+    # edge vector d = B @ X + D0 over the free positions X
+    B = np.zeros((len(edges), nf))
+    a_free, b_free = col[edges[:, 0]] >= 0, col[edges[:, 1]] >= 0
+    B[a_free, col[edges[a_free, 0]]] += 1.0
+    B[b_free, col[edges[b_free, 1]]] -= 1.0
+    D0 = (np.where(a_free[:, None], 0.0, pos[edges[:, 0]])
+          - np.where(b_free[:, None], 0.0, pos[edges[:, 1]]))
+    # optima lie in the terminals' convex hull, inside the ball (center, R)
+    center = pos[:k].mean(axis=0)
+    R = float(np.max(np.linalg.norm(pos[:k] - center, axis=1)))
+    D0c = D0 - np.outer((~a_free).astype(float) - (~b_free).astype(float), center)
+    X = pos[free].copy()
+    eye = np.eye(dim)
+
+    def result(X):
+        return topology.with_steiner(np.where(
+            (col[k:] >= 0)[:, None], X[np.maximum(col[k:], 0)], pos[k:]))
+
+    def lower_bound(y):
+        # valid for any y with |y_e| <= w_e: sum_e y_e . d_e <= cost at every
+        # point, and the imbalance g at a free vertex x_v is charged R |g_v|
+        # because an optimal x_v lies within R of center
+        g = B.T @ y
+        return float(np.sum(y * D0c)) - R * float(np.sum(np.linalg.norm(g, axis=1)))
+
+    def bounds(X, eps):
+        """Cost at X and a lower bound on the optimum, from y_e = w_e d_e / r_e."""
+        d = B @ X + D0
+        n = np.linalg.norm(d, axis=1)
+        y = (w / np.sqrt(n * n + eps * eps))[:, None] * d
+        lower = lower_bound(y)
+        short = n < math.sqrt(eps * R)
+        if short.any():
+            # on edges that are collapsing d/r is rounding noise: take their y
+            # from the balance at free vertices, clipped back into the balls
+            rhs = -(B[~short].T @ y[~short])
+            y[short] = np.linalg.lstsq(B[short].T, rhs, rcond=None)[0]
+            excess = np.linalg.norm(y[short], axis=1) / w[short]
+            y[short] /= np.maximum(excess, 1.0)[:, None]
+            lower = max(lower, lower_bound(y))
+        return float(w @ n), lower
+
+    def smoothed(X, eps):
+        d = B @ X + D0
+        return float(w @ np.sqrt(np.einsum("ij,ij->i", d, d) + eps * eps))
+
+    eps = SMOOTH_START * R
+    floor = SMOOTH_FLOOR * R
+    scale = float(w.sum())
+    steps = 0
+    last = None  # (eps, X) at the end of the previous stage
+    while True:
+        d = B @ X + D0
+        r = np.sqrt(np.einsum("ij,ij->i", d, d) + eps * eps)
+        while True:
+            u = w / r
+            grad = (B.T @ (u[:, None] * d)).ravel()
+            # Hessian of one smoothed norm: w (I - d d^T / r^2) / r
+            K = u[:, None, None] * (eye - d[:, :, None] * d[:, None, :] / (r * r)[:, None, None])
+            H = np.einsum("ei,ej,eab->iajb", B, B, K).reshape(nf * dim, nf * dim)
+            p = -np.linalg.solve(H, grad)
+            lam2 = float(-grad @ p)  # squared Newton decrement
+            if lam2 <= STAGE_DECREMENT * scale * eps * eps / R:
+                break
+            if steps >= max_iters:
+                raise OptimizeError("position stage did not certify its gap", result(X))
+            steps += 1
+            P = p.reshape(nf, dim)
+            dP = B @ P
+            t = 1.0
+            while t >= 1e-6:
+                # f(X + tP) - f(X), written so that it stays exact far below
+                # the rounding of f itself
+                step = t * dP
+                d_new = d + step
+                r_new = np.sqrt(np.einsum("ij,ij->i", d_new, d_new) + eps * eps)
+                change = float(w @ (np.einsum("ij,ij->i", step, d + d_new) / (r + r_new)))
+                if change <= -0.25 * t * lam2:
+                    break
+                t *= 0.5
+            else:
+                break  # no progress at this smoothing
+            X, d, r = X + t * P, d_new, r_new
+        cost, lower = bounds(X, eps)
+        if lower > cutoff:
+            return None
+        if cost - lower <= tol * cost:
+            return result(X), cost
+        if eps <= floor:
+            raise OptimizeError("position stage did not certify its gap", result(X))
+        new_eps = max(eps / SMOOTH_FACTOR, floor)
+        previous, last = last, (eps, X)
+        if previous is not None:
+            # the smoothed minimizer is nearly affine in eps once eps is small:
+            # extrapolate from the last two stages when that helps
+            guess = X + (new_eps - eps) / (previous[0] - eps) * (previous[1] - X)
+            if smoothed(guess, new_eps) < smoothed(X, new_eps):
+                X = guess
+        eps = new_eps
+
+
+def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
+                       max_iters: int = 10000) -> tuple[Topology, float]:
+    """Convex position stage for a fixed topology: minimize the weighted length.
+
+    All branch points move jointly.  Raises OptimizeError (with the best
+    iterate attached) if the certified relative gap is not within tol after
+    max_iters Newton steps.
+    """
+    return _solve_positions(topology, alpha, tol, max_iters)
 
 
 def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure):
@@ -307,7 +440,11 @@ def _reroute_pass(t: TrafficPath, alpha: float) -> TrafficPath:
 
 def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
                         tol: float = 1e-9) -> TrafficPath:
-    """Exhaustive Gilbert-Steiner oracle for instances of at most six atoms."""
+    """Exhaustive Gilbert-Steiner oracle for instances of at most six atoms.
+
+    Every topology not pruned by its lower bound is solved to a certified
+    relative gap of tol.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     net = _merged_terminals(mu_minus, mu_plus)
@@ -330,17 +467,20 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
             rng = np.random.default_rng(7)
             init = init + 1e-3 * rng.standard_normal((n_steiner, dim))
         topo = Topology(net.points.copy(), net.masses.copy(), init, edges)
+        cutoff = best[0][0] if best is not None else math.inf
         try:
-            topo, cost = optimize_positions(topo, alpha)
+            solved = _solve_positions(topo, alpha, tol, 10000, cutoff)
         except OptimizeError as err:
-            topo = err.best
-            cost = topo.cost(alpha)
+            _log.warning("oracle topology %s not certified: %s", _tree_key(edges), err)
+            solved = err.best, err.best.cost(alpha)
+        if solved is None:
+            continue  # provably worse than the incumbent
+        topo, cost = solved
         key = (cost, _tree_key(edges))
         if best is None or key < best[0]:
             best = (key, topo)
     path = _contracted_path(best[1])
-    path = dcmp.remove_cycles(path)
-    return _reroute_pass(path, alpha)
+    return dcmp.remove_cycles(path)
 
 
 @dataclass(frozen=True)
@@ -355,9 +495,13 @@ class OptimalityReport:
 
 
 def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityReport:
-    """Compare a path against the oracle on its own boundary."""
+    """Compare a path against the oracle on its own boundary.
+
+    tol bounds the cost gap of the verdict only; the oracle itself always
+    runs at its default certified gap.
+    """
     bnd = currents.boundary(t)
-    opt = brute_force_optimal(bnd.negative_part(), bnd.positive_part(), alpha, tol)
+    opt = brute_force_optimal(bnd.negative_part(), bnd.positive_part(), alpha)
     path_cost = currents.alpha_mass(t, alpha) if alpha > 0 else _steiner_cost(t)
     oracle_cost = currents.alpha_mass(opt, alpha) if alpha > 0 else _steiner_cost(opt)
     gap = path_cost - oracle_cost

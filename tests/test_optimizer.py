@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from trafficpaths import currents, optimizer
 from trafficpaths.currents import AtomicMeasure
+
+from conftest import balanced_clouds
 
 
 def atoms2(*entries):
@@ -49,6 +52,40 @@ def test_optimize_positions_equal_mass_junction():
     out, cost = optimizer.optimize_positions(topo, alpha=0.5)
     assert cost == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-6)
     assert np.allclose(out.steiner_points[0], [0.0, 1.0], atol=1e-4)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+def test_optimize_positions_meets_requested_tolerance(tol):
+    terminals = np.array([[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    topo = optimizer.Topology(terminals, np.array([-1.0, -1.0, 2.0]),
+                              np.array([[0.1, 0.9]]),
+                              ((0, 3), (1, 3), (3, 2)))
+    _, cost = optimizer.optimize_positions(topo, alpha=0.5, tol=tol)
+    assert abs(cost - 3.0 * math.sqrt(2.0)) <= tol * cost
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_optimize_positions_matches_weiszfeld_reference(dim):
+    # the per-vertex Weiszfeld sweeps still used by local search are the
+    # reference: the joint solve certifies every topology and is never worse
+    rng = np.random.default_rng(11)
+    for k_minus, k_plus in ((1, 3), (2, 3)):
+        mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim=dim)
+        net = mu_plus - mu_minus
+        k = len(net.masses)
+        for alpha in (0.0, 0.5, 1.0):
+            for edges in optimizer.enumerate_topologies(k):
+                jitter = 1e-3 * np.random.default_rng(7).standard_normal((k - 2, dim))
+                topo = optimizer.Topology(net.points.copy(), net.masses.copy(),
+                                          net.points.mean(axis=0) + jitter, edges)
+                _, cost = optimizer.optimize_positions(topo, alpha, tol=1e-9)
+                weights = [0.0 if abs(f) <= optimizer.FLOW_TOL
+                           else (1.0 if alpha == 0.0 else abs(f) ** alpha)
+                           for f in topo.flows()]
+                _, reference, _ = optimizer._descend_graph(
+                    topo.positions(), edges, weights, [v >= k for v in range(2 * k - 2)],
+                    1e-10, 10000)
+                assert cost <= reference * (1.0 + 1e-9)
 
 
 def test_optimize_positions_raises_with_best_iterate():
@@ -117,12 +154,34 @@ def test_oracle_fermat_point_at_alpha_zero():
 
 
 def test_oracle_boundary_always_exact(rng):
-    from conftest import balanced_clouds
     for _ in range(10):
         mu_minus, mu_plus = balanced_clouds(rng, 3, 3)
         alpha = float(rng.uniform(0.2, 1.0))
         t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha)
         assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
+
+
+def test_oracle_beats_stalled_sweeps_on_pinned_instance(caplog):
+    # per-vertex sweeps stalled at 3.15315 here, above local search's 3.08726
+    mu_minus, mu_plus = balanced_clouds(np.random.default_rng(5), 1, 4)
+    with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+        t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha=0.6)
+    assert not caplog.records  # every topology kept was certified
+    assert currents.alpha_mass(t, 0.6) <= 3.08726
+    report = optimizer.is_optimal(optimizer.local_search(mu_minus, mu_plus, 0.6), 0.6)
+    assert report.gap >= -1e-9 * report.oracle_cost
+
+
+def test_oracle_pinned_generator_instances(rng, caplog):
+    # the first two instances of test_oracle_boundary_always_exact, where the
+    # per-vertex sweeps stopped at 7.67399 and 6.60798
+    for bound in (7.63985, 6.524083):
+        mu_minus, mu_plus = balanced_clouds(rng, 3, 3)
+        alpha = float(rng.uniform(0.2, 1.0))
+        with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+            t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha)
+        assert not caplog.records
+        assert currents.alpha_mass(t, alpha) <= bound
 
 
 def test_oracle_range_error():
