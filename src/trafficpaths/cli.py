@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None, choices=(2, 3),
                    help="expected ambient dimension (validation only)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="solver tolerance")
+                   help="certified relative optimality gap of the exact oracle")
     p.add_argument("--seed", type=int, default=None,
                    help="override the experiment seed")
     p.add_argument("--out", default=None,

@@ -293,17 +293,12 @@ def _cut_to_cover(pi: dcmp.PathMeasure, balls: list[Ball], side: str):
     contacts = []
     for c, w in pi.entries:
         if side == "start":
-            t = dcmp.first_exit(c, region)
-            piece = dcmp.restrict_curve(c, 0.0, t if math.isfinite(t) else c.length())
-            contact = piece.end() if piece is not None else None
+            piece, _, _ = dcmp.split_curve(c, start=region)
+            contacts.append((piece.end(), w))
         else:
-            t = dcmp.last_entry(c, region)
-            piece = dcmp.restrict_curve(c, t, c.length())
-            contact = piece.start() if piece is not None else None
-        if piece is None:
-            raise ValueError("curve collapsed while cutting at the cover")
+            _, _, piece = dcmp.split_curve(c, end=region)
+            contacts.append((piece.start(), w))
         pieces.append((piece, w))
-        contacts.append((contact, w))
     return pieces, contacts
 
 

@@ -7,9 +7,11 @@ weight theta.  An AtomicMeasure is a signed sum of point masses and is
 what boundaries evaluate to.
 
 Sums of paths are measure-theoretic: ``add`` overlays the two segment
-families, splits collinear overlaps into elementary intervals, adds
-multiplicities with orientation signs, cancels to zero where opposite
-flows meet and never creates crossings at transversal intersections.
+families, groups them by supporting line (``_line_groups``, shared with
+the quasi-additivity check), splits collinear overlaps into elementary
+intervals, adds multiplicities with orientation signs, cancels to zero
+where opposite flows meet and never creates crossings at transversal
+intersections.
 Everything downstream (decompositions, constructive transports, the
 competitor assembly) funnels through this overlay, so its tolerances
 are the global ones: vertices merge at 1e-9, multiplicities below 1e-12
@@ -24,6 +26,7 @@ push-forwards; the tests pin all three.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -262,13 +265,38 @@ def _canonical_line(a: np.ndarray, b: np.ndarray):
     return u, p0
 
 
+def _line_groups(segs) -> list:
+    """Group segments by supporting line: [(u, p0, intervals)] per line.
+
+    A line is its canonical direction u and foot point p0; lines merge when
+    both agree within LINE_TOL (Chebyshev), found through a _PointIndex on
+    the concatenated (u, p0) vector.  Each interval is (lo, hi, signed
+    theta, segment index) with lo < hi the segment's parameters along the
+    group's line; theta is negated when the segment runs against u.
+    """
+    if not segs:
+        return []
+    index = _PointIndex(2 * len(segs[0][0]), LINE_TOL)
+    groups: list[tuple[np.ndarray, np.ndarray, list]] = []
+    for k, (a, b, th) in enumerate(segs):
+        u, p0 = _canonical_line(a, b)
+        found = index.insert(np.concatenate((u, p0)))
+        if found == len(groups):
+            groups.append((u, p0, []))
+        lu, lp, intervals = groups[found]
+        ta, tb = float((a - lp) @ lu), float((b - lp) @ lu)
+        intervals.append((ta, tb, th, k) if tb > ta else (tb, ta, -th, k))
+    return groups
+
+
 def overlay(segs, dim: int | None = None) -> TrafficPath:
     """Measure-theoretic sum of weighted segments.
 
-    Segments are grouped by supporting line (1e-9 tolerance on direction
-    and offset), each line is cut at every endpoint parameter, elementary
-    intervals get the net signed multiplicity of all covering segments,
-    and runs of equal multiplicity are fused back into maximal edges.
+    Segments are grouped by supporting line through ``_line_groups`` (1e-9
+    tolerance on direction and offset), each line is cut at every endpoint
+    parameter, elementary intervals get the net signed multiplicity of all
+    covering segments, and runs of equal multiplicity are fused back into
+    maximal edges.
     """
     segs = [(as_point(a), as_point(b), float(th)) for a, b, th in segs
             if float(np.linalg.norm(as_point(b) - as_point(a))) > THETA_TOL
@@ -278,42 +306,9 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
             raise ValueError("empty overlay needs an explicit dimension")
         return empty_path(dim)
     d = len(segs[0][0])
-    lines: list[tuple[np.ndarray, np.ndarray]] = []
-    buckets: dict[tuple, list[int]] = {}
-    grouped: dict[int, list[tuple[float, float, float]]] = {}
-
-    def line_key(u, p0):
-        return tuple(int(v) for v in np.floor(u / 1e-6)) + tuple(int(v) for v in np.floor(p0 / 1e-6))
-
-    offs = list(itertools.product((-1, 0, 1), repeat=2 * d))
-    for a, b, th in segs:
-        u, p0 = _canonical_line(a, b)
-        k = line_key(u, p0)
-        found = -1
-        for off in offs:
-            kk = tuple(x + y for x, y in zip(k, off))
-            for idx in buckets.get(kk, ()):
-                lu, lp = lines[idx]
-                if float(np.max(np.abs(lu - u))) <= LINE_TOL and float(np.max(np.abs(lp - p0))) <= LINE_TOL:
-                    found = idx
-                    break
-            if found >= 0:
-                break
-        if found < 0:
-            lines.append((u, p0))
-            found = len(lines) - 1
-            buckets.setdefault(k, []).append(found)
-        lu, lp = lines[found]
-        ta, tb = float((a - lp) @ lu), float((b - lp) @ lu)
-        if tb > ta:
-            grouped.setdefault(found, []).append((ta, tb, th))
-        else:
-            grouped.setdefault(found, []).append((tb, ta, -th))
-
     out_segs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for idx, intervals in grouped.items():
-        u, p0 = lines[idx]
-        raw = sorted({t for lo, hi, _ in intervals for t in (lo, hi)})
+    for u, p0, intervals in _line_groups(segs):
+        raw = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
         # coalesce parameter values that differ only by floating dust
         reps: list[float] = []
         for t in raw:
@@ -321,17 +316,11 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
                 reps.append(t)
 
         def snap(t: float) -> float:
-            lo, hi = 0, len(reps) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if reps[mid] < t - THETA_TOL:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return reps[lo]
+            # first representative not below t - THETA_TOL; t's own is one
+            return reps[bisect.bisect_left(reps, t - THETA_TOL)]
 
         delta: dict[float, float] = {t: 0.0 for t in reps}
-        for lo, hi, th in intervals:
+        for lo, hi, th, _ in intervals:
             delta[snap(lo)] += th
             delta[snap(hi)] -= th
         run_start = None
@@ -421,7 +410,11 @@ def restrict(t: TrafficPath, region: BallRegion) -> TrafficPath:
 
 
 class AffineMap:
-    """x -> A x + b; Lipschitz constant is the spectral norm of A."""
+    """x -> A x + b; Lipschitz constant is the spectral norm of A.
+
+    Tests use it to check that push_forward contracts alpha_mass by at most
+    the Lipschitz constant.
+    """
 
     def __init__(self, matrix, offset):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -436,7 +429,11 @@ class AffineMap:
 
 
 class BallProjection:
-    """Nearest-point projection onto a closed ball (1-Lipschitz)."""
+    """Nearest-point projection onto a closed ball (1-Lipschitz).
+
+    Tests use it to check push-forward contraction by the Lipschitz
+    constant on a nonlinear map.
+    """
 
     def __init__(self, ball: Ball):
         self.ball = ball

@@ -9,23 +9,22 @@ support digraph, which requires the input to be acyclic; remove_cycles
 turns any path into an acyclic one with the same boundary and no more
 mass.
 
-Curve surgery: first_exit / last_entry locate the parameters where a
-curve leaves a region for the first time or sits outside it for the
-last time, restrict_curve clips to an arclength window, and cut_paths
-applies those cuts to a whole decomposition against an ordered ball
-cover, cell by cell.
+Curve surgery: split_curve cuts a curve in three pieces, at its first
+exit from a start region and at its last entry into an end region, and
+every cut in the package goes through it; cut_curves applies that cut
+to a whole decomposition against an ordered ball cover, cell by cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import currents
-from .geometry import Ball, BallRegion, as_point, segment_sphere_params
+from .geometry import Ball, BallRegion, segment_sphere_params
 
 WEIGHT_TOL = 1e-12
 BALANCE_TOL = 1e-9
@@ -96,11 +95,6 @@ class PathMeasure:
         dim = self.entries[0][0].dim if self.entries else 2
         return currents.AtomicMeasure.from_atoms(
             [(c.end(), w) for c, w in self.entries], dim=dim)
-
-    def scale(self, factor: float) -> "PathMeasure":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return PathMeasure(tuple((c, w * factor) for c, w in self.entries))
 
 
 def _find_cycle(n_vertices: int, adjacency: dict[int, list[int]]) -> list[int] | None:
@@ -240,31 +234,6 @@ def reconstruct(pi: PathMeasure, dim: int = 2) -> currents.TrafficPath:
     return currents.overlay(segs, dim=pi.entries[0][0].dim if pi.entries else dim)
 
 
-def weight_through(pi: PathMeasure, point, tol: float = BALANCE_TOL) -> float:
-    """Total weight of curves whose trace passes within tol of the point."""
-    p = as_point(point)
-    total = 0.0
-    for c, w in pi.entries:
-        hit = False
-        for a, b in c.segments():
-            u = b - a
-            s = float(np.clip(((p - a) @ u) / float(u @ u), 0.0, 1.0))
-            if float(np.linalg.norm(a + s * u - p)) <= tol:
-                hit = True
-                break
-        if hit:
-            total += w
-    return total
-
-
-def sub_decomposition(pi: PathMeasure, keep: Callable) -> tuple[PathMeasure, currents.TrafficPath]:
-    """Filter entries by a predicate keep(curve, weight); also rebuild the path."""
-    kept = tuple((c, w) for c, w in pi.entries if keep(c, w))
-    sub = PathMeasure(kept)
-    dim = pi.entries[0][0].dim if pi.entries else 2
-    return sub, reconstruct(sub, dim=dim)
-
-
 def _segment_params(c: Curve, region: BallRegion, k: int) -> list[float]:
     a, b = c.waypoints[k], c.waypoints[k + 1]
     out = set()
@@ -333,6 +302,33 @@ def restrict_curve(c: Curve, a: float, b: float) -> Curve | None:
     return Curve(np.array(dedup))
 
 
+def split_curve(c: Curve, start: BallRegion | None = None,
+                end: BallRegion | None = None) -> tuple:
+    """Cut a curve at its first exit from start and its last entry into end.
+
+    Returns (head, middle, tail).  head runs from the curve's start to the
+    first exit from start and tail from the last entry into end to the
+    curve's end; each is None when its region is not given.  middle, the
+    window between the two cuts, is cut only when both regions are given.
+    Raises ValueError when the curve never leaves start or when a returned
+    piece collapses to a point.
+    """
+    s = 0.0 if start is None else first_exit(c, start)
+    if not math.isfinite(s):
+        raise ValueError("curve never leaves its start region")
+    e = c.length() if end is None else last_entry(c, end)
+    windows = ((start is not None, 0.0, s),
+               (start is not None and end is not None, s, e),
+               (end is not None, e, c.length()))
+    pieces = []
+    for wanted, a, b in windows:
+        piece = restrict_curve(c, a, b) if wanted else None
+        if wanted and piece is None:
+            raise ValueError("curve piece collapsed to a point at a cut")
+        pieces.append(piece)
+    return tuple(pieces)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One cell of an ordered ball cover together with its parent ball."""
@@ -340,9 +336,18 @@ class CellSpec:
     cell: BallRegion
     ball: Ball
 
+    def open_ball(self) -> BallRegion:
+        """The open parent ball, the region a curve is cut against."""
+        return BallRegion.union_of([self.ball.open_copy()])
+
 
 def cells_of_cover(balls: Sequence[Ball]) -> list[CellSpec]:
     return [CellSpec(BallRegion.cell(i, list(balls)), balls[i]) for i in range(len(balls))]
+
+
+def cell_index(cells: Sequence[CellSpec], point) -> int | None:
+    """Index of the first cell containing the point; None when none does."""
+    return next((k for k, spec in enumerate(cells) if spec.cell.contains(point)), None)
 
 
 def cut_curves(pi: PathMeasure, cells: Sequence[CellSpec], mode: str
@@ -352,46 +357,21 @@ def cut_curves(pi: PathMeasure, cells: Sequence[CellSpec], mode: str
     mode "from-start" keeps the piece from the start to the first exit of
     the open parent ball; "from-end" keeps the piece from the last entry
     into the open parent ball to the end.  Returns (curve, weight, cell
-    index) triples; curves that degenerate to a point are dropped.
+    index) triples.  The cut is split_curve's, so a curve that never
+    leaves its start ball, or whose kept piece collapses to a point,
+    raises ValueError instead of being kept whole or dropped.
     """
     if mode not in ("from-start", "from-end"):
         raise ValueError("mode must be 'from-start' or 'from-end'")
+    from_start = mode == "from-start"
     out = []
     for c, w in pi.entries:
-        anchor = c.start() if mode == "from-start" else c.end()
-        idx = -1
-        for k, spec in enumerate(cells):
-            if spec.cell.contains(anchor):
-                idx = k
-                break
-        if idx < 0:
+        idx = cell_index(cells, c.start() if from_start else c.end())
+        if idx is None:
             raise ValueError("curve endpoint not in any cell")
-        ball_region = BallRegion.union_of([cells[idx].ball.open_copy()])
-        if mode == "from-start":
-            cut = first_exit(c, ball_region)
-            piece = restrict_curve(c, 0.0, cut if math.isfinite(cut) else c.length())
+        if from_start:
+            piece, _, _ = split_curve(c, start=cells[idx].open_ball())
         else:
-            cut = last_entry(c, ball_region)
-            piece = restrict_curve(c, cut, c.length())
-        if piece is not None:
-            out.append((piece, w, idx))
+            _, _, piece = split_curve(c, end=cells[idx].open_ball())
+        out.append((piece, w, idx))
     return out
-
-
-def cut_paths(pi: PathMeasure, cells: Sequence[CellSpec], mode: str) -> currents.TrafficPath:
-    """Traffic path assembled from the cut decomposition.
-
-    Requires the start-point and end-point measures of the cut collection
-    to have disjoint supports, which is what keeps the cut collection a
-    good decomposition of its path.
-    """
-    triples = cut_curves(pi, cells, mode)
-    pieces = PathMeasure(tuple((c, w) for c, w, _ in triples))
-    starts = pieces.start_measure()
-    ends = pieces.end_measure()
-    for p, _ in starts.atoms():
-        for q, _ in ends.atoms():
-            if float(np.linalg.norm(p - q)) <= BALANCE_TOL:
-                raise ValueError("mutually singular endpoints required")
-    dim = pi.entries[0][0].dim if pi.entries else 2
-    return reconstruct(pieces, dim=dim)

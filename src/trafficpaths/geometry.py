@@ -56,9 +56,6 @@ class Ball:
     def open_copy(self) -> "Ball":
         return replace(self, closed=False)
 
-    def closed_copy(self) -> "Ball":
-        return replace(self, closed=True)
-
 
 @dataclass(frozen=True)
 class BallRegion:
@@ -188,7 +185,8 @@ def packing_bound(ambient_radius: float, r: float, dim: int) -> int:
     Centers are scanned over a square grid of spacing r/10; two balls of
     radius r/20 are disjoint exactly when their centers are at least r/10
     apart, so grid points themselves form a valid packing and the count is
-    the number of grid points inside the enlarged ambient ball.
+    the number of grid points inside the enlarged ambient ball.  Tests
+    check the packing count: cover_compact never uses more balls.
     """
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
@@ -230,7 +228,8 @@ def cover_null_set(points: Sequence, path, opt_path, boundary_atoms: Sequence,
     both given paths restricted to the closed union is below eps, and no
     atom from ``boundary_atoms`` lies on any sphere (radii are perturbed
     multiplicatively, at most 64 retries per ball).  Base radii are halved
-    up to 60 times to meet the energy budget before giving up.
+    up to 60 times to meet the energy budget before giving up.  Tests
+    check this null-set covering budget: radii sum and cut energy below eps.
     """
     from . import currents  # local import: geometry stays import-light
 

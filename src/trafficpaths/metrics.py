@@ -142,7 +142,11 @@ class GridComplex:
                                  shape=(self.n_edges, self.n_faces)).tocsr()
 
     def edge_boundary_matrix(self) -> sparse.csr_matrix:
-        """Vertex x edge incidence (head +1, tail -1); used to check d d = 0."""
+        """Vertex x edge incidence (head +1, tail -1).
+
+        Composed with boundary_matrix it pins the chain-complex identity
+        d d = 0 that the filling LP relies on.
+        """
         nvert = (self.nx + 1) * (self.ny + 1)
 
         def vid(i, j):

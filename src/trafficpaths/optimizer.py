@@ -136,18 +136,6 @@ class Topology:
             total += w * float(np.linalg.norm(pos[a] - pos[b]))
         return total
 
-    def to_traffic_path(self) -> TrafficPath:
-        pos = self.positions()
-        segs = []
-        for (a, b), f in zip(self.edges, self.flows()):
-            if abs(f) <= FLOW_TOL:
-                continue
-            if f > 0:
-                segs.append((pos[a], pos[b], f))
-            else:
-                segs.append((pos[b], pos[a], -f))
-        return currents.overlay(segs, dim=self.dim) if segs else currents.empty_path(self.dim)
-
 
 def enumerate_topologies(k: int) -> list[tuple]:
     """All full binary tree edge sets on terminals 0..k-1; branch points are k, k+1, ...

@@ -25,7 +25,7 @@ from . import constructors, currents, metrics, optimizer
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, Config, TrafficPath
 from .decomposition import Curve, PathMeasure
-from .geometry import Ball, BallRegion
+from .geometry import BallRegion
 
 GOLDEN = 0.6180339887498949
 BOUNDARY_TOL = 1e-9
@@ -383,33 +383,15 @@ class CompetitorReport:
     ok: bool
 
 
-def _sign_covers(covers) -> tuple:
-    if isinstance(covers, dict):
-        try:
-            return list(covers["minus"]), list(covers["plus"])
-        except KeyError as exc:
-            raise ValueError("covers must provide 'minus' and 'plus' ball lists") from exc
-    if hasattr(covers, "minus") and hasattr(covers, "plus"):
-        return list(covers.minus), list(covers.plus)
-    pair = tuple(covers)
-    if len(pair) != 2:
-        raise ValueError("covers must provide 'minus' and 'plus' ball lists")
-    return list(pair[0]), list(pair[1])
-
-
-def _cell_of(point, cells, limit) -> int | None:
-    for i in range(min(limit, len(cells))):
-        if cells[i].cell.contains(point):
-            return i
-    return None
+def _sign_covers(covers: dict) -> tuple:
+    try:
+        return list(covers["minus"]), list(covers["plus"])
+    except KeyError as exc:
+        raise ValueError("covers must provide 'minus' and 'plus' ball lists") from exc
 
 
 def _cell_mass(measure: AtomicMeasure, cell) -> float:
     return sum(m for p, m in measure.atoms() if cell.contains(p))
-
-
-def _open_region(ball: Ball) -> BallRegion:
-    return BallRegion.union_of([ball.open_copy()])
 
 
 def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
@@ -522,37 +504,27 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     if max(out_minus, out_plus) > cc.eps1 / 2.0 + 1e-12:
         raise ValueError("too much approximating mass outside the truncated cells")
 
-    # selection: curves starting and ending inside the truncated covers
-    sel, rest = [], []
-    for c, w in pi_n.entries:
-        i = _cell_of(c.start(), cells_minus, nm)
-        j = _cell_of(c.end(), cells_plus, np_)
-        if i is None or j is None:
-            rest.append((c, w))
-        else:
-            sel.append((c, w, i, j))
-
+    # selection: curves starting and ending inside the truncated covers, kept
+    # up to the first exit from the start ball and from the last entry into
+    # the end ball
+    rest = []
+    sel_weight = 0.0
     sel_minus_segs, sel_plus_segs, sel_full_segs = [], [], []
     exit_atoms: dict[int, list] = {}
     entry_atoms: dict[int, list] = {}
-    for c, w, i, j in sel:
-        for a, b in c.segments():
-            sel_full_segs.append((a, b, w))
-        s_exit = dcmp.first_exit(c, _open_region(balls_minus[i]))
-        if not math.isfinite(s_exit):
-            raise ValueError("selected curve never leaves its start ball")
-        head = dcmp.restrict_curve(c, 0.0, s_exit)
-        if head is None:
-            raise ValueError("selected curve collapsed at its start ball")
-        for a, b in head.segments():
-            sel_minus_segs.append((a, b, w))
+    for c, w in pi_n.entries:
+        i = dcmp.cell_index(cells_minus[:nm], c.start())
+        j = dcmp.cell_index(cells_plus[:np_], c.end())
+        if i is None or j is None:
+            rest.append((c, w))
+            continue
+        sel_weight += w
+        head, _, tail = dcmp.split_curve(c, cells_minus[i].open_ball(),
+                                         cells_plus[j].open_ball())
+        sel_full_segs.extend((a, b, w) for a, b in c.segments())
+        sel_minus_segs.extend((a, b, w) for a, b in head.segments())
+        sel_plus_segs.extend((a, b, w) for a, b in tail.segments())
         exit_atoms.setdefault(i, []).append((head.end(), w))
-        e_entry = dcmp.last_entry(c, _open_region(balls_plus[j]))
-        tail = dcmp.restrict_curve(c, e_entry, c.length())
-        if tail is None:
-            raise ValueError("selected curve collapsed at its end ball")
-        for a, b in tail.segments():
-            sel_plus_segs.append((a, b, w))
         entry_atoms.setdefault(j, []).append((tail.start(), w))
 
     # optimal path: restriction strictly between the two covers
@@ -560,17 +532,12 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     opt_exit: dict[int, list] = {}
     opt_entry: dict[int, list] = {}
     for c, w in pi_opt.entries:
-        i = _cell_of(c.start(), cells_minus, len(cells_minus))
-        j = _cell_of(c.end(), cells_plus, len(cells_plus))
+        i = dcmp.cell_index(cells_minus, c.start())
+        j = dcmp.cell_index(cells_plus, c.end())
         if i is None or j is None:
             raise ValueError("optimal decomposition endpoint not covered")
-        a = dcmp.first_exit(c, _open_region(balls_minus[i]))
-        b = dcmp.last_entry(c, _open_region(balls_plus[j]))
-        if not math.isfinite(a) or a >= b - 1e-12:
-            raise ValueError("optimal curve window degenerate")
-        piece = dcmp.restrict_curve(c, a, b)
-        if piece is None:
-            raise ValueError("optimal curve window degenerate")
+        _, piece, _ = dcmp.split_curve(c, cells_minus[i].open_ball(),
+                                       cells_plus[j].open_ball())
         restr_pieces.append((piece, w))
         opt_exit.setdefault(i, []).append((piece.start(), w))
         opt_entry.setdefault(j, []).append((piece.end(), w))
@@ -704,7 +671,7 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
         "inside_budget": cc.Delta / 32.0,
         "competitor_cost": competitor_cost,
         "conclusion_budget": mass_tn - cc.Delta / 8.0,
-        "selected_weight": sum(w for _, w, _, _ in sel),
+        "selected_weight": sel_weight,
         "unselected_weight": sum(w for _, w in rest),
     }
     checks = {
@@ -747,29 +714,20 @@ def competitor_json_dict(report: CompetitorReport) -> dict:
 # lemma checks
 
 
-def _line_params(a: np.ndarray, b: np.ndarray):
-    u, p0 = currents._canonical_line(a, b)
-    return u, p0, float((a - p0) @ u), float((b - p0) @ u)
-
-
 def _shared_pieces(t1: TrafficPath, t2: TrafficPath):
     """Collinear overlap pieces of two paths: (theta1, theta2, length)."""
+    n1 = len(t1.edges)
     out = []
-    segs2 = []
-    for a, b, th in t2.segments():
-        segs2.append((_line_params(a, b), abs(th)))
-    for a, b, th1 in t1.segments():
-        (u1, p01, s1a, s1b) = _line_params(a, b)
-        lo1, hi1 = min(s1a, s1b), max(s1a, s1b)
-        for (u2, p02, s2a, s2b), th2 in segs2:
-            if float(np.linalg.norm(u1 - u2)) > 1e-9:
+    for _, _, intervals in currents._line_groups(t1.segments() + t2.segments()):
+        for lo1, hi1, th1, k1 in intervals:
+            if k1 >= n1:
                 continue
-            if float(np.linalg.norm(p01 - p02)) > 1e-9:
-                continue
-            lo = max(lo1, min(s2a, s2b))
-            hi = min(hi1, max(s2a, s2b))
-            if hi - lo > 1e-12:
-                out.append((abs(th1), th2, hi - lo))
+            for lo2, hi2, th2, k2 in intervals:
+                if k2 < n1:
+                    continue
+                lo, hi = max(lo1, lo2), min(hi1, hi2)
+                if hi - lo > 1e-12:
+                    out.append((abs(th1), abs(th2), hi - lo))
     return out
 
 

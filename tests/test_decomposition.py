@@ -175,18 +175,37 @@ def test_cut_curves_from_start():
     assert np.allclose(head.end(), [1.0, 0.0])
 
 
-def test_weight_through_counts_curves():
-    c1 = curve((0, 0), (1, 0), (2, 0))
-    c2 = curve((0, 1), (1, 0), (2, 1))
-    pi = PathMeasure(((c1, 1.0), (c2, 0.5)))
-    assert dcmp.weight_through(pi, [1.0, 0.0]) == pytest.approx(1.5)
-    assert dcmp.weight_through(pi, [9.0, 9.0]) == pytest.approx(0.0)
+def test_cut_curves_from_end():
+    c = curve((-4, 0), (0, 0))
+    pi = PathMeasure(((c, 0.7),))
+    cells = dcmp.cells_of_cover([Ball(np.array([0.0, 0.0]), 1.0)])
+    (tail, w, idx), = dcmp.cut_curves(pi, cells, mode="from-end")
+    assert w == pytest.approx(0.7)
+    assert idx == 0
+    # starts on the sphere of the open ball, ends where the curve ends
+    assert np.allclose(tail.start(), [-1.0, 0.0])
+    assert np.allclose(tail.end(), c.end())
+    assert tail.length() == pytest.approx(1.0)
 
 
-def test_sub_decomposition_splits():
-    c1 = curve((0, 0), (1, 0))
-    c2 = curve((0, 1), (1, 1))
-    pi = PathMeasure(((c1, 1.0), (c2, 2.0)))
-    kept, kept_path = dcmp.sub_decomposition(pi, lambda c, w: w > 1.5)
-    assert kept.total_weight() == pytest.approx(2.0)
-    assert currents.mass(kept_path) == pytest.approx(2.0)
+def test_cut_curves_rejects_curve_that_never_leaves():
+    pi = PathMeasure(((curve((0, 0), (0.2, 0)), 1.0),))
+    cells = dcmp.cells_of_cover([Ball(np.array([0.0, 0.0]), 1.0)])
+    with pytest.raises(ValueError, match="never leaves"):
+        dcmp.cut_curves(pi, cells, mode="from-start")
+
+
+def test_split_curve_three_pieces():
+    c = curve((0, 0), (4, 0), (4, 3))
+    start = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0, closed=False)])
+    end = BallRegion.union_of([Ball(np.array([4.0, 3.0]), 1.0, closed=False)])
+    head, middle, tail = dcmp.split_curve(c, start, end)
+    assert head.length() == pytest.approx(1.0)
+    assert middle.length() == pytest.approx(5.0)
+    assert tail.length() == pytest.approx(1.0)
+    assert np.allclose(middle.start(), head.end())
+    assert np.allclose(middle.end(), tail.start())
+    assert np.allclose(tail.start(), [4.0, 2.0])
+    head_only = dcmp.split_curve(c, start=start)
+    assert head_only[1] is None and head_only[2] is None
+    assert head_only[0].length() == pytest.approx(1.0)

@@ -237,6 +237,12 @@ def test_competitor_rejects_fat_cover():
         _run_competitor(t_n, t_opt, covers, cc, alpha)
 
 
+def test_competitor_rejects_covers_without_plus():
+    t_n, t_opt, covers, cc, alpha = _detour_setup()
+    with pytest.raises(ValueError, match="covers"):
+        _run_competitor(t_n, t_opt, {"minus": covers["minus"]}, cc, alpha)
+
+
 def test_competitor_rejects_overlapping_cover():
     t_n, t_opt, _, cc, alpha = _detour_setup()
     covers = {"minus": [Ball(np.array([-1.0, 0.0]), 5e-4),
@@ -326,6 +332,22 @@ def test_quasi_additivity_rejects_bad_eps():
         (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)])
     with pytest.raises(ValueError, match="eps"):
         stability.check_quasi_additivity(t, t, eps=0.3, alpha=0.5)
+
+
+def test_quasi_additivity_rejects_partial_opposite_overlap_3d():
+    p, u = np.array([0.3, -0.2, 0.5]), np.array([1.0, 2.0, 2.0]) / 3.0
+    t1 = currents.from_segments([(p + 4.0 * u, p + 1.0 * u, 0.5)])
+    t2 = currents.from_segments([(p, p + 3.0 * u, 1.0)])
+    with pytest.raises(ValueError, match="multiplicity hypothesis"):
+        stability.check_quasi_additivity(t1, t2, eps=0.2, alpha=0.5)
+
+
+def test_quasi_additivity_parallel_offset_line_is_distinct():
+    t1 = currents.from_segments([
+        (np.array([0.0, 1e-6]), np.array([1.0, 1e-6]), 5.0)])
+    t2 = currents.from_segments([
+        (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)])
+    assert stability.check_quasi_additivity(t1, t2, eps=0.1, alpha=0.5)
 
 
 def test_quasi_additivity_disjoint_paths_unrestricted():
