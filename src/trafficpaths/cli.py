@@ -238,7 +238,7 @@ def cmd_solve(args) -> int:
                                           tol=args.tol)
     else:
         t = optimizer.local_search(inst.mu_minus, inst.mu_plus, alpha)
-    cost = currents.alpha_mass(t, alpha)
+    cost = optimizer.path_cost(t, alpha)
     inst.alpha = alpha
     inst.path = t
     doc = inst.to_json()

@@ -4,14 +4,16 @@ The oracle enumerates full binary tree topologies over the terminal
 atoms (at most six), with the classical edge-insertion recursion, so
 (2k-5)!! trees for k terminals.  On a tree the edge flows are forced
 by mass balance; positions of the auxiliary branch points are then a
-convex sum of weighted Euclidean norms.  All branch points are solved
-jointly by damped Newton steps on the smoothed objective
+convex sum of weighted Euclidean norms.  One position solver,
+``_minimize_length``, serves the oracle and local search: all free
+vertices move jointly by damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
-a tenth of the terminal radius R.  After each stage the dual
+a tenth of the radius R of the fixed points (the terminals, or the
+boundary atoms in local search).  After each stage the dual
 y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges y
-is re-solved from the balance at the branch points and clipped to
+is re-solved from the balance at the free vertices and clipped to
 |y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
-because an optimum lies in the terminals' convex hull.  A topology is
+because an optimum lies in the fixed points' convex hull.  A topology is
 finished once its certified relative gap is within tol, and dropped as
 soon as its lower bound exceeds the best cost found so far
 (branch-and-bound in the spirit of Smith, Algorithmica 1992).
@@ -21,8 +23,12 @@ zero-flow edges, which cost nothing and realize disconnected optima
 inside a tree topology, so forests and atom splittings need no separate
 enumeration.
 
+Local search solves its general graphs with the boundary atoms fixed,
+then contracts vertices within 1e-7 onto them before ``overlay``.
+
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
-nonzero flow gets unit weight, which is the Fermat-point regime.
+nonzero flow gets unit weight, which is the Fermat-point regime, and
+``path_cost`` reports the plain length.
 """
 
 from __future__ import annotations
@@ -160,95 +166,19 @@ def enumerate_topologies(k: int) -> list[tuple]:
     return [tuple(tree) for tree in trees]
 
 
-def _descend_graph(pos: np.ndarray, edges, weights, free_mask, tol: float,
-                   max_iters: int) -> tuple[np.ndarray, float, bool]:
-    """Damped Weiszfeld sweeps on the free vertices of a weighted graph.
+def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, free: np.ndarray,
+                     anchors: np.ndarray, tol: float, max_iters: int,
+                     cutoff: float = math.inf) -> tuple[np.ndarray, float] | None:
+    """Joint smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on a certified gap.
 
-    Each free vertex moves to the weighted geometric median of its
-    neighbors, with step halving whenever the local objective would not
-    decrease; returns (positions, objective, converged).
+    Moves the vertices in free (each touching an edge); the anchors must
+    include every fixed end of an edge, so an optimum lies in their hull.
+    Returns (positions, cost) once cost - lower_bound <= tol * cost, or None
+    as soon as the lower bound exceeds cutoff.  Raises OptimizeError with the
+    last positions when max_iters Newton steps do not certify the gap, or
+    when steps at the smallest smoothing stop making progress.
     """
-    pos = pos.copy()
-    nbrs: dict[int, list[tuple[int, float]]] = {}
-    for (a, b), w in zip(edges, weights):
-        if w <= 0:
-            continue
-        nbrs.setdefault(a, []).append((b, w))
-        nbrs.setdefault(b, []).append((a, w))
-
-    kept = [(a, b, w) for (a, b), w in zip(edges, weights) if w > 0]
-    if not kept:
-        return pos, 0.0, True
-    ea = np.array([a for a, _, _ in kept], dtype=int)
-    eb = np.array([b for _, b, _ in kept], dtype=int)
-    ew = np.array([w for _, _, w in kept])
-
-    def total() -> float:
-        return float(ew @ np.linalg.norm(pos[ea] - pos[eb], axis=1))
-
-    free = [v for v in range(len(pos)) if free_mask[v] and v in nbrs]
-    if not free:
-        return pos, total(), True
-    nbr_idx = {v: np.array([u for u, _ in nbrs[v]], dtype=int) for v in free}
-    nbr_w = {v: np.array([w for _, w in nbrs[v]]) for v in free}
-    obj = total()
-    for _ in range(max_iters):
-        for v in free:
-            x = pos[v]
-            nbr_pos = pos[nbr_idx[v]]
-            wv = nbr_w[v]
-            diff = nbr_pos - x
-            dist = np.linalg.norm(diff, axis=1)
-            far = dist >= 1e-12
-            coincident_w = float(wv[~far].sum())
-            if not far.any():
-                continue
-            inv = wv[far] / dist[far]
-            den = float(inv.sum())
-            cand = (inv @ nbr_pos[far]) / den
-            if coincident_w > 0.0:
-                pull = inv @ diff[far]
-                if float(np.linalg.norm(pull)) <= coincident_w + 1e-15:
-                    continue  # stuck on a neighbor and the subgradient says stay
-            before = float(wv[far] @ dist[far])
-            step = cand - x
-            for _ in range(40):
-                trial = x + step
-                if float(wv @ np.linalg.norm(nbr_pos - trial, axis=1)) <= before + 1e-15:
-                    pos[v] = trial
-                    break
-                step *= 0.5
-        new_obj = total()
-        if abs(obj - new_obj) <= tol * max(1.0, abs(obj)):
-            return pos, new_obj, True
-        obj = new_obj
-    return pos, obj, False
-
-
-def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: int,
-                     cutoff: float = math.inf) -> tuple[Topology, float] | None:
-    """Joint smoothed Newton solve of the position stage, stopped on a certified gap.
-
-    Returns (topology, cost) once cost - lower_bound <= tol * cost, or None as
-    soon as the lower bound exceeds cutoff.  Raises OptimizeError with the
-    last iterate when max_iters Newton steps do not certify the gap, or when
-    steps at the smallest smoothing stop making progress.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    k = topology.n_terminals
-    pos = topology.positions()
-    th = np.abs(np.asarray(topology.flows(), dtype=float))
-    live = th > FLOW_TOL
-    edges = np.asarray(topology.edges, dtype=int).reshape(-1, 2)[live]
-    w = np.ones(len(edges)) if alpha == 0.0 else th[live] ** alpha
-    # vertices touching no edge with flow do not affect the cost and stay put;
-    # every other branch point lies on a path between two terminals
-    free = np.unique(edges)
-    free = free[free >= k]
-    if not len(free):
-        return topology, topology.cost(alpha)
-    nf, dim = len(free), topology.dim
+    nf, dim = len(free), pos.shape[1]
     col = np.full(len(pos), -1)
     col[free] = np.arange(nf)
     # edge vector d = B @ X + D0 over the free positions X
@@ -258,16 +188,16 @@ def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: in
     B[b_free, col[edges[b_free, 1]]] -= 1.0
     D0 = (np.where(a_free[:, None], 0.0, pos[edges[:, 0]])
           - np.where(b_free[:, None], 0.0, pos[edges[:, 1]]))
-    # optima lie in the terminals' convex hull, inside the ball (center, R)
-    center = pos[:k].mean(axis=0)
-    R = float(np.max(np.linalg.norm(pos[:k] - center, axis=1)))
+    center = anchors.mean(axis=0)
+    R = float(np.max(np.linalg.norm(anchors - center, axis=1)))
     D0c = D0 - np.outer((~a_free).astype(float) - (~b_free).astype(float), center)
     X = pos[free].copy()
     eye = np.eye(dim)
 
     def result(X):
-        return topology.with_steiner(np.where(
-            (col[k:] >= 0)[:, None], X[np.maximum(col[k:], 0)], pos[k:]))
+        out = pos.copy()
+        out[free] = X
+        return out
 
     def lower_bound(y):
         # valid for any y with |y_e| <= w_e: sum_e y_e . d_e <= cost at every
@@ -352,6 +282,38 @@ def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: in
         eps = new_eps
 
 
+def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: int,
+                     cutoff: float = math.inf) -> tuple[Topology, float] | None:
+    """Position stage of one topology through ``_minimize_length``.
+
+    The branch points touching an edge with flow move; the terminals are
+    the anchors.  Returns (topology, cost), or None once the lower bound
+    exceeds cutoff; OptimizeError carries the last iterate as a Topology.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    k = topology.n_terminals
+    pos = topology.positions()
+    th = np.abs(np.asarray(topology.flows(), dtype=float))
+    live = th > FLOW_TOL
+    edges = np.asarray(topology.edges, dtype=int).reshape(-1, 2)[live]
+    w = np.ones(len(edges)) if alpha == 0.0 else th[live] ** alpha
+    # vertices touching no edge with flow do not affect the cost and stay put;
+    # every other branch point lies on a path between two terminals
+    free = np.unique(edges)
+    free = free[free >= k]
+    if not len(free):
+        return topology, topology.cost(alpha)
+    try:
+        solved = _minimize_length(pos, edges, w, free, pos[:k], tol, max_iters, cutoff)
+    except OptimizeError as err:
+        raise OptimizeError(str(err), topology.with_steiner(err.best[k:])) from None
+    if solved is None:
+        return None
+    out, cost = solved
+    return topology.with_steiner(out[k:]), cost
+
+
 def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
                        max_iters: int = 10000) -> tuple[Topology, float]:
     """Convex position stage for a fixed topology: minimize the weighted length.
@@ -374,25 +336,33 @@ def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
 
 
+def _collision_representatives(pos: np.ndarray, anchored: np.ndarray) -> np.ndarray:
+    """Representative vertex of every vertex, merging chains closer than COLLISION_TOL.
+
+    Each cluster is represented by its lowest-index anchored vertex, or by
+    its lowest index when it holds none.
+    """
+    n = len(pos)
+    order = np.lexsort((np.arange(n), ~anchored))  # anchored first, then by index
+    close = np.linalg.norm(pos[order, None] - pos[None, order], axis=2) <= COLLISION_TOL
+    first = np.arange(n)  # position in order of each cluster's representative
+    while True:
+        spread = np.where(close, first, n).min(axis=1)
+        if np.array_equal(spread, first):
+            break
+        first = spread
+    rep = np.empty(n, dtype=int)
+    rep[order] = order[first]
+    return rep
+
+
 def _contracted_path(topology: Topology) -> TrafficPath:
     """Traffic path of a topology with near-coincident vertices contracted."""
     pos = topology.positions()
-    n = len(pos)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.linalg.norm(pos[i] - pos[j])) <= COLLISION_TOL:
-                parent[find(j)] = find(i)
+    rep = _collision_representatives(pos, np.arange(len(pos)) < topology.n_terminals)
     segs = []
     for (a, b), f in zip(topology.edges, topology.flows()):
-        ra, rb = find(a), find(b)
+        ra, rb = rep[a], rep[b]
         if ra == rb or abs(f) <= FLOW_TOL:
             continue
         if f > 0:
@@ -490,35 +460,56 @@ def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityRep
     """
     bnd = currents.boundary(t)
     opt = brute_force_optimal(bnd.negative_part(), bnd.positive_part(), alpha)
-    path_cost = currents.alpha_mass(t, alpha) if alpha > 0 else _steiner_cost(t)
-    oracle_cost = currents.alpha_mass(opt, alpha) if alpha > 0 else _steiner_cost(opt)
-    gap = path_cost - oracle_cost
-    return OptimalityReport(gap <= tol, gap, path_cost, oracle_cost)
+    cost, oracle_cost = path_cost(t, alpha), path_cost(opt, alpha)
+    gap = cost - oracle_cost
+    return OptimalityReport(gap <= tol, gap, cost, oracle_cost)
 
 
 def _steiner_cost(t: TrafficPath) -> float:
     return sum(float(np.linalg.norm(b - a)) for a, b, _ in t.segments())
 
 
+def path_cost(t: TrafficPath, alpha: float) -> float:
+    """alpha-mass of a path; at alpha = 0 (Steiner mode) its plain length."""
+    return _steiner_cost(t) if alpha == 0.0 else currents.alpha_mass(t, alpha)
+
+
 def _graph_descent_path(t: TrafficPath, bnd_points: list[np.ndarray], alpha: float
                         ) -> TrafficPath:
-    """Weiszfeld descent on every non-boundary vertex of a path."""
+    """Certified joint position solve of every non-boundary vertex of a path.
+
+    A vertex within COLLISION_TOL of a boundary atom is anchored at the
+    atom's exact coordinates.  After the solve, vertices within
+    COLLISION_TOL are contracted onto boundary vertices first, so that
+    overlay meets no vanishing edge that it could merge into a neighbouring
+    line and so shift a boundary point.
+    """
     if t.is_empty():
         return t
     pos = t.vertices.copy()
-    fixed = []
-    for v in range(len(pos)):
-        fixed.append(any(float(np.linalg.norm(pos[v] - p)) <= 1e-9 for p in bnd_points))
-    edges = [(i, j) for i, j, _ in t.edges]
-    weights = [(1.0 if alpha == 0.0 else th ** alpha) for _, _, th in t.edges]
-    out, _, _ = _descend_graph(pos, edges, weights, [not f for f in fixed], 1e-10, 2000)
-    segs = [(out[i], out[j], th) for i, j, th in t.edges]
+    bnd = np.asarray(bnd_points, dtype=float)
+    dist = np.linalg.norm(pos[:, None, :] - bnd[None, :, :], axis=2)
+    anchored = dist.min(axis=1) <= COLLISION_TOL
+    pos[anchored] = bnd[dist[anchored].argmin(axis=1)]
+    edges = np.array([(i, j) for i, j, _ in t.edges], dtype=int)
+    th = np.array([th for _, _, th in t.edges])
+    w = np.ones(len(th)) if alpha == 0.0 else th ** alpha
+    free = np.unique(edges)
+    free = free[~anchored[free]]
+    if len(free):
+        try:
+            pos, _ = _minimize_length(pos, edges, w, free, pos[anchored], 1e-10, 10000)
+        except OptimizeError as err:
+            _log.warning("local search position solve not certified: %s", err)
+            pos = err.best
+    rep = _collision_representatives(pos, anchored)
+    segs = [(pos[rep[i]], pos[rep[j]], th) for i, j, th in t.edges if rep[i] != rep[j]]
     return currents.overlay(segs, dim=t.dim)
 
 
 def _branch_insertion(t: TrafficPath, alpha: float, bnd_points) -> TrafficPath | None:
     """Try a Y-split at a vertex with two same-direction edges; best improver or None."""
-    base = currents.alpha_mass(t, alpha)
+    base = path_cost(t, alpha)
     best = None
     for v in range(len(t.vertices)):
         out_e = [(i, j, th) for i, j, th in t.edges if i == v]
@@ -541,7 +532,7 @@ def _branch_insertion(t: TrafficPath, alpha: float, bnd_points) -> TrafficPath |
                     segs.append((t.vertices[other2], u, e2[2]))
                 cand = currents.overlay(segs, dim=t.dim)
                 cand = _graph_descent_path(cand, bnd_points, alpha)
-                cost = currents.alpha_mass(cand, alpha)
+                cost = path_cost(cand, alpha)
                 if cost < base - 1e-12 and (best is None or cost < best[0]):
                     best = (cost, cand)
     return best[1] if best else None
@@ -570,9 +561,12 @@ def _direct_init(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure) -> TrafficPath
 
 def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
                  init: TrafficPath | None = None, budget: int = 60) -> TrafficPath:
-    """Improvement loop: descent, branch insertion, chord reroutes, contraction.
+    """Improvement loop: position solve, branch insertion, chord reroutes.
 
-    Each accepted move strictly lowers the cost; the boundary is preserved
+    Positions come from the certified joint solve of all non-boundary
+    vertices (a warning is logged when one does not certify) and a
+    contraction onto the boundary atoms.  Each accepted move strictly lowers
+    the cost (the Steiner length at alpha = 0); the boundary is preserved
     throughout.  No optimality promise, but on oracle-range instances the
     tests compare the final cost against the exhaustive optimum.
     """
@@ -582,13 +576,13 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
     bnd_points = [p for p, _ in currents.boundary(t).atoms()]
     t = _graph_descent_path(t, bnd_points, alpha)
     for _ in range(budget):
-        cost = currents.alpha_mass(t, alpha)
+        cost = path_cost(t, alpha)
         cand = _branch_insertion(t, alpha, bnd_points)
-        if cand is not None and currents.alpha_mass(cand, alpha) < cost - 1e-12:
+        if cand is not None and path_cost(cand, alpha) < cost - 1e-12:
             t = dcmp.remove_cycles(cand)
             continue
         cand = _reroute_pass(t, alpha)
-        if currents.alpha_mass(cand, alpha) < cost - 1e-12:
+        if path_cost(cand, alpha) < cost - 1e-12:
             t = _graph_descent_path(cand, bnd_points, alpha)
             continue
         break

@@ -767,24 +767,23 @@ def _thresholded(t: TrafficPath, delta: float) -> TrafficPath:
 
 
 def check_high_multiplicity_lsc(t: TrafficPath, t_seq, region: BallRegion,
-                                eps: float) -> LscReport:
+                                eps: float, alpha: float = 0.5) -> LscReport:
     """Thresholded semicontinuity: high-multiplicity parts carry the energy.
 
-    Measures the plain semicontinuity margin delta0 on the sequence (with
-    the conservative mass surrogate for the flat gap), solves
-    delta + C*delta^(1-alpha) <= delta0 by bisection for the constructive
-    threshold, and verifies the thresholded inequality at both the
-    constructive and the largest empirically passing threshold.
+    Measures the plain semicontinuity margin delta0 of the restricted
+    alpha-mass on the sequence (with the conservative mass surrogate for
+    the flat gap), solves delta + C*delta^(1-alpha) <= delta0 by bisection
+    for the constructive threshold, and verifies the thresholded inequality
+    at both the constructive and the largest empirically passing threshold.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    alpha_probe = 0.5  # the energy bound C only scales the excluded mass
     # C must dominate every alpha-mass in play; use mass as alpha=1 proxy
     c_bound = max([currents.mass(t)] + [currents.mass(s) for s in t_seq] + [1.0])
-    v_ref = currents.alpha_mass(currents.restrict(t, region), alpha_probe)
+    v_ref = currents.alpha_mass(currents.restrict(t, region), alpha)
 
     gaps = [currents.mass(currents.subtract(s, t)) for s in t_seq]
-    values = [currents.alpha_mass(currents.restrict(s, region), alpha_probe)
+    values = [currents.alpha_mass(currents.restrict(s, region), alpha)
               for s in t_seq]
 
     # plain-semicontinuity margin: the largest gap radius within which every
@@ -797,7 +796,7 @@ def check_high_multiplicity_lsc(t: TrafficPath, t_seq, region: BallRegion,
             delta0 = cand
 
     def constraint(x: float) -> float:
-        return x + c_bound * x ** (1.0 - alpha_probe)
+        return x + c_bound * x ** (1.0 - alpha)
 
     lo, hi = 0.0, max(delta0, 1e-12)
     for _ in range(200):
@@ -815,7 +814,7 @@ def check_high_multiplicity_lsc(t: TrafficPath, t_seq, region: BallRegion,
             if g > delta:
                 continue
             val = currents.alpha_mass(
-                currents.restrict(_thresholded(s, delta), region), alpha_probe)
+                currents.restrict(_thresholded(s, delta), region), alpha)
             worst = min(worst, val - (v_ref - eps))
             if val < v_ref - eps - 1e-12:
                 ok = False

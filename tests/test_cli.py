@@ -189,3 +189,16 @@ def test_competitor_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["ok"] is True
     assert doc["ledger"]["competitor_cost"] < doc["ledger"]["cost_t_n"]
+
+
+def test_solve_at_alpha_zero_reports_steiner_length(tmp_path):
+    # alpha = 0 is the Steiner mode: the Y instance's cost is its Fermat length
+    inst = write_instance(tmp_path / "i.json", alpha=0.0)
+    costs = {}
+    for method in ("oracle", "local"):
+        out = tmp_path / f"{method}.json"
+        assert cli.main(["--out", str(out), "solve", "--in", str(inst),
+                         "--method", method]) == 0
+        costs[method] = json.loads(out.read_text(encoding="utf-8"))["cost"]
+    assert abs(costs["oracle"] - (2.0 + np.sqrt(3.0))) <= 1e-9
+    assert costs["local"] >= costs["oracle"] - 1e-9

@@ -15,6 +15,71 @@ def atoms2(*entries):
                                      for p, m in entries], dim=2)
 
 
+def _descend_graph(pos: np.ndarray, edges, weights, free_mask, tol: float,
+                   max_iters: int) -> tuple[np.ndarray, float, bool]:
+    """Damped Weiszfeld sweeps on the free vertices of a weighted graph.
+
+    Each free vertex moves to the weighted geometric median of its
+    neighbors, with step halving whenever the local objective would not
+    decrease; returns (positions, objective, converged).
+    """
+    pos = pos.copy()
+    nbrs: dict[int, list[tuple[int, float]]] = {}
+    for (a, b), w in zip(edges, weights):
+        if w <= 0:
+            continue
+        nbrs.setdefault(a, []).append((b, w))
+        nbrs.setdefault(b, []).append((a, w))
+
+    kept = [(a, b, w) for (a, b), w in zip(edges, weights) if w > 0]
+    if not kept:
+        return pos, 0.0, True
+    ea = np.array([a for a, _, _ in kept], dtype=int)
+    eb = np.array([b for _, b, _ in kept], dtype=int)
+    ew = np.array([w for _, _, w in kept])
+
+    def total() -> float:
+        return float(ew @ np.linalg.norm(pos[ea] - pos[eb], axis=1))
+
+    free = [v for v in range(len(pos)) if free_mask[v] and v in nbrs]
+    if not free:
+        return pos, total(), True
+    nbr_idx = {v: np.array([u for u, _ in nbrs[v]], dtype=int) for v in free}
+    nbr_w = {v: np.array([w for _, w in nbrs[v]]) for v in free}
+    obj = total()
+    for _ in range(max_iters):
+        for v in free:
+            x = pos[v]
+            nbr_pos = pos[nbr_idx[v]]
+            wv = nbr_w[v]
+            diff = nbr_pos - x
+            dist = np.linalg.norm(diff, axis=1)
+            far = dist >= 1e-12
+            coincident_w = float(wv[~far].sum())
+            if not far.any():
+                continue
+            inv = wv[far] / dist[far]
+            den = float(inv.sum())
+            cand = (inv @ nbr_pos[far]) / den
+            if coincident_w > 0.0:
+                pull = inv @ diff[far]
+                if float(np.linalg.norm(pull)) <= coincident_w + 1e-15:
+                    continue  # stuck on a neighbor and the subgradient says stay
+            before = float(wv[far] @ dist[far])
+            step = cand - x
+            for _ in range(40):
+                trial = x + step
+                if float(wv @ np.linalg.norm(nbr_pos - trial, axis=1)) <= before + 1e-15:
+                    pos[v] = trial
+                    break
+                step *= 0.5
+        new_obj = total()
+        if abs(obj - new_obj) <= tol * max(1.0, abs(obj)):
+            return pos, new_obj, True
+        obj = new_obj
+    return pos, obj, False
+
+
 # ---------------------------------------------------------------------------
 # topology enumeration
 
@@ -66,8 +131,8 @@ def test_optimize_positions_meets_requested_tolerance(tol):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_optimize_positions_matches_weiszfeld_reference(dim):
-    # the per-vertex Weiszfeld sweeps still used by local search are the
-    # reference: the joint solve certifies every topology and is never worse
+    # independent per-vertex Weiszfeld sweeps are the reference: the joint
+    # solve certifies every topology and is never worse
     rng = np.random.default_rng(11)
     for k_minus, k_plus in ((1, 3), (2, 3)):
         mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim=dim)
@@ -82,7 +147,7 @@ def test_optimize_positions_matches_weiszfeld_reference(dim):
                 weights = [0.0 if abs(f) <= optimizer.FLOW_TOL
                            else (1.0 if alpha == 0.0 else abs(f) ** alpha)
                            for f in topo.flows()]
-                _, reference, _ = optimizer._descend_graph(
+                _, reference, _ = _descend_graph(
                     topo.positions(), edges, weights, [v >= k for v in range(2 * k - 2)],
                     1e-10, 10000)
                 assert cost <= reference * (1.0 + 1e-9)
@@ -228,3 +293,84 @@ def test_local_search_matches_oracle_on_y():
     t = optimizer.local_search(mu_minus, mu_plus, alpha=0.5)
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
     assert currents.alpha_mass(t, 0.5) <= 3.0 * math.sqrt(2.0) + 1e-3
+
+
+def test_local_search_keeps_source_atom_on_pinned_instance():
+    # overlay once moved a source vertex 1.23e-9, just outside the old 1e-9
+    # anchoring radius; the vertex then went free and the boundary TV was 1.33
+    alpha = 0.4296532969360948
+    mu_minus = atoms2(((-2.97406293224454, -0.9520801501127023), 0.6123567051690657),
+                      ((-1.8123895919477842, 0.431973653946103), 0.6637750196725214))
+    mu_plus = atoms2(((2.8094483859611694, 0.9138463416651923), 0.29986399123969054),
+                     ((2.733697212280844, 0.8782098416151798), 0.18246014937347194),
+                     ((2.5088825946150206, 0.7728012830213209), 0.13833069643268192),
+                     ((2.531967282169066, 0.32008180402543673), 0.17288808396517086),
+                     ((2.1213045152166443, 0.26034487211052215), 0.2223854281155236),
+                     ((1.3674991340569909, 0.625372710482494), 0.2602033757150483))
+    t = optimizer.local_search(mu_minus, mu_plus, alpha)
+    assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
+
+
+def test_graph_descent_snaps_drifted_boundary_vertex():
+    # a boundary vertex moved a few 1e-9 by overlay stays fixed and gets the
+    # atom's exact coordinates back
+    a, b, c = np.array([-1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 0.0])
+    t = currents.overlay([(a + np.array([3e-9, -2e-9]), c, 1.0), (b, c, 1.0)], dim=2)
+    out = optimizer._graph_descent_path(t, [a, b, c], 0.5)
+    target = atoms2(((0.0, 0.0), 2.0)) - atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
+    assert (currents.boundary(out) - target).tv() == 0.0
+
+
+# the two base instances of the local12 benchmark workload: alpha, the cost
+# the per-vertex Weiszfeld descent stopped at, sources, sinks
+LOCAL12_BASE = [
+    (0.8, 7.427256629487149,
+     [((-2.498351083783108, 0.8935058857188491), 0.5745172727551205),
+      ((-2.6213592309204774, -0.6414171791637848), 0.9420133606978611)],
+     [((1.699778481191915, -0.5389175068201881), 0.14376529025635496),
+      ((2.340891485545569, -0.769841235753105), 0.12373622354477035),
+      ((2.792618747409361, 0.7162609781678178), 0.26011198009848735),
+      ((1.0056540643732401, 0.0829323234375885), 0.338132882921807),
+      ((1.21370254804748, -0.48409008247801943), 0.3314054187227563),
+      ((1.8337920812662054, -0.09276775629344702), 0.3193788379088054)]),
+    (0.6, 8.6722568845,
+     [((-1.742341603179484, -0.1896980374907511), 0.7296819668550505),
+      ((-2.99714440200674, 0.6691961951938523), 0.8068985256956636)],
+     [((1.8070178802547243, -0.6833465939313077), 0.13396511203685701),
+      ((2.8081308799873703, -0.6278556352317508), 0.08643131317425548),
+      ((1.7882498206113204, -0.7975617377169193), 0.22397652788942618),
+      ((2.9399772862149804, -0.23843154075779638), 0.2239225898973727),
+      ((2.405072149776092, -0.11292136175153855), 0.21618801045139194),
+      ((1.7264198598453757, 0.3224270722794451), 0.08905143503549667),
+      ((1.5295497613068212, -0.8862901363101727), 0.07446928241237737),
+      ((1.180353243213826, -0.2355153273448891), 0.06346566875970798),
+      ((1.0031026295578835, 0.6809437757035117), 0.22224667118656058),
+      ((2.394948132799456, 0.477100425881108), 0.2028638817072681)]),
+]
+
+
+@pytest.mark.parametrize("alpha, descent_cost, sources, sinks", LOCAL12_BASE,
+                         ids=["8-atom", "12-atom"])
+def test_local_search_certifies_every_position_solve(alpha, descent_cost, sources,
+                                                     sinks, caplog):
+    # without the contraction before overlay, collapsing edges leave the
+    # 12-atom solve uncertified
+    mu_minus, mu_plus = atoms2(*sources), atoms2(*sinks)
+    with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+        t = optimizer.local_search(mu_minus, mu_plus, alpha)
+    assert not caplog.records
+    assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
+    assert currents.alpha_mass(t, alpha) <= descent_cost
+
+
+def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):
+    def stalled(pos, *args):
+        raise optimizer.OptimizeError("position stage did not certify its gap", pos)
+
+    monkeypatch.setattr(optimizer, "_minimize_length", stalled)
+    mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
+    mu_plus = atoms2(((0.0, 0.0), 2.0))
+    with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+        t = optimizer.local_search(mu_minus, mu_plus, alpha=0.5)
+    assert any("not certified" in r.getMessage() for r in caplog.records)
+    assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9

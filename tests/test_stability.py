@@ -408,3 +408,20 @@ def test_lsc_adversarial_low_multiplicity_mass():
     report = stability.check_high_multiplicity_lsc(base, seq, region, eps=0.05)
     assert report.holds
     assert report.delta_constructive <= report.delta0
+
+
+def test_lsc_probes_the_given_alpha():
+    # the member splits the unit flow into 0.6 and 0.3 strands: its plain
+    # restricted mass 0.9 falls below v_ref - eps/2 = 0.95, while its
+    # 0.5-mass (about 1.32) does not
+    base = currents.from_segments([
+        (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)])
+    member = currents.from_segments([
+        (np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.6),
+        (np.array([0.0, 0.01]), np.array([1.0, 0.01]), 0.3)])
+    region = BallRegion.union_of([Ball(np.array([0.5, 0.0]), 0.8)])
+    default = stability.check_high_multiplicity_lsc(base, [member], region, eps=0.1)
+    plain = stability.check_high_multiplicity_lsc(base, [member], region, eps=0.1,
+                                                  alpha=1.0)
+    assert default.delta0 == pytest.approx(1.7)
+    assert plain.delta0 == 0.0
