@@ -15,7 +15,10 @@ intersections.
 Everything downstream (decompositions, constructive transports, the
 competitor assembly) funnels through this overlay, so its tolerances
 are the global ones: vertices merge at 1e-9, multiplicities below 1e-12
-are dropped, collinearity is decided at 1e-9 angular tolerance.
+are dropped, collinearity is decided at 1e-9 angular tolerance.  Vertex
+merging and line grouping share one registry (``_PointIndex``), which
+probes only the grid buckets that can hold a point within tolerance, so
+each lookup costs one bucket probe away from bucket faces.
 
 Masses: mass(T) is the total variation (sum of theta * length) and
 alpha_mass(T, a) the concave transport energy (sum of theta^a * length)
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,39 +44,43 @@ LINE_TOL = 1e-9
 
 
 class _PointIndex:
-    """Incremental point registry with tolerance merging.
+    """Incremental point registry with tolerance merging, on float tuples.
 
-    Buckets points on a coarse grid and scans neighbor buckets, so two
-    points within ``tol`` (Chebyshev) always land on one representative.
+    Points are bucketed on a grid of side max(1e-6, 4 tol), so a point
+    within ``tol`` (Chebyshev) of a query lies in a bucket whose index on
+    each axis runs from floor((x - 2 tol)/grid) to floor((x + 2 tol)/grid):
+    one bucket unless x lies within 2 tol of a bucket face.  ``find``
+    probes only those buckets; the 2 tol margin absorbs the rounding of
+    x +- tol.  They are visited in lexicographic key order and each
+    bucket's points in insertion order, the order of a full scan of the
+    3^dim neighbour buckets, so the first match -- the representative a
+    point merges into -- is the one that scan would return.
     """
 
-    def __init__(self, dim: int, tol: float = MERGE_TOL, grid: float = 1e-6):
-        self.dim = dim
+    def __init__(self, tol: float = MERGE_TOL):
         self.tol = tol
-        self.grid = grid
-        self.points: list[np.ndarray] = []
-        self._buckets: dict[tuple, list[int]] = {}
-        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+        self.grid = max(1e-6, 4.0 * tol)
+        self.points: list[tuple[float, ...]] = []
+        self._buckets: dict[tuple[int, ...], list[int]] = {}
 
-    def _key(self, p: np.ndarray) -> tuple:
-        return tuple(int(v) for v in np.floor(p / self.grid))
-
-    def find(self, p: np.ndarray) -> int:
-        k = self._key(p)
-        for off in self._offsets:
-            kk = tuple(a + b for a, b in zip(k, off))
-            for idx in self._buckets.get(kk, ()):
-                if float(np.max(np.abs(self.points[idx] - p))) <= self.tol:
+    def find(self, p: tuple[float, ...]) -> int:
+        tol, grid, reach = self.tol, self.grid, 2.0 * self.tol
+        axes = [range(math.floor((x - reach) / grid), math.floor((x + reach) / grid) + 1)
+                for x in p]
+        for key in itertools.product(*axes):
+            for idx in self._buckets.get(key, ()):
+                if all(abs(a - b) <= tol for a, b in zip(self.points[idx], p)):
                     return idx
         return -1
 
-    def insert(self, p: np.ndarray) -> int:
+    def insert(self, p: tuple[float, ...]) -> int:
         idx = self.find(p)
         if idx >= 0:
             return idx
-        self.points.append(np.array(p, dtype=float))
+        self.points.append(p)
         idx = len(self.points) - 1
-        self._buckets.setdefault(self._key(p), []).append(idx)
+        key = tuple(math.floor(x / self.grid) for x in p)
+        self._buckets.setdefault(key, []).append(idx)
         return idx
 
 
@@ -117,10 +125,10 @@ class AtomicMeasure:
                 raise ValueError("empty measure needs an explicit dimension")
             return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
         d = len(as_point(atoms[0][0]))
-        index = _PointIndex(d, tol)
+        index = _PointIndex(tol)
         net: dict[int, float] = {}
         for p, m in atoms:
-            i = index.insert(as_point(p))
+            i = index.insert(tuple(as_point(p).tolist()))
             net[i] = net.get(i, 0.0) + float(m)
         pts, ms = [], []
         for i, m in net.items():
@@ -129,7 +137,7 @@ class AtomicMeasure:
                 ms.append(m)
         if not pts:
             return AtomicMeasure(np.zeros((0, d)), np.zeros(0))
-        order = sorted(range(len(pts)), key=lambda k: tuple(pts[k]))
+        order = sorted(range(len(pts)), key=pts.__getitem__)
         return AtomicMeasure(np.array([pts[k] for k in order]),
                              np.array([ms[k] for k in order]))
 
@@ -218,11 +226,11 @@ def from_segments(segs, dim: int | None = None, merge_tol: float = MERGE_TOL) ->
             raise ValueError("empty path needs an explicit dimension")
         return empty_path(dim)
     d = len(as_point(segs[0][0]))
-    index = _PointIndex(d, merge_tol)
+    index = _PointIndex(merge_tol)
     net: dict[tuple[int, int], float] = {}
     for a, b, th in segs:
-        pa, pb = as_point(a), as_point(b)
-        if float(np.linalg.norm(pb - pa)) <= THETA_TOL:
+        pa, pb = tuple(as_point(a).tolist()), tuple(as_point(b).tolist())
+        if math.dist(pa, pb) <= THETA_TOL:
             continue
         i, j = index.insert(pa), index.insert(pb)
         if i == j:
@@ -232,7 +240,7 @@ def from_segments(segs, dim: int | None = None, merge_tol: float = MERGE_TOL) ->
     return _assemble(index.points, net, d)
 
 
-def _assemble(points: list[np.ndarray], net: dict[tuple[int, int], float], d: int) -> TrafficPath:
+def _assemble(points: list[tuple[float, ...]], net: dict[tuple[int, int], float], d: int) -> TrafficPath:
     """Canonical vertex order plus signed pair-merged edges -> TrafficPath."""
     edges = []
     used = set()
@@ -246,7 +254,7 @@ def _assemble(points: list[np.ndarray], net: dict[tuple[int, int], float], d: in
         used.update((i, j))
     if not edges:
         return empty_path(d)
-    keep = sorted(used, key=lambda k: tuple(points[k]))
+    keep = sorted(used, key=points.__getitem__)
     remap = {old: new for new, old in enumerate(keep)}
     verts = np.array([points[k] for k in keep])
     out = sorted(((remap[i], remap[j], th) for i, j, th in edges))
@@ -276,11 +284,11 @@ def _line_groups(segs) -> list:
     """
     if not segs:
         return []
-    index = _PointIndex(2 * len(segs[0][0]), LINE_TOL)
+    index = _PointIndex(LINE_TOL)
     groups: list[tuple[np.ndarray, np.ndarray, list]] = []
     for k, (a, b, th) in enumerate(segs):
         u, p0 = _canonical_line(a, b)
-        found = index.insert(np.concatenate((u, p0)))
+        found = index.insert((*u.tolist(), *p0.tolist()))
         if found == len(groups):
             groups.append((u, p0, []))
         lu, lp, intervals = groups[found]
@@ -298,9 +306,9 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
     covering segments, and runs of equal multiplicity are fused back into
     maximal edges.
     """
-    segs = [(as_point(a), as_point(b), float(th)) for a, b, th in segs
-            if float(np.linalg.norm(as_point(b) - as_point(a))) > THETA_TOL
-            and abs(th) > 0.0]
+    segs = [(a, b, th) for a, b, th in
+            ((as_point(a), as_point(b), float(th)) for a, b, th in segs)
+            if th != 0.0 and math.dist(a.tolist(), b.tolist()) > THETA_TOL]
     if not segs:
         if dim is None:
             raise ValueError("empty overlay needs an explicit dimension")

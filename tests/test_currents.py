@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,42 @@ def seg(ax, ay, bx, by, th):
     return (np.array([ax, ay], dtype=float), np.array([bx, by], dtype=float), th)
 
 
+class _ScanPointIndex:
+    """Reference registry: scans all 3^dim neighbour buckets of a 1e-6 grid.
+
+    This was ``currents._PointIndex`` before it probed only the buckets a
+    match can occupy; the pruned registry must return the same indices.
+    """
+
+    def __init__(self, dim: int, tol: float = currents.MERGE_TOL, grid: float = 1e-6):
+        self.tol = tol
+        self.grid = grid
+        self.points: list[np.ndarray] = []
+        self._buckets: dict[tuple, list[int]] = {}
+        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+
+    def _key(self, p: np.ndarray) -> tuple:
+        return tuple(int(v) for v in np.floor(p / self.grid))
+
+    def find(self, p: np.ndarray) -> int:
+        k = self._key(p)
+        for off in self._offsets:
+            kk = tuple(a + b for a, b in zip(k, off))
+            for idx in self._buckets.get(kk, ()):
+                if float(np.max(np.abs(self.points[idx] - p))) <= self.tol:
+                    return idx
+        return -1
+
+    def insert(self, p: np.ndarray) -> int:
+        idx = self.find(p)
+        if idx >= 0:
+            return idx
+        self.points.append(np.array(p, dtype=float))
+        idx = len(self.points) - 1
+        self._buckets.setdefault(self._key(p), []).append(idx)
+        return idx
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -25,6 +62,32 @@ def test_measure_merges_close_atoms_and_drops_zeros():
                                    ((1.0, 0.0), 1e-13)])
     assert len(mu.masses) == 1
     assert mu.total() == pytest.approx(3.0)
+
+
+def test_measure_merges_atoms_farther_apart_than_the_default_grid():
+    # the bucket grid follows tol, so atoms 5e-4 apart merge at tol 1e-3
+    mu = AtomicMeasure.from_atoms([((0.0, 0.0), 1.0), ((5e-4, 0.0), 1.0)], tol=1e-3)
+    assert len(mu.masses) == 1
+    assert mu.total() == pytest.approx(2.0)
+
+
+# coordinates within 3e-9 of a 1e-6 bucket face, where the probe range
+# widens to two buckets on that axis
+_near_face = st.builds(lambda k, e: k * 1e-6 + e, st.integers(-2, 2),
+                       st.floats(-3e-9, 3e-9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4, 6]), data=st.data())
+def test_point_index_matches_full_neighbour_scan(dim, data):
+    centres = data.draw(st.lists(st.tuples(*[_near_face] * dim), min_size=1, max_size=4))
+    # jitter up to 1.5e-9 per axis: pairs of one centre fall on both sides of tol
+    point = st.builds(lambda i, e: tuple(c + x for c, x in zip(centres[i], e)),
+                      st.integers(0, len(centres) - 1),
+                      st.tuples(*[st.floats(-1.5e-9, 1.5e-9)] * dim))
+    points = data.draw(st.lists(point, min_size=1, max_size=30))
+    pruned, scan = currents._PointIndex(), _ScanPointIndex(dim)
+    assert [pruned.insert(p) for p in points] == [scan.insert(np.array(p)) for p in points]
 
 
 def test_measure_parts_and_tv():
@@ -85,6 +148,26 @@ def test_overlay_cancels_opposite_runs():
     assert currents.mass(t) == pytest.approx(1.0)
     bnd = currents.boundary(t)
     assert bnd.mass_at([1.0, 0.0]) == pytest.approx(1.0)
+
+
+def test_overlay_3d_collinear_overlap_and_cancellation():
+    p, v = np.array([0.5, -1.0, 2.0]), np.array([1.0, 2.0, 2.0])  # |v| = 3
+    t = currents.overlay([(p, p + 2 * v, 1.0), (p + v, p + 3 * v, 1.0)])
+    assert currents.mass(t) == pytest.approx(12.0)
+    assert sorted(th for _, _, th in t.segments()) == pytest.approx([1.0, 1.0, 2.0])
+    bnd = currents.boundary(t)
+    assert bnd.mass_at(p) == pytest.approx(-1.0)
+    assert bnd.mass_at(p + v) == pytest.approx(-1.0)
+    assert bnd.mass_at(p + 2 * v) == pytest.approx(1.0)
+    assert bnd.mass_at(p + 3 * v) == pytest.approx(1.0)
+    # the run back over the second half cancels it: one edge p -> p + v remains
+    t = currents.overlay([(p, p + 2 * v, 1.0), (p + 2 * v, p + v, 1.0)])
+    assert len(t.edges) == 1
+    assert currents.mass(t) == pytest.approx(3.0)
+    bnd = currents.boundary(t)
+    assert bnd.mass_at(p + v) == pytest.approx(1.0)
+    assert bnd.mass_at(p) == pytest.approx(-1.0)
+    assert bnd.tv() == pytest.approx(2.0)
 
 
 def test_add_subtract_reverse_scale():
