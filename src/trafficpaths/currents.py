@@ -304,7 +304,10 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
     tolerance on direction and offset), each line is cut at every endpoint
     parameter, elementary intervals get the net signed multiplicity of all
     covering segments, and runs of equal multiplicity are fused back into
-    maximal edges.
+    maximal edges.  Each run endpoint takes the coordinates of the first
+    input endpoint snapped to its parameter, so every output vertex is an
+    input vertex and a segment grouped onto a line that agrees with its
+    own only within 1e-9 keeps its endpoints.
     """
     segs = [(a, b, th) for a, b, th in
             ((as_point(a), as_point(b), float(th)) for a, b, th in segs)
@@ -315,7 +318,7 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
         return empty_path(dim)
     d = len(segs[0][0])
     out_segs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for u, p0, intervals in _line_groups(segs):
+    for _, _, intervals in _line_groups(segs):
         raw = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
         # coalesce parameter values that differ only by floating dust
         reps: list[float] = []
@@ -328,9 +331,15 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
             return reps[bisect.bisect_left(reps, t - THETA_TOL)]
 
         delta: dict[float, float] = {t: 0.0 for t in reps}
-        for lo, hi, th, _ in intervals:
-            delta[snap(lo)] += th
-            delta[snap(hi)] -= th
+        where: dict[float, np.ndarray] = {}
+        for lo, hi, th, k in intervals:
+            a, b, seg_th = segs[k]
+            lo_pt, hi_pt = (a, b) if th == seg_th else (b, a)
+            lo, hi = snap(lo), snap(hi)
+            delta[lo] += th
+            delta[hi] -= th
+            where.setdefault(lo, lo_pt)
+            where.setdefault(hi, hi_pt)
         run_start = None
         run_mult = 0.0
         cur = 0.0
@@ -342,7 +351,7 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
                     run_start, run_mult = t, nxt_mult
                 continue
             if k + 1 >= len(reps) or abs(nxt_mult - run_mult) > THETA_TOL:
-                pa, pb = p0 + run_start * u, p0 + t * u
+                pa, pb = where[run_start], where[t]
                 if run_mult > 0:
                     out_segs.append((pa, pb, run_mult))
                 else:

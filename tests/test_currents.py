@@ -150,6 +150,15 @@ def test_overlay_cancels_opposite_runs():
     assert bnd.mass_at([1.0, 0.0]) == pytest.approx(1.0)
 
 
+def test_overlay_keeps_endpoints_of_segments_on_a_near_collinear_line():
+    # the second segment joins the first one's line (both agree within
+    # LINE_TOL) but its endpoints are 2.7e-9 and 3.6e-9 off that line
+    segs = [seg(0, 0, 1, 0, 1.0), seg(3, 2.7e-9, 4, 3.6e-9, 1.0)]
+    t = currents.overlay(segs)
+    drift = currents.boundary(t) - currents.boundary(currents.from_segments(segs))
+    assert drift.tv() == 0.0
+
+
 def test_overlay_3d_collinear_overlap_and_cancellation():
     p, v = np.array([0.5, -1.0, 2.0]), np.array([1.0, 2.0, 2.0])  # |v| = 3
     t = currents.overlay([(p, p + 2 * v, 1.0), (p + v, p + 3 * v, 1.0)])
