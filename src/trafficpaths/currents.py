@@ -274,16 +274,15 @@ def _canonical_line(a: np.ndarray, b: np.ndarray):
 
 
 def _line_groups(segs) -> list:
-    """Group segments by supporting line: [(u, p0, intervals)] per line.
+    """Group segments by supporting line: one list of intervals per line.
 
     A line is its canonical direction u and foot point p0; lines merge when
     both agree within LINE_TOL (Chebyshev), found through a _PointIndex on
-    the concatenated (u, p0) vector.  Each interval is (lo, hi, signed
-    theta, segment index) with lo < hi the segment's parameters along the
-    group's line; theta is negated when the segment runs against u.
+    the concatenated (u, p0) vector, and a group keeps the line of its
+    first segment.  Each interval is (lo, hi, signed theta, segment index)
+    with lo < hi the segment's parameters along the group's line; theta is
+    negated when the segment runs against u.
     """
-    if not segs:
-        return []
     index = _PointIndex(LINE_TOL)
     groups: list[tuple[np.ndarray, np.ndarray, list]] = []
     for k, (a, b, th) in enumerate(segs):
@@ -294,7 +293,7 @@ def _line_groups(segs) -> list:
         lu, lp, intervals = groups[found]
         ta, tb = float((a - lp) @ lu), float((b - lp) @ lu)
         intervals.append((ta, tb, th, k) if tb > ta else (tb, ta, -th, k))
-    return groups
+    return [intervals for _, _, intervals in groups]
 
 
 def overlay(segs, dim: int | None = None) -> TrafficPath:
@@ -309,16 +308,16 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
     input vertex and a segment grouped onto a line that agrees with its
     own only within 1e-9 keeps its endpoints.
     """
-    segs = [(a, b, th) for a, b, th in
-            ((as_point(a), as_point(b), float(th)) for a, b, th in segs)
-            if th != 0.0 and math.dist(a.tolist(), b.tolist()) > THETA_TOL]
+    segs = [(as_point(a), as_point(b), float(th)) for a, b, th in segs]
+    segs = [(a, b, th) for a, b, th in segs
+            if math.dist(a.tolist(), b.tolist()) > THETA_TOL and abs(th) > 0.0]
     if not segs:
         if dim is None:
             raise ValueError("empty overlay needs an explicit dimension")
         return empty_path(dim)
     d = len(segs[0][0])
     out_segs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for _, _, intervals in _line_groups(segs):
+    for intervals in _line_groups(segs):
         raw = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
         # coalesce parameter values that differ only by floating dust
         reps: list[float] = []

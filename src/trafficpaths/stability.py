@@ -718,7 +718,7 @@ def _shared_pieces(t1: TrafficPath, t2: TrafficPath):
     """Collinear overlap pieces of two paths: (theta1, theta2, length)."""
     n1 = len(t1.edges)
     out = []
-    for _, _, intervals in currents._line_groups(t1.segments() + t2.segments()):
+    for intervals in currents._line_groups(t1.segments() + t2.segments()):
         for lo1, hi1, th1, k1 in intervals:
             if k1 >= n1:
                 continue
