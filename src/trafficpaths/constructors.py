@@ -270,10 +270,7 @@ def cone_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, apex,
     for q, m in mu_plus.atoms():
         if float(np.linalg.norm(q - a)) > 1e-12:
             segs.append((a, q, m))
-    dim = len(a)
-    if not segs:
-        return currents.empty_path(dim)
-    return currents.overlay(segs, dim=dim)
+    return currents.overlay(segs, dim=len(a))
 
 
 def _reweighted(pi: dcmp.PathMeasure, ratios, endpoint: str) -> dcmp.PathMeasure:

@@ -1,30 +1,33 @@
 """Gilbert-Steiner optimization: exact desk-scale oracle and local search.
 
-The oracle enumerates full binary tree topologies over the terminal
-atoms (at most six), with the classical edge-insertion recursion, so
-(2k-5)!! trees for k terminals.  On a tree the edge flows are forced
-by mass balance; positions of the auxiliary branch points are then a
+Both solvers search full binary tree topologies over the merged terminal
+atoms, built by the classical edge-insertion recursion: the oracle
+enumerates all (2k-5)!! trees for k terminals (at most ORACLE_MAX_ATOMS),
+local search walks a neighbourhood of them.  On a tree the edge flows are
+forced by mass balance; positions of the auxiliary branch points are then a
 convex sum of weighted Euclidean norms.  One position solver,
-``_minimize_length``, serves the oracle and local search: all free
-vertices move jointly by damped Newton steps on the smoothed objective
+``_minimize_length``, serves every topology: all free vertices move jointly
+by damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
-a tenth of the radius R of the fixed points (the terminals, or the
-boundary atoms in local search).  After each stage the dual
+a tenth of the radius R of the terminals.  After each stage the dual
 y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges y
 is re-solved from the balance at the free vertices and clipped to
 |y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
-because an optimum lies in the fixed points' convex hull.  A topology is
+because an optimum lies in the terminals' convex hull.  A topology is
 finished once its certified relative gap is within tol, and dropped as
 soon as its lower bound exceeds the best cost found so far
 (branch-and-bound in the spirit of Smith, Algorithmica 1992).
 Degenerate optima are reached through collisions (branch points
 landing on terminals or each other are contracted at 1e-7) and through
 zero-flow edges, which cost nothing and realize disconnected optima
-inside a tree topology, so forests and atom splittings need no separate
-enumeration.
+inside a tree topology, so forests, pass-through atoms and atom
+splittings need no separate enumeration or move.
 
-Local search solves its general graphs with the boundary atoms fixed,
-then contracts vertices within 1e-7 onto them before ``overlay``.
+Local search follows the tree-space heuristics of Bernot, Caselles and
+Morel (Optimal Transportation Networks, LNM 1955): terminals are inserted
+greedily, heaviest first, each into the edge that solves cheapest, and the
+tree is then improved by terminal regrafts, each scored by the same
+certified solve.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
@@ -33,7 +36,6 @@ nonzero flow gets unit weight, which is the Fermat-point regime, and
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -46,6 +48,9 @@ from .currents import AtomicMeasure, TrafficPath
 COLLISION_TOL = 1e-7
 FLOW_TOL = 1e-12
 ORACLE_MAX_ATOMS = 6
+# certified relative gap of every local search solve, and the least relative
+# gain that counts as an improving move
+LOCAL_TOL = 1e-10
 # smoothing continuation of the position stage: eps runs from SMOOTH_START to
 # SMOOTH_FLOOR terminal radii R, cut by SMOOTH_FACTOR per stage; a stage ends
 # when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R
@@ -143,6 +148,12 @@ class Topology:
         return total
 
 
+def _insert(tree: tuple, e_idx: int, t: int, s: int) -> tuple:
+    """Tree with edge e_idx split at branch point s and terminal t hung from s."""
+    a, b = tree[e_idx]
+    return tree[: e_idx] + tree[e_idx + 1:] + ((a, s), (s, b), (s, t))
+
+
 def enumerate_topologies(k: int) -> list[tuple]:
     """All full binary tree edge sets on terminals 0..k-1; branch points are k, k+1, ...
 
@@ -151,19 +162,11 @@ def enumerate_topologies(k: int) -> list[tuple]:
     """
     if k < 2:
         raise ValueError("need at least two terminals")
-    if k == 2:
-        return [((0, 1),)]
-    trees = [[(0, 1)]]
+    trees = [((0, 1),)]
     for t in range(2, k):
-        nxt = []
-        for tree in trees:
-            s = k + (t - 2)  # next branch point index
-            for e_idx, (a, b) in enumerate(tree):
-                new_tree = tree[: e_idx] + tree[e_idx + 1:]
-                new_tree = new_tree + [(a, s), (s, b), (s, t)]
-                nxt.append(new_tree)
-        trees = nxt
-    return [tuple(tree) for tree in trees]
+        trees = [_insert(tree, e_idx, t, k + t - 2)
+                 for tree in trees for e_idx in range(len(tree))]
+    return trees
 
 
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, free: np.ndarray,
@@ -193,6 +196,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, free: np
     D0c = D0 - np.outer((~a_free).astype(float) - (~b_free).astype(float), center)
     X = pos[free].copy()
     eye = np.eye(dim)
+    BB = (B[:, :, None] * B[:, None, :]).reshape(len(edges), nf * nf)
 
     def result(X):
         out = pos.copy()
@@ -240,7 +244,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, free: np
             grad = (B.T @ (u[:, None] * d)).ravel()
             # Hessian of one smoothed norm: w (I - d d^T / r^2) / r
             K = u[:, None, None] * (eye - d[:, :, None] * d[:, None, :] / (r * r)[:, None, None])
-            H = np.einsum("ei,ej,eab->iajb", B, B, K).reshape(nf * dim, nf * dim)
+            H = (BB.T @ K.reshape(-1, dim * dim)).reshape(nf, nf, dim, dim)
+            H = H.transpose(0, 2, 1, 3).reshape(nf * dim, nf * dim)
             p = -np.linalg.solve(H, grad)
             lam2 = float(-grad @ p)  # squared Newton decrement
             if lam2 <= STAGE_DECREMENT * scale * eps * eps / R:
@@ -325,9 +330,12 @@ def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
     return _solve_positions(topology, alpha, tol, max_iters)
 
 
-def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure):
+def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float):
+    """Net signed atoms mu+ - mu- of a balanced instance; none or at least two."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     net = mu_plus - mu_minus
-    if abs(net.total()) > 1e-9:
+    if abs(net.total()) > 1e-9 or len(net.masses) == 1:
         raise ValueError("marginals must balance")
     return net
 
@@ -336,30 +344,36 @@ def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
 
 
-def _collision_representatives(pos: np.ndarray, anchored: np.ndarray) -> np.ndarray:
-    """Representative vertex of every vertex, merging chains closer than COLLISION_TOL.
+def _solve_logged(topology: Topology, alpha: float, tol: float,
+                  cutoff: float) -> tuple[Topology, float] | None:
+    """``_solve_positions``; an uncertified solve is logged and its last iterate kept."""
+    try:
+        return _solve_positions(topology, alpha, tol, 10000, cutoff)
+    except OptimizeError as err:
+        _log.warning("topology %s not certified: %s", _tree_key(topology.edges), err)
+        return err.best, err.best.cost(alpha)
 
-    Each cluster is represented by its lowest-index anchored vertex, or by
-    its lowest index when it holds none.
-    """
+
+def _collision_representatives(pos: np.ndarray) -> np.ndarray:
+    """Lowest index of the cluster of every vertex, merging chains closer than COLLISION_TOL."""
     n = len(pos)
-    order = np.lexsort((np.arange(n), ~anchored))  # anchored first, then by index
-    close = np.linalg.norm(pos[order, None] - pos[None, order], axis=2) <= COLLISION_TOL
-    first = np.arange(n)  # position in order of each cluster's representative
+    close = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= COLLISION_TOL
+    rep = np.arange(n)
     while True:
-        spread = np.where(close, first, n).min(axis=1)
-        if np.array_equal(spread, first):
-            break
-        first = spread
-    rep = np.empty(n, dtype=int)
-    rep[order] = order[first]
-    return rep
+        spread = np.where(close, rep, n).min(axis=1)
+        if np.array_equal(spread, rep):
+            return rep
+        rep = spread
 
 
 def _contracted_path(topology: Topology) -> TrafficPath:
-    """Traffic path of a topology with near-coincident vertices contracted."""
+    """Traffic path of a topology with near-coincident vertices contracted.
+
+    The terminals come first in the positions, so a cluster holding one is
+    represented by a terminal and the boundary stays exact.
+    """
     pos = topology.positions()
-    rep = _collision_representatives(pos, np.arange(len(pos)) < topology.n_terminals)
+    rep = _collision_representatives(pos)
     segs = []
     for (a, b), f in zip(topology.edges, topology.flows()):
         ra, rb = rep[a], rep[b]
@@ -369,51 +383,24 @@ def _contracted_path(topology: Topology) -> TrafficPath:
             segs.append((pos[ra], pos[rb], f))
         else:
             segs.append((pos[rb], pos[ra], -f))
-    if not segs:
-        return currents.empty_path(topology.dim)
     return currents.overlay(segs, dim=topology.dim)
-
-
-def _reroute_pass(t: TrafficPath, alpha: float) -> TrafficPath:
-    """Replace single curves by their straight chord while that helps."""
-    if alpha == 0.0:
-        return t
-    for _ in range(20):
-        improved = False
-        base = currents.alpha_mass(t, alpha)
-        pi = dcmp.good_decomposition(dcmp.remove_cycles(t))
-        for c, w in sorted(pi.entries, key=lambda e: -e[1] * e[0].length()):
-            chord = currents.from_segments([(c.start(), c.end(), w)], dim=t.dim)
-            removed = currents.overlay(
-                t.segments() + [(b, a, w) for a, b in c.segments()], dim=t.dim)
-            cand = currents.add(removed, chord)
-            if currents.alpha_mass(cand, alpha) < base - 1e-12:
-                t = dcmp.remove_cycles(cand)
-                improved = True
-                break
-        if not improved:
-            return t
-    return t
 
 
 def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
                         tol: float = 1e-9) -> TrafficPath:
-    """Exhaustive Gilbert-Steiner oracle for instances of at most six atoms.
+    """Exhaustive Gilbert-Steiner oracle for instances of at most ORACLE_MAX_ATOMS atoms.
 
     Every topology not pruned by its lower bound is solved to a certified
-    relative gap of tol.
+    relative gap of tol; larger instances raise OracleRangeError.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    net = _merged_terminals(mu_minus, mu_plus)
+    net = _merged_terminals(mu_minus, mu_plus, alpha)
     k = len(net.masses)
     if k == 0:
         dim = mu_minus.dim if mu_minus.points.size else mu_plus.dim
         return currents.empty_path(dim)
     if k > ORACLE_MAX_ATOMS:
-        raise OracleRangeError("instance exceeds oracle bound of six atoms")
-    if k == 1:
-        raise ValueError("marginals must balance")
+        raise OracleRangeError(
+            f"instance exceeds oracle bound of {ORACLE_MAX_ATOMS} atoms")
     dim = net.dim
     best = None
     for edges in enumerate_topologies(k):
@@ -426,11 +413,7 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
             init = init + 1e-3 * rng.standard_normal((n_steiner, dim))
         topo = Topology(net.points.copy(), net.masses.copy(), init, edges)
         cutoff = best[0][0] if best is not None else math.inf
-        try:
-            solved = _solve_positions(topo, alpha, tol, 10000, cutoff)
-        except OptimizeError as err:
-            _log.warning("oracle topology %s not certified: %s", _tree_key(edges), err)
-            solved = err.best, err.best.cost(alpha)
+        solved = _solve_logged(topo, alpha, tol, cutoff)
         if solved is None:
             continue  # provably worse than the incumbent
         topo, cost = solved
@@ -474,116 +457,72 @@ def path_cost(t: TrafficPath, alpha: float) -> float:
     return _steiner_cost(t) if alpha == 0.0 else currents.alpha_mass(t, alpha)
 
 
-def _graph_descent_path(t: TrafficPath, bnd_points: list[np.ndarray], alpha: float
-                        ) -> TrafficPath:
-    """Certified joint position solve of every non-boundary vertex of a path.
+def _detach(tree: tuple, t: int) -> tuple[tuple, int]:
+    """Tree with terminal leaf t and its branch point s spliced out, and s.
 
-    A vertex within COLLISION_TOL of a boundary atom is anchored at the
-    atom's exact coordinates.  After the solve, vertices within
-    COLLISION_TOL are contracted onto boundary vertices first, so that
-    overlay meets no vanishing edge that it could merge into a neighbouring
-    line and so shift a boundary point.
+    The two other neighbours x, y of s are joined by the last edge (x, y).
     """
-    if t.is_empty():
-        return t
-    pos = t.vertices.copy()
-    bnd = np.asarray(bnd_points, dtype=float)
-    dist = np.linalg.norm(pos[:, None, :] - bnd[None, :, :], axis=2)
-    anchored = dist.min(axis=1) <= COLLISION_TOL
-    pos[anchored] = bnd[dist[anchored].argmin(axis=1)]
-    edges = np.array([(i, j) for i, j, _ in t.edges], dtype=int)
-    th = np.array([th for _, _, th in t.edges])
-    w = np.ones(len(th)) if alpha == 0.0 else th ** alpha
-    free = np.unique(edges)
-    free = free[~anchored[free]]
-    if len(free):
-        try:
-            pos, _ = _minimize_length(pos, edges, w, free, pos[anchored], 1e-10, 10000)
-        except OptimizeError as err:
-            _log.warning("local search position solve not certified: %s", err)
-            pos = err.best
-    rep = _collision_representatives(pos, anchored)
-    segs = [(pos[rep[i]], pos[rep[j]], th) for i, j, th in t.edges if rep[i] != rep[j]]
-    return currents.overlay(segs, dim=t.dim)
+    s = next(b if a == t else a for a, b in tree if t in (a, b))
+    x, y = (b if a == s else a for a, b in tree if s in (a, b) and t not in (a, b))
+    return tuple(e for e in tree if s not in e) + ((x, y),), s
 
 
-def _branch_insertion(t: TrafficPath, alpha: float, bnd_points) -> TrafficPath | None:
-    """Try a Y-split at a vertex with two same-direction edges; best improver or None."""
-    base = path_cost(t, alpha)
-    best = None
-    for v in range(len(t.vertices)):
-        out_e = [(i, j, th) for i, j, th in t.edges if i == v]
-        in_e = [(i, j, th) for i, j, th in t.edges if j == v]
-        for bundle, outgoing in ((out_e, True), (in_e, False)):
-            for (e1, e2) in itertools.combinations(bundle, 2):
-                other1 = e1[1] if outgoing else e1[0]
-                other2 = e2[1] if outgoing else e2[0]
-                mid = 0.5 * (t.vertices[other1] + t.vertices[other2])
-                u = t.vertices[v] + 0.25 * (mid - t.vertices[v])
-                segs = [(t.vertices[i], t.vertices[j], th) for i, j, th in t.edges
-                        if (i, j, th) not in (e1, e2)]
-                if outgoing:
-                    segs.append((t.vertices[v], u, e1[2] + e2[2]))
-                    segs.append((u, t.vertices[other1], e1[2]))
-                    segs.append((u, t.vertices[other2], e2[2]))
-                else:
-                    segs.append((u, t.vertices[v], e1[2] + e2[2]))
-                    segs.append((t.vertices[other1], u, e1[2]))
-                    segs.append((t.vertices[other2], u, e2[2]))
-                cand = currents.overlay(segs, dim=t.dim)
-                cand = _graph_descent_path(cand, bnd_points, alpha)
-                cost = path_cost(cand, alpha)
-                if cost < base - 1e-12 and (best is None or cost < best[0]):
-                    best = (cost, cand)
-    return best[1] if best else None
+def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
+                 ) -> TrafficPath:
+    """Greedy insertion plus terminal regrafts in the oracle's tree space.
 
-
-def _direct_init(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure) -> TrafficPath:
-    """Straight-line greedy matching of sources to sinks."""
-    supplies = [(p, m) for p, m in mu_minus.atoms()]
-    demands = [(p, m) for p, m in mu_plus.atoms()]
-    segs = []
-    di = 0
-    remaining = demands[0][1] if demands else 0.0
-    for p, m in supplies:
-        left = m
-        while left > FLOW_TOL and di < len(demands):
-            take = min(left, remaining)
-            if take > FLOW_TOL:
-                segs.append((p, demands[di][0], take))
-            left -= take
-            remaining -= take
-            if remaining <= FLOW_TOL:
-                di += 1
-                remaining = demands[di][1] if di < len(demands) else 0.0
-    return currents.overlay(segs, dim=mu_minus.dim)
-
-
-def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
-                 init: TrafficPath | None = None, budget: int = 60) -> TrafficPath:
-    """Improvement loop: position solve, branch insertion, chord reroutes.
-
-    Positions come from the certified joint solve of all non-boundary
-    vertices (a warning is logged when one does not certify) and a
-    contraction onto the boundary atoms.  Each accepted move strictly lowers
-    the cost (the Steiner length at alpha = 0); the boundary is preserved
-    throughout.  No optimality promise, but on oracle-range instances the
-    tests compare the final cost against the exhaustive optimum.
+    The merged terminals are inserted one at a time by descending |mass|,
+    each into the edge of the current tree whose certified position solve
+    costs least; until the last one is in, terminal 0 carries the mass of
+    the terminals still missing.  Then, cyclically over the terminals, one
+    at a time is detached with its branch point and re-inserted into every
+    other edge; the first move that lowers the cost by more than the solve
+    tolerance is kept, and the search stops after a full cycle over the
+    terminals without one.  Every solve is screened against the cost to beat, and an
+    uncertified one logs a warning and keeps its last iterate.  The result
+    is contracted like the oracle's, so its boundary is exact.  No
+    optimality promise: the tests compare it against the exhaustive
+    optimum on oracle-range instances.
     """
-    _merged_terminals(mu_minus, mu_plus)
-    t = init if init is not None else _direct_init(mu_minus, mu_plus)
-    t = dcmp.remove_cycles(t)
-    bnd_points = [p for p, _ in currents.boundary(t).atoms()]
-    t = _graph_descent_path(t, bnd_points, alpha)
-    for _ in range(budget):
-        cost = path_cost(t, alpha)
-        cand = _branch_insertion(t, alpha, bnd_points)
-        if cand is not None and path_cost(cand, alpha) < cost - 1e-12:
-            t = dcmp.remove_cycles(cand)
-            continue
-        cand = _reroute_pass(t, alpha)
-        if path_cost(cand, alpha) < cost - 1e-12:
-            t = _graph_descent_path(cand, bnd_points, alpha)
-            continue
-        break
-    return t
+    net = _merged_terminals(mu_minus, mu_plus, alpha)
+    k = len(net.masses)
+    if k == 0:
+        return currents.empty_path(net.dim)
+    order = np.argsort(-np.abs(net.masses), kind="stable")
+    points, masses = net.points[order], net.masses[order]
+
+    def solve(edges, steiner, last, cutoff):
+        # terminals after last are not in the tree yet: terminal 0 carries them
+        m = masses.copy()
+        m[0] += m[last + 1:].sum()
+        m[last + 1:] = 0.0
+        return _solve_logged(Topology(points, m, steiner, edges), alpha, LOCAL_TOL, cutoff)
+
+    def insertions(edges, pos, t, s, skip=None):
+        # t hung from s on every edge but skip, s started at the centroid
+        for e_idx, (a, b) in enumerate(edges):
+            if e_idx != skip:
+                steiner = pos[k:].copy()
+                steiner[s - k] = (pos[a] + pos[b] + pos[t]) / 3.0
+                yield _insert(edges, e_idx, t, s), steiner
+
+    topo, cost = solve(((0, 1),), np.zeros((max(k - 2, 0), net.dim)), 1, math.inf)
+    for t in range(2, k):
+        best = None
+        for edges, steiner in insertions(topo.edges, topo.positions(), t, k + t - 2):
+            solved = solve(edges, steiner, t, best[1] if best else math.inf)
+            if solved is not None and (best is None or solved[1] < best[1]):
+                best = solved
+        topo, cost = best
+    stale = 0  # terminals in a row whose regrafts found no improvement
+    t = 0
+    while k > 3 and stale < k:
+        edges, s = _detach(topo.edges, t)
+        stale += 1
+        for cand, steiner in insertions(edges, topo.positions(), t, s, skip=len(edges) - 1):
+            solved = solve(cand, steiner, k - 1, cost)
+            if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
+                (topo, cost), stale = solved, 0
+                break
+        t = (t + 1) % k
+    return dcmp.remove_cycles(_contracted_path(topo))

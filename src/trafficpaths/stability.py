@@ -625,8 +625,7 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     tilde_segs.extend(sel_plus_segs)
     t_tilde = currents.overlay(tilde_segs, dim=d)
 
-    t_sel = currents.overlay(sel_full_segs, dim=d) if sel_full_segs \
-        else currents.empty_path(d)
+    t_sel = currents.overlay(sel_full_segs, dim=d)
     err_sel = (currents.boundary(t_tilde) - currents.boundary(t_sel)).tv()
 
     rest_segs = [(a, b, w) for c, w in rest for a, b in c.segments()]
@@ -636,10 +635,8 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     # energy ledger
     u_c = BallRegion.union_of(balls_minus[:nm] + balls_plus[:np_], complement=True)
     outside_cost = currents.alpha_mass(currents.restrict(t_tilde, u_c), alpha)
-    sel_minus_path = currents.overlay(sel_minus_segs, dim=d) if sel_minus_segs \
-        else currents.empty_path(d)
-    sel_plus_path = currents.overlay(sel_plus_segs, dim=d) if sel_plus_segs \
-        else currents.empty_path(d)
+    sel_minus_path = currents.overlay(sel_minus_segs, dim=d)
+    sel_plus_path = currents.overlay(sel_plus_segs, dim=d)
     inside_minus = currents.alpha_mass(currents.restrict(
         currents.subtract(t_tilde, sel_minus_path), u_minus), alpha)
     inside_plus = currents.alpha_mass(currents.restrict(
@@ -763,7 +760,7 @@ class LscReport:
 
 def _thresholded(t: TrafficPath, delta: float) -> TrafficPath:
     segs = [(a, b, th) for a, b, th in t.segments() if th > delta]
-    return currents.overlay(segs, dim=t.dim) if segs else currents.empty_path(t.dim)
+    return currents.overlay(segs, dim=t.dim)
 
 
 def check_high_multiplicity_lsc(t: TrafficPath, t_seq, region: BallRegion,
