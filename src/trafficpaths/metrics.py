@@ -9,9 +9,12 @@ program on the bipartite atom graph augmented with destroy arcs.
 For 1-currents in the plane the flat distance is relaxed onto a square
 grid complex: both paths are rasterized to 1-chains (snapped staircase
 walks), and the norm min M(t - d s) + M(s) over 2-chains s is an LP in
-the face variables.  The rasterization error is reported alongside the
-value: each segment of multiplicity theta contributes at most
-theta * (2h * length + sqrt(2) * h).
+the face variables.  That LP is solved on the smallest sub-grid whose
+vertex box holds the support of the chain: clamping vertex indices to
+the box maps every 2-chain s to one no worse, so a minimizer lives there
+(the grid form of "flat-norm minimizers lie in the convex hull").  The
+rasterization error is reported alongside the value: each segment of
+multiplicity theta contributes at most theta * (2h * length + sqrt(2) * h).
 """
 
 from __future__ import annotations
@@ -216,15 +219,43 @@ def rasterize(grid: GridComplex, t: TrafficPath) -> tuple[np.ndarray, float]:
 
 
 def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
-    """min over 2-chains s of M(t - d s) + M(s) on the grid complex (an LP)."""
-    ne, nf = grid.n_edges, grid.n_faces
-    B = grid.boundary_matrix()
+    """min over 2-chains s of M(t - d s) + M(s) on the grid complex (an LP).
+
+    The LP is solved on the smallest vertex box [i0, i1] x [j0, j1] that
+    holds the support of t (grown to one cell in a direction where it is
+    flat), not on the whole grid.  This is exact: the map p that clamps
+    every vertex index to the box is cellular, so p# commutes with d,
+    sends each cell to a cell of the same size or to 0 (M(p# x) <= M(x))
+    and fixes t; hence M(t - d p#s) + M(p#s) <= M(t - d s) + M(s) for
+    every 2-chain s, and some minimizer lives in the box.
+    """
+    t = np.asarray(t_chain, dtype=float)
+    hor = t[:grid.n_hedges].reshape(grid.ny + 1, grid.nx)
+    ver = t[grid.n_hedges:].reshape(grid.ny, grid.nx + 1)
+    hj, hi = np.nonzero(hor)
+    vj, vi = np.nonzero(ver)
+    # vertex indices touched: a horizontal edge (i, j) ends at i + 1, a vertical one at j + 1
+    ii = np.concatenate([hi, hi + 1, vi])
+    jj = np.concatenate([hj, vj, vj + 1])
+    if ii.size == 0:
+        return 0.0
+    i0, i1, j0, j1 = int(ii.min()), int(ii.max()), int(jj.min()), int(jj.max())
+    if i1 == i0:
+        i0, i1 = (i0, i0 + 1) if i0 < grid.nx else (i0 - 1, i0)
+    if j1 == j0:
+        j0, j1 = (j0, j0 + 1) if j0 < grid.ny else (j0 - 1, j0)
+    box = GridComplex(grid.x0 + i0 * grid.h, grid.y0 + j0 * grid.h,
+                      i1 - i0, j1 - j0, grid.h)
+    chain = np.concatenate([hor[j0:j1 + 1, i0:i1].ravel(),
+                            ver[j0:j1, i0:i1 + 1].ravel()])
+    ne, nf = box.n_edges, box.n_faces
+    B = box.boundary_matrix()
     # variables: u+ u- (edge residual split), v+ v- (face split), all >= 0
-    c = np.concatenate([np.full(ne, grid.h), np.full(ne, grid.h),
-                        np.full(nf, grid.h ** 2), np.full(nf, grid.h ** 2)])
+    c = np.concatenate([np.full(ne, box.h), np.full(ne, box.h),
+                        np.full(nf, box.h ** 2), np.full(nf, box.h ** 2)])
     eye = sparse.identity(ne, format="csr")
     a_eq = sparse.hstack([eye, -eye, B, -B], format="csr")
-    res = linprog(c, A_eq=a_eq, b_eq=t_chain, bounds=[(0, None)] * (2 * ne + 2 * nf),
+    res = linprog(c, A_eq=a_eq, b_eq=chain, bounds=[(0, None)] * (2 * ne + 2 * nf),
                   method="highs")
     if not res.success:
         raise RuntimeError("flat norm LP failed: " + str(res.message))

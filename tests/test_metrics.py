@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from trafficpaths import currents, metrics
 from trafficpaths.currents import AtomicMeasure
@@ -126,3 +128,74 @@ def test_flat_distance_separates_distinct_paths():
     # two unit verticals, so destroying both (mass 2) is the minimum
     assert value == pytest.approx(2.0, rel=1e-6)
     assert err >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# flat LP on the support's bounding box
+
+
+def _full_grid_flat_chain_norm(grid, t_chain):
+    """The filling LP on every cell of the grid: the reference for the box LP."""
+    ne, nf = grid.n_edges, grid.n_faces
+    B = grid.boundary_matrix()
+    c = np.concatenate([np.full(ne, grid.h), np.full(ne, grid.h),
+                        np.full(nf, grid.h ** 2), np.full(nf, grid.h ** 2)])
+    eye = sparse.identity(ne, format="csr")
+    a_eq = sparse.hstack([eye, -eye, B, -B], format="csr")
+    res = linprog(c, A_eq=a_eq, b_eq=t_chain, bounds=[(0, None)] * (2 * ne + 2 * nf),
+                  method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _random_box_chain(rng, grid, i0, i1, j0, j1):
+    """Random sparse chain on the edges of the vertex box [i0, i1] x [j0, j1]."""
+    chain = np.zeros(grid.n_edges)
+    edges = [grid.hedge(i, j) for j in range(j0, j1 + 1) for i in range(i0, i1)]
+    edges += [grid.vedge(i, j) for j in range(j0, j1) for i in range(i0, i1 + 1)]
+    picked = rng.choice(edges, size=max(1, len(edges) // 3), replace=False)
+    chain[picked] = rng.uniform(-2.0, 2.0, size=picked.size)
+    return chain
+
+
+def _assert_box_lp_matches(grid, chain):
+    ref = _full_grid_flat_chain_norm(grid, chain)
+    assert metrics.flat_chain_norm(grid, chain) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def test_flat_chain_norm_zero_chain():
+    g = metrics.GridComplex.from_box(0.0, 0.0, 1.0, 1.0, 0.25)
+    assert metrics.flat_chain_norm(g, np.zeros(g.n_edges)) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_chain_norm_box_matches_full_grid(seed):
+    rng = np.random.default_rng(seed)
+    g = metrics.GridComplex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                            int(rng.integers(3, 8)), int(rng.integers(3, 8)),
+                            float(rng.uniform(0.1, 0.6)))
+    nx, ny = g.nx, g.ny
+    boxes = [
+        (0, nx, 0, ny),                    # the whole grid
+        (0, 2, 1, ny - 1),                 # touches the left side
+        (nx - 2, nx, 1, 2),                # touches the right side
+        (1, nx - 1, 0, 1),                 # touches the bottom
+        (1, 3, ny - 2, ny),                # touches the top
+        (1, nx - 1, 2, 2), (0, nx, ny, ny),    # single rows, inner and top
+        (2, 2, 0, ny - 1), (nx, nx, 1, ny),    # single columns, inner and right
+        (0, 0, 0, 1), (nx, nx, ny - 1, ny),    # one vertical edge in a corner
+    ]
+    for i0, i1, j0, j1 in boxes:
+        _assert_box_lp_matches(g, _random_box_chain(rng, g, i0, i1, j0, j1))
+
+
+def test_flat_chain_norm_box_matches_full_grid_on_cancelling_difference():
+    # two nearby paths with the same ends: their chains cancel on shared edges
+    g = metrics.GridComplex.from_box(-1.0, -1.0, 3.0, 3.0, 0.125)
+    t1 = currents.from_segments([seg(0, 0, 1, 0.5, 1.0), seg(1, 0.5, 2, 0, 1.0)])
+    t2 = currents.from_segments([seg(0, 0, 1, 0.25, 1.0), seg(1, 0.25, 2, 0, 1.0)])
+    c1, _ = metrics.rasterize(g, t1)
+    c2, _ = metrics.rasterize(g, t2)
+    diff = c1 - c2
+    assert np.count_nonzero(diff) < np.count_nonzero(c1) + np.count_nonzero(c2)
+    _assert_box_lp_matches(g, diff)

@@ -21,9 +21,11 @@ def _descend_graph(pos: np.ndarray, edges, weights, free_mask, tol: float,
 
     Each free vertex moves to the weighted geometric median of its
     neighbors, with step halving whenever the local objective would not
-    decrease; returns (positions, objective, converged).
+    decrease; returns (positions, objective, converged).  The sweep runs
+    on tuples of Python floats: a numpy call per vertex costs more than
+    the arithmetic on a handful of 2-D or 3-D points.
     """
-    pos = pos.copy()
+    pts = [tuple(float(c) for c in p) for p in pos]
     nbrs: dict[int, list[tuple[int, float]]] = {}
     for (a, b), w in zip(edges, weights):
         if w <= 0:
@@ -33,51 +35,48 @@ def _descend_graph(pos: np.ndarray, edges, weights, free_mask, tol: float,
 
     kept = [(a, b, w) for (a, b), w in zip(edges, weights) if w > 0]
     if not kept:
-        return pos, 0.0, True
-    ea = np.array([a for a, _, _ in kept], dtype=int)
-    eb = np.array([b for _, b, _ in kept], dtype=int)
-    ew = np.array([w for _, _, w in kept])
+        return np.array(pts), 0.0, True
 
     def total() -> float:
-        return float(ew @ np.linalg.norm(pos[ea] - pos[eb], axis=1))
+        return sum(w * math.dist(pts[a], pts[b]) for a, b, w in kept)
 
-    free = [v for v in range(len(pos)) if free_mask[v] and v in nbrs]
+    free = [v for v in range(len(pts)) if free_mask[v] and v in nbrs]
     if not free:
-        return pos, total(), True
-    nbr_idx = {v: np.array([u for u, _ in nbrs[v]], dtype=int) for v in free}
-    nbr_w = {v: np.array([w for _, w in nbrs[v]]) for v in free}
+        return np.array(pts), total(), True
+    dims = range(len(pts[0]))
     obj = total()
     for _ in range(max_iters):
         for v in free:
-            x = pos[v]
-            nbr_pos = pos[nbr_idx[v]]
-            wv = nbr_w[v]
-            diff = nbr_pos - x
-            dist = np.linalg.norm(diff, axis=1)
-            far = dist >= 1e-12
-            coincident_w = float(wv[~far].sum())
-            if not far.any():
+            x = pts[v]
+            nbr = [(pts[u], w) for u, w in nbrs[v]]
+            far, coincident_w = [], 0.0
+            for p, w in nbr:
+                d = math.dist(p, x)
+                if d >= 1e-12:
+                    far.append((p, w, d))
+                else:
+                    coincident_w += w
+            if not far:
                 continue
-            inv = wv[far] / dist[far]
-            den = float(inv.sum())
-            cand = (inv @ nbr_pos[far]) / den
+            den = sum(w / d for _, w, d in far)
+            cand = [sum(w / d * p[c] for p, w, d in far) / den for c in dims]
             if coincident_w > 0.0:
-                pull = inv @ diff[far]
-                if float(np.linalg.norm(pull)) <= coincident_w + 1e-15:
+                pull = [sum(w / d * (p[c] - x[c]) for p, w, d in far) for c in dims]
+                if math.hypot(*pull) <= coincident_w + 1e-15:
                     continue  # stuck on a neighbor and the subgradient says stay
-            before = float(wv[far] @ dist[far])
-            step = cand - x
+            before = sum(w * d for _, w, d in far)
+            step = [cand[c] - x[c] for c in dims]
             for _ in range(40):
-                trial = x + step
-                if float(wv @ np.linalg.norm(nbr_pos - trial, axis=1)) <= before + 1e-15:
-                    pos[v] = trial
+                trial = tuple(x[c] + step[c] for c in dims)
+                if sum(w * math.dist(p, trial) for p, w in nbr) <= before + 1e-15:
+                    pts[v] = trial
                     break
-                step *= 0.5
+                step = [0.5 * s for s in step]
         new_obj = total()
         if abs(obj - new_obj) <= tol * max(1.0, abs(obj)):
-            return pos, new_obj, True
+            return np.array(pts), new_obj, True
         obj = new_obj
-    return pos, obj, False
+    return np.array(pts), obj, False
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from trafficpaths import currents, metrics, optimizer, stability
 from trafficpaths import decomposition as dcmp
+from trafficpaths.cli import canonical_json
 from trafficpaths.currents import AtomicMeasure, Config
 from trafficpaths.geometry import Ball, BallRegion
 
@@ -170,6 +173,32 @@ def test_report_csv_shape():
     assert lines[0] == ",".join(stability.CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+
+
+def _assert_report_matches(got, want, where="report"):
+    """Numbers agree to 1e-9 relative; strings, flags and keys exactly."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), where
+    else:
+        assert got == want, where
+
+
+def test_shipped_alpha04_report_matches_results():
+    # results/ is written by scripts/run_stability.py; this ties it to the code
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
+    got = json.loads(canonical_json(stability.report_json_dict(
+        stability.run_stability_trial(cfg))))
+    want = json.loads((root / "results" / "stability_alpha04.json").read_text("utf-8"))
+    _assert_report_matches(got, want)
 
 
 # ---------------------------------------------------------------------------
