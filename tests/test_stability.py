@@ -191,13 +191,16 @@ def _assert_report_matches(got, want, where="report"):
         assert got == want, where
 
 
-def test_shipped_alpha04_report_matches_results():
+@pytest.mark.parametrize("name", ["stability_alpha02", "stability_alpha03",
+                                  "stability_alpha04", "stability_alpha06",
+                                  "stability_alpha08"])
+def test_shipped_report_matches_results(name):
     # results/ is written by scripts/run_stability.py; this ties it to the code
     root = pathlib.Path(__file__).resolve().parents[1]
-    cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
+    cfg = stability.load_experiment(str(root / "configs" / f"{name}.json"))
     got = json.loads(canonical_json(stability.report_json_dict(
         stability.run_stability_trial(cfg))))
-    want = json.loads((root / "results" / "stability_alpha04.json").read_text("utf-8"))
+    want = json.loads((root / "results" / f"{name}.json").read_text("utf-8"))
     _assert_report_matches(got, want)
 
 
@@ -281,6 +284,48 @@ def test_competitor_rejects_overlapping_cover():
                                      delta=0.01, N_minus=2, N_plus=1)
     with pytest.raises(ValueError, match="disjoint"):
         _run_competitor(t_n, t_opt, covers, cc2, alpha)
+
+
+_SOURCE, _SINK = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("minus, plus, n_minus, t_n_start, message", [
+    ([Ball(_SOURCE, 5e-4)], [Ball(_SINK, 5e-4)], 2, None,
+     "cover truncation count exceeds the cover size"),
+    ([Ball(np.array([-1.0, 5e-4]), 5e-4)], [Ball(_SINK, 5e-4)], 1, None,
+     "marginal atom sits on a cover sphere"),
+    ([Ball(_SOURCE + [0.01, 0.0], 5e-4)], [Ball(_SINK, 5e-4)], 1, None,
+     "cover truncation misses source mass"),
+    ([Ball(_SOURCE, 5e-4)], [Ball(_SINK + [0.01, 0.0], 5e-4)], 1, None,
+     "cover truncation misses sink mass"),
+    ([Ball(_SOURCE, 5e-4)], [Ball(_SINK, 5e-4)], 1, (-1.0, 2e-4),
+     "approximating boundary too far from the target boundary"),
+], ids=["truncation-count", "atom-on-sphere", "misses-source", "misses-sink",
+        "boundary-too-far"])
+def test_competitor_rejects_bad_cover_side(minus, plus, n_minus, t_n_start, message):
+    t_n, t_opt, _, _, alpha = _detour_setup()
+    if t_n_start is not None:
+        t_n = currents.from_segments([
+            (np.array(t_n_start), np.array([0.0, 1.0]), 1.0),
+            (np.array([0.0, 1.0]), _SINK, 1.0)])
+    cc = stability.CompetitorConfig(Delta=0.8, eps1=1e-8, eps2=1e-5,
+                                    delta=0.01, N_minus=n_minus, N_plus=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _run_competitor(t_n, t_opt, {"minus": minus, "plus": plus}, cc, alpha)
+
+
+def test_competitor_truncated_cover_gives_zero_ratio_past_the_truncation():
+    t_n, t_opt, _, cc, alpha = _detour_setup()
+    covers = {"minus": [Ball(_SOURCE, 3e-4), Ball(_SOURCE + [0.0, 0.01], 3e-4)],
+              "plus": [Ball(_SINK, 3e-4), Ball(_SINK + [0.0, 0.01], 3e-4)]}
+    report = _run_competitor(t_n, t_opt, covers, cc, alpha)
+    assert report.ok
+    assert report.boundary_error_sel == 0.0
+    assert report.boundary_error_full == 0.0
+    # the one kept ball takes the cut mass at rate 1/(1 + eps2)
+    want = (pytest.approx(1.0 / (1.0 + 1e-5), rel=1e-12), 0.0)
+    assert report.alpha_ratios_minus == want
+    assert report.alpha_ratios_plus == want
 
 
 def _random_admissible_instance(rng):
