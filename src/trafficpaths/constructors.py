@@ -10,11 +10,10 @@ that the stability machinery consumes.
 Conventions.  Measures fed to the builders are nonnegative atomic
 measures; balance (equal totals on both sides) is validated at 1e-9.
 Sphere supports are validated to sit on the sphere at 1e-9.  Circles
-and spheres are discretized with a configurable number of segments per
-full circle, 32 by default; vertices always lie on the sphere itself,
-so the chord deviation is the sagitta, of order radius / segments^2.
-Raising segments_per_circle pushes the support within any required
-distance of the sphere (2304 segments reaches 1e-6 * radius).
+and spheres are discretized with DEFAULT_SEGMENTS (32) segments per
+full circle; vertices always lie on the sphere itself, so the chord
+deviation is the sagitta, of order radius / segments^2 (about 5e-3 *
+radius at 32 segments).
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ class SphereWrapMap:
 
     sphere: Ball
     puncture: np.ndarray
-    segments_per_circle: int = DEFAULT_SEGMENTS
 
     def __post_init__(self):
         self.puncture = as_point(self.puncture)
@@ -158,7 +156,7 @@ class SphereWrapMap:
         return c + r * (math.cos(beta) * nq + math.sin(beta) * direction)
 
     def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
-        step = 2.0 * math.pi * self.sphere.radius / self.segments_per_circle
+        step = 2.0 * math.pi * self.sphere.radius / DEFAULT_SEGMENTS
         n = max(1, int(math.ceil(float(np.linalg.norm(b - a)) / step)))
         return [k / n for k in range(1, n)]
 
@@ -169,8 +167,7 @@ def _sphere_atoms_checked(mu: AtomicMeasure, ball: Ball) -> None:
             raise ValueError("atom not on the sphere")
 
 
-def _circle_transport(net: AtomicMeasure, ball: Ball, alpha: float,
-                      segments_per_circle: int) -> TrafficPath:
+def _circle_transport(net: AtomicMeasure, ball: Ball) -> TrafficPath:
     """Connect a balanced net measure along a circle (d = 2)."""
     c, r = ball.center, ball.radius
     angles = []
@@ -188,7 +185,7 @@ def _circle_transport(net: AtomicMeasure, ball: Ball, alpha: float,
             best_gap, best_at = a1 - a0, 0.5 * (a0 + a1)
     # unroll: atoms ordered by angle measured just past the puncture
     unrolled = sorted(((a - best_at) % (2.0 * math.pi), m) for a, m in angles)
-    step = 2.0 * math.pi / segments_per_circle
+    step = 2.0 * math.pi / DEFAULT_SEGMENTS
 
     def on_circle(phi: float) -> np.ndarray:
         return c + r * np.array([math.cos(phi + best_at), math.sin(phi + best_at)])
@@ -208,7 +205,7 @@ def _circle_transport(net: AtomicMeasure, ball: Ball, alpha: float,
 
 
 def sphere_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, ball: Ball,
-                     alpha: float, segments_per_circle: int = DEFAULT_SEGMENTS) -> TrafficPath:
+                     alpha: float) -> TrafficPath:
     """Transport between balanced measures supported on one sphere, along it.
 
     Works for alpha above 1 - 1/(d-1).  In the plane the route follows
@@ -229,7 +226,7 @@ def sphere_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, ball: Ball
     if not len(net.masses):
         return currents.empty_path(d)
     if d == 2:
-        return _circle_transport(net, ball, alpha, segments_per_circle)
+        return _circle_transport(net, ball)
 
     # choose a puncture keeping clear of every atom
     c, r = ball.center, ball.radius
@@ -244,7 +241,7 @@ def sphere_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, ball: Ball
     puncture = max(candidates, key=min_geo)
     if min_geo(puncture) <= 1e-9:
         raise ValueError("could not place a puncture away from the atoms")
-    wrap = SphereWrapMap(ball, puncture, segments_per_circle)
+    wrap = SphereWrapMap(ball, puncture)
     minus_disk = AtomicMeasure.from_atoms(
         [(wrap.to_disk(p), m) for p, m in net.negative_part().atoms()], dim=2)
     plus_disk = AtomicMeasure.from_atoms(
@@ -273,46 +270,6 @@ def cone_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, apex,
     return currents.overlay(segs, dim=len(a))
 
 
-def _reweighted(pi: dcmp.PathMeasure, ratios, endpoint: str) -> dcmp.PathMeasure:
-    out = []
-    for c, w in pi.entries:
-        anchor = c.start() if endpoint == "start" else c.end()
-        rho = ratios(anchor)
-        if rho > 1e-12:
-            out.append((c, w * rho))
-    return dcmp.PathMeasure(tuple(out))
-
-
-def _cut_to_cover(pi: dcmp.PathMeasure, balls: list[Ball], side: str):
-    """Clip curves at the union of open cover balls; return pieces and contact atoms."""
-    region = BallRegion.union_of([b.open_copy() for b in balls])
-    pieces = []
-    contacts = []
-    for c, w in pi.entries:
-        if side == "start":
-            piece, _, _ = dcmp.split_curve(c, start=region)
-            contacts.append((piece.end(), w))
-        else:
-            _, _, piece = dcmp.split_curve(c, end=region)
-            contacts.append((piece.start(), w))
-        pieces.append((piece, w))
-    return pieces, contacts
-
-
-def _assign_to_spheres(contacts, balls: list[Ball]):
-    groups: dict[int, list] = {}
-    for p, w in contacts:
-        hit = -1
-        for k, b in enumerate(balls):
-            if b.on_sphere(p, tol=1e-9 * max(1.0, b.radius)):
-                hit = k
-                break
-        if hit < 0:
-            raise ValueError("cut point missed every cover sphere")
-        groups.setdefault(hit, []).append((p, w))
-    return groups
-
-
 def _free_sphere_point(ball: Ball, taken, dim: int) -> np.ndarray:
     c, r = ball.center, ball.radius
     for k in range(256):
@@ -327,9 +284,57 @@ def _free_sphere_point(ball: Ball, taken, dim: int) -> np.ndarray:
     raise RuntimeError("no free point on sphere")
 
 
+def _sphere_gathered_side(pi: dcmp.PathMeasure, nu: AtomicMeasure, mu: AtomicMeasure,
+                          at_start: bool, mesh: float, ambient: float, alpha: float,
+                          dim: int) -> tuple:
+    """One side of cheap_subtransport: the source side when at_start, else the sink side.
+
+    Every curve is reweighted by nu/mu at its start (end) atom, clipped at
+    its first exit from (last entry into) the open cover balls of mu's
+    support, and the contact mass on each sphere is carried along that
+    sphere to one free point of it: away from the contacts on the source
+    side, towards them on the sink side.  Returns the clipped segments,
+    the sphere transport segments and the gathered measure, one atom per
+    sphere.
+    """
+    balls = cover_compact([p for p, _ in mu.atoms()], mesh, ambient)
+    region = BallRegion.union_of([b.open_copy() for b in balls])
+    pieces, contacts = [], []
+    for c, w in pi.entries:
+        anchor = c.start() if at_start else c.end()
+        ref = mu.mass_at(anchor)
+        rho = 0.0 if ref <= 1e-12 else min(1.0, nu.mass_at(anchor) / ref)
+        if rho <= 1e-12:
+            continue
+        if at_start:
+            piece, _, _ = dcmp.split_curve(c, start=region)
+            contacts.append((piece.end(), w * rho))
+        else:
+            _, _, piece = dcmp.split_curve(c, end=region)
+            contacts.append((piece.start(), w * rho))
+        pieces.append((piece, w * rho))
+    groups: dict[int, list] = {}
+    for p, w in contacts:
+        hit = next((k for k, b in enumerate(balls)
+                    if b.on_sphere(p, tol=1e-9 * max(1.0, b.radius))), None)
+        if hit is None:
+            raise ValueError("cut point missed every cover sphere")
+        groups.setdefault(hit, []).append((p, w))
+    conn_segs, gathered = [], []
+    for k, group in groups.items():
+        w_k = sum(w for _, w in group)
+        y_k = _free_sphere_point(balls[k], group, dim)
+        contact_m = AtomicMeasure.from_atoms(group, dim=dim)
+        point_m = AtomicMeasure.from_atoms([(y_k, w_k)], dim=dim)
+        ends = (contact_m, point_m) if at_start else (point_m, contact_m)
+        conn_segs.extend(sphere_transport(*ends, balls[k], alpha).segments())
+        gathered.append((y_k, w_k))
+    piece_segs = [(a, b, w) for c, w in pieces for a, b in c.segments()]
+    return piece_segs, conn_segs, AtomicMeasure.from_atoms(gathered, dim=dim)
+
+
 def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMeasure,
-                       nu_plus: AtomicMeasure, eps: float, alpha: float,
-                       segments_per_circle: int = DEFAULT_SEGMENTS) -> TrafficPath:
+                       nu_plus: AtomicMeasure, eps: float, alpha: float) -> TrafficPath:
     """Sub-transport moving nu_minus to nu_plus along reweighted pieces of t.
 
     nu_minus and nu_plus must be dominated by the negative and positive
@@ -352,11 +357,8 @@ def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMea
         return currents.empty_path(dim)
     bnd = currents.boundary(t)
     mu_minus, mu_plus = bnd.negative_part(), bnd.positive_part()
-    for p, m in nu_minus.atoms():
-        if mu_minus.mass_at(p) < m - BALANCE_TOL:
-            raise ValueError("nu not dominated by boundary")
-    for p, m in nu_plus.atoms():
-        if mu_plus.mass_at(p) < m - BALANCE_TOL:
+    for nu, mu in ((nu_minus, mu_minus), (nu_plus, mu_plus)):
+        if any(mu.mass_at(p) < m - BALANCE_TOL for p, m in nu.atoms()):
             raise ValueError("nu not dominated by boundary")
     sep = min(float(np.linalg.norm(p - q))
               for p, _ in mu_minus.atoms() for q, _ in mu_plus.atoms())
@@ -364,52 +366,12 @@ def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMea
         raise ValueError("boundary supports must be separated")
     mesh = sep / 3.0
     ambient = max(float(np.linalg.norm(p)) for p, _ in bnd.atoms()) + mesh
-
-    def ratio_for(measure: AtomicMeasure, reference: AtomicMeasure):
-        def rho(p):
-            ref = reference.mass_at(p)
-            return 0.0 if ref <= 1e-12 else min(1.0, measure.mass_at(p) / ref)
-        return rho
-
-    pi_minus = _reweighted(pi, ratio_for(nu_minus, mu_minus), "start")
-    pi_plus = _reweighted(pi, ratio_for(nu_plus, mu_plus), "end")
-
-    balls_minus = cover_compact([p for p, _ in mu_minus.atoms()], mesh, ambient)
-    balls_plus = cover_compact([p for p, _ in mu_plus.atoms()], mesh, ambient)
-
-    pieces_minus, contacts_minus = _cut_to_cover(pi_minus, balls_minus, "start")
-    pieces_plus, contacts_plus = _cut_to_cover(pi_plus, balls_plus, "end")
-
-    segs = []
-    for c, w in pieces_minus + pieces_plus:
-        for a, b in c.segments():
-            segs.append((a, b, w))
-
-    sigma_minus_atoms = []
-    for k, group in _assign_to_spheres(contacts_minus, balls_minus).items():
-        w_k = sum(w for _, w in group)
-        y_k = _free_sphere_point(balls_minus[k], group, dim)
-        exit_measure = AtomicMeasure.from_atoms(group, dim=dim)
-        target = AtomicMeasure.from_atoms([(y_k, w_k)], dim=dim)
-        conn = sphere_transport(exit_measure, target, balls_minus[k], alpha,
-                                segments_per_circle)
-        segs.extend(conn.segments())
-        sigma_minus_atoms.append((y_k, w_k))
-
-    sigma_plus_atoms = []
-    for k, group in _assign_to_spheres(contacts_plus, balls_plus).items():
-        w_k = sum(w for _, w in group)
-        z_k = _free_sphere_point(balls_plus[k], group, dim)
-        entry_measure = AtomicMeasure.from_atoms(group, dim=dim)
-        source = AtomicMeasure.from_atoms([(z_k, w_k)], dim=dim)
-        conn = sphere_transport(source, entry_measure, balls_plus[k], alpha,
-                                segments_per_circle)
-        segs.extend(conn.segments())
-        sigma_plus_atoms.append((z_k, w_k))
-
-    sigma_minus = AtomicMeasure.from_atoms(sigma_minus_atoms, dim=dim)
-    sigma_plus = AtomicMeasure.from_atoms(sigma_plus_atoms, dim=dim)
+    cut_minus, conns_minus, sigma_minus = _sphere_gathered_side(
+        pi, nu_minus, mu_minus, True, mesh, ambient, alpha, dim)
+    cut_plus, conns_plus, sigma_plus = _sphere_gathered_side(
+        pi, nu_plus, mu_plus, False, mesh, ambient, alpha, dim)
     apex = 0.5 * (np.mean(sigma_minus.points, axis=0) + np.mean(sigma_plus.points, axis=0))
     cone = cone_transport(sigma_minus, sigma_plus, apex, alpha)
-    segs.extend(cone.segments())
+    # overlay keeps the first vertex it meets, so the order is fixed
+    segs = cut_minus + cut_plus + conns_minus + conns_plus + cone.segments()
     return currents.overlay(segs, dim=dim)

@@ -7,17 +7,19 @@ stay bounded, the boundary gaps shrink monotonically and the limit
 instance is solved optimally.  `build_competitor` performs the cut,
 connect, scale and return surgery that assembles a strictly cheaper
 admissible path from a deliberately suboptimal one, with a full energy
-ledger of every budget it has to respect.  `check_quasi_additivity`
-and `check_high_multiplicity_lsc` probe the two auxiliary inequalities
-(near-additivity of the cost for multiplicities of different scale,
-and thresholded lower semicontinuity) on concrete inputs.
+ledger of every budget it has to respect; the source covers and the sink
+covers go through the same per-side steps (`_CoverSide`).
+`check_quasi_additivity` and `check_high_multiplicity_lsc` probe the two
+auxiliary inequalities (near-additivity of the cost for multiplicities
+of different scale, and thresholded lower semicontinuity) on concrete
+inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -394,6 +396,82 @@ def _cell_mass(measure: AtomicMeasure, cell) -> float:
     return sum(m for p, m in measure.atoms() if cell.contains(p))
 
 
+@dataclass
+class _CoverSide:
+    """One side of the surgery: the source covers or the sink covers.
+
+    ``name`` ("minus" or "plus") names the side in ledger and check keys
+    and ``kind`` ("source" or "sink") in messages.  ``target`` and
+    ``approx`` are the side's boundary parts of t_opt and t_n.  The walks
+    over the two decompositions fill ``cut`` (cell -> atoms where the
+    selected t_n curves leave or enter the cover), ``opt`` (cell -> atoms
+    where the optimal middle starts or ends) and ``kept`` (the selected
+    segments inside the cover); ``hand_off`` then sets the side's sphere
+    ratios, connectors with their costs and cost bounds, and its excess.
+    """
+
+    name: str
+    kind: str
+    balls: list
+    n: int
+    target: AtomicMeasure
+    approx: AtomicMeasure
+    cut: dict = field(default_factory=dict)
+    opt: dict = field(default_factory=dict)
+    kept: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.region = BallRegion.union_of(self.balls[:self.n])
+        self.cells = dcmp.cells_of_cover([b.open_copy() for b in self.balls])
+        self.radius_sum = sum(b.radius for b in self.balls)
+
+    def hand_off(self, one2: float, alpha: float, d: int) -> None:
+        """Hand the cut mass along the cover spheres to the scaled middle.
+
+        Ball k takes its cut mass at the ratio r_k = cut / ((1 + eps2) *
+        optimal mass); its connector runs along the sphere between the cut
+        atoms and the optimal atoms scaled by r_k (1 + eps2), out of the
+        cut on the source side and into it on the sink side.  What the
+        scaled middle leaves over, (1 + eps2)(1 - r_k) of each optimal
+        atom, becomes the side's excess boundary.  Balls past the
+        truncation hold no cut atoms, so they get no connector.
+        """
+        self.ratios, self.conns, self.costs, self.bounds = [], [], [], []
+        for k, ball in enumerate(self.balls):
+            w_cut = sum(w for _, w in self.cut.get(k, []))
+            m_opt = sum(w for _, w in self.opt.get(k, []))
+            if m_opt <= 1e-12:
+                if w_cut > 1e-12:
+                    raise ValueError(
+                        f"sphere ratio undefined on {self.name} ball {k}: "
+                        "no optimal mass crosses it")
+                self.ratios.append(0.0)
+                continue
+            rk = w_cut / (one2 * m_opt)
+            if rk > 1.0 + 1e-9:
+                raise ValueError(
+                    f"sphere ratio out of [0,1] on {self.name} ball {k}: "
+                    "cell mass growth precondition failed")
+            rk = min(max(rk, 0.0), 1.0)
+            self.ratios.append(rk)
+            if w_cut <= 1e-12:
+                continue
+            cut_m = AtomicMeasure.from_atoms(self.cut[k], dim=d)
+            scaled = AtomicMeasure.from_atoms(
+                [(p, rk * one2 * w) for p, w in self.opt[k]], dim=d)
+            ends = (cut_m, scaled) if self.kind == "source" else (scaled, cut_m)
+            conn = constructors.sphere_transport(*ends, ball, alpha)
+            self.conns.append(conn)
+            self.costs.append(currents.alpha_mass(conn, alpha))
+            self.bounds.append(constructors.SPHERE_CONSTANT[d] * w_cut ** alpha
+                               * ball.radius)
+        excess = []
+        for k, group in self.opt.items():
+            leftover = one2 * (1.0 - self.ratios[k])
+            excess.extend((p, leftover * w) for p, w in group if leftover * w > 1e-15)
+        self.excess = AtomicMeasure.from_atoms(excess, dim=d)
+
+
 def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
                      pi_opt: PathMeasure, covers, cc: CompetitorConfig,
                      alpha: float) -> CompetitorReport:
@@ -404,18 +482,17 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     entry into the end ball; a scaled copy of the optimal path bridges
     the middle; transports along each cover sphere hand the cut mass to
     that copy; the scaled copy's excess boundary is returned by a cheap
-    sub-transport running backwards along it.  The report carries the
-    assembled paths, both boundary identity errors, the per-budget
-    energy ledger and all precondition checks.
+    sub-transport running backwards along it.  Every per-side step runs
+    once for the source covers and once for the sink covers.  The report
+    carries the assembled paths, both boundary identity errors, the
+    per-budget energy ledger and all precondition checks.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     d = t_n.dim
-    c_meas = constructors.SPHERE_CONSTANT[d]
     balls_minus, balls_plus = _sign_covers(covers)
     if cc.N_minus > len(balls_minus) or cc.N_plus > len(balls_plus):
         raise ValueError("cover truncation count exceeds the cover size")
-    nm, np_ = cc.N_minus, cc.N_plus
     one2 = 1.0 + cc.eps2
 
     mass_tn = currents.alpha_mass(t_n, alpha)
@@ -436,9 +513,12 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
         raise ValueError("smallness constraints violated: " + ", ".join(viol))
 
     bnd_opt = currents.boundary(t_opt)
-    mu_minus, mu_plus = bnd_opt.negative_part(), bnd_opt.positive_part()
     bnd_n = currents.boundary(t_n)
-    mun_minus, mun_plus = bnd_n.negative_part(), bnd_n.positive_part()
+    minus = _CoverSide("minus", "source", balls_minus, cc.N_minus,
+                       bnd_opt.negative_part(), bnd_n.negative_part())
+    plus = _CoverSide("plus", "sink", balls_plus, cc.N_plus,
+                      bnd_opt.positive_part(), bnd_n.positive_part())
+    sides = (minus, plus)
 
     # cover geometry preconditions
     all_balls = balls_minus + balls_plus
@@ -447,61 +527,38 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
             ba, bb = all_balls[a], all_balls[b]
             if float(np.linalg.norm(ba.center - bb.center)) <= ba.radius + bb.radius:
                 raise ValueError("cover closures are not pairwise disjoint")
-    sum_r_minus = sum(b.radius for b in balls_minus)
-    sum_r_plus = sum(b.radius for b in balls_plus)
-    r_budget = cc.Delta / (128.0 * c_meas)
-    if sum_r_minus >= r_budget or sum_r_plus >= r_budget:
+    r_budget = cc.Delta / (128.0 * constructors.SPHERE_CONSTANT[d])
+    if any(s.radius_sum >= r_budget for s in sides):
         raise ValueError("cover radii too large for the energy gap")
-    for measure in (mu_minus, mu_plus, mun_minus, mun_plus):
-        for p, _ in measure.atoms():
-            for b in balls_minus + balls_plus:
-                if abs(float(np.linalg.norm(p - b.center)) - b.radius) <= 1e-9:
-                    raise ValueError("marginal atom sits on a cover sphere")
+    if any(abs(float(np.linalg.norm(p - b.center)) - b.radius) <= 1e-9
+           for s in sides for measure in (s.target, s.approx)
+           for p, _ in measure.atoms() for b in all_balls):
+        raise ValueError("marginal atom sits on a cover sphere")
 
-    u_minus = BallRegion.union_of(balls_minus[:nm])
-    u_plus = BallRegion.union_of(balls_plus[:np_])
-    u_all = BallRegion.union_of(balls_minus[:nm] + balls_plus[:np_])
     energy_in_cover = {
-        "n_minus": currents.alpha_mass(currents.restrict(t_n, u_minus), alpha),
-        "n_plus": currents.alpha_mass(currents.restrict(t_n, u_plus), alpha),
-        "opt_minus": currents.alpha_mass(currents.restrict(t_opt, u_minus), alpha),
-        "opt_plus": currents.alpha_mass(currents.restrict(t_opt, u_plus), alpha),
-    }
+        f"cover_energy_{tag}_{s.name}":
+            currents.alpha_mass(currents.restrict(t, s.region), alpha)
+        for tag, t in (("n", t_n), ("opt", t_opt)) for s in sides}
     if max(energy_in_cover.values()) > cc.Delta / 128.0:
         raise ValueError("cover captures too much energy for the gap budget")
 
     # truncation captures nearly all source/sink mass
-    if _cell_mass(mu_minus, u_minus) <= mu_minus.total() - cc.eps1 / 4.0:
-        raise ValueError("cover truncation misses source mass")
-    if _cell_mass(mu_plus, u_plus) <= mu_plus.total() - cc.eps1 / 4.0:
-        raise ValueError("cover truncation misses sink mass")
+    for s in sides:
+        if _cell_mass(s.target, s.region) <= s.target.total() - cc.eps1 / 4.0:
+            raise ValueError(f"cover truncation misses {s.kind} mass")
 
     # approximating boundary close to the target boundary
-    prox_minus = metrics.weak_star_gap(mun_minus, mu_minus)
-    prox_plus = metrics.weak_star_gap(mun_plus, mu_plus)
-    if max(prox_minus, prox_plus) > cc.eps2 + 1e-12:
+    if max(metrics.weak_star_gap(s.approx, s.target) for s in sides) > cc.eps2 + 1e-12:
         raise ValueError("approximating boundary too far from the target boundary")
 
-    cells_minus = dcmp.cells_of_cover([b.open_copy() for b in balls_minus])
-    cells_plus = dcmp.cells_of_cover([b.open_copy() for b in balls_plus])
-
     # cell mass growth check (recorded; ratio range errors surface it too)
-    growth_ok = True
-    for i in range(nm):
-        if _cell_mass(mun_minus, cells_minus[i].cell) > \
-                one2 * _cell_mass(mu_minus, cells_minus[i].cell) + 1e-12:
-            growth_ok = False
-    for j in range(np_):
-        if _cell_mass(mun_plus, cells_plus[j].cell) > \
-                one2 * _cell_mass(mu_plus, cells_plus[j].cell) + 1e-12:
-            growth_ok = False
+    growth_ok = not any(
+        _cell_mass(s.approx, c.cell) > one2 * _cell_mass(s.target, c.cell) + 1e-12
+        for s in sides for c in s.cells[:s.n])
 
     # mass of the approximation outside the truncated cells
-    out_minus = mun_minus.total() - sum(
-        _cell_mass(mun_minus, cells_minus[i].cell) for i in range(nm))
-    out_plus = mun_plus.total() - sum(
-        _cell_mass(mun_plus, cells_plus[j].cell) for j in range(np_))
-    if max(out_minus, out_plus) > cc.eps1 / 2.0 + 1e-12:
+    if max(s.approx.total() - sum(_cell_mass(s.approx, c.cell) for c in s.cells[:s.n])
+           for s in sides) > cc.eps1 / 2.0 + 1e-12:
         raise ValueError("too much approximating mass outside the truncated cells")
 
     # selection: curves starting and ending inside the truncated covers, kept
@@ -509,120 +566,64 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     # the end ball
     rest = []
     sel_weight = 0.0
-    sel_minus_segs, sel_plus_segs, sel_full_segs = [], [], []
-    exit_atoms: dict[int, list] = {}
-    entry_atoms: dict[int, list] = {}
+    sel_full_segs = []
     for c, w in pi_n.entries:
-        i = dcmp.cell_index(cells_minus[:nm], c.start())
-        j = dcmp.cell_index(cells_plus[:np_], c.end())
+        i = dcmp.cell_index(minus.cells[:minus.n], c.start())
+        j = dcmp.cell_index(plus.cells[:plus.n], c.end())
         if i is None or j is None:
             rest.append((c, w))
             continue
         sel_weight += w
-        head, _, tail = dcmp.split_curve(c, cells_minus[i].open_ball(),
-                                         cells_plus[j].open_ball())
+        head, _, tail = dcmp.split_curve(c, minus.cells[i].open_ball(),
+                                         plus.cells[j].open_ball())
         sel_full_segs.extend((a, b, w) for a, b in c.segments())
-        sel_minus_segs.extend((a, b, w) for a, b in head.segments())
-        sel_plus_segs.extend((a, b, w) for a, b in tail.segments())
-        exit_atoms.setdefault(i, []).append((head.end(), w))
-        entry_atoms.setdefault(j, []).append((tail.start(), w))
+        minus.kept.extend((a, b, w) for a, b in head.segments())
+        plus.kept.extend((a, b, w) for a, b in tail.segments())
+        minus.cut.setdefault(i, []).append((head.end(), w))
+        plus.cut.setdefault(j, []).append((tail.start(), w))
 
     # optimal path: restriction strictly between the two covers
     restr_pieces = []
-    opt_exit: dict[int, list] = {}
-    opt_entry: dict[int, list] = {}
     for c, w in pi_opt.entries:
-        i = dcmp.cell_index(cells_minus, c.start())
-        j = dcmp.cell_index(cells_plus, c.end())
+        i = dcmp.cell_index(minus.cells, c.start())
+        j = dcmp.cell_index(plus.cells, c.end())
         if i is None or j is None:
             raise ValueError("optimal decomposition endpoint not covered")
-        _, piece, _ = dcmp.split_curve(c, cells_minus[i].open_ball(),
-                                       cells_plus[j].open_ball())
+        _, piece, _ = dcmp.split_curve(c, minus.cells[i].open_ball(),
+                                       plus.cells[j].open_ball())
         restr_pieces.append((piece, w))
-        opt_exit.setdefault(i, []).append((piece.start(), w))
-        opt_entry.setdefault(j, []).append((piece.end(), w))
+        minus.opt.setdefault(i, []).append((piece.start(), w))
+        plus.opt.setdefault(j, []).append((piece.end(), w))
 
-    # hand-off ratios and sphere transports
-    def connectors(side: str):
-        if side == "minus":
-            balls, cut_groups, opt_groups, limit = balls_minus, exit_atoms, opt_exit, nm
-        else:
-            balls, cut_groups, opt_groups, limit = balls_plus, entry_atoms, opt_entry, np_
-        ratios, paths, per_costs, per_bounds = [], [], [], []
-        for k in range(len(balls)):
-            w_cut = sum(w for _, w in cut_groups.get(k, []))
-            m_opt = sum(w for _, w in opt_groups.get(k, []))
-            if m_opt <= 1e-12:
-                if w_cut > 1e-12:
-                    raise ValueError(
-                        f"sphere ratio undefined on {side} ball {k}: "
-                        "no optimal mass crosses it")
-                ratios.append(0.0)
-                continue
-            rk = w_cut / (one2 * m_opt)
-            if rk > 1.0 + 1e-9:
-                raise ValueError(
-                    f"sphere ratio out of [0,1] on {side} ball {k}: "
-                    "cell mass growth precondition failed")
-            rk = min(max(rk, 0.0), 1.0)
-            ratios.append(rk)
-            if k >= limit or w_cut <= 1e-12:
-                continue
-            cut_m = AtomicMeasure.from_atoms(cut_groups[k], dim=d)
-            scaled = AtomicMeasure.from_atoms(
-                [(p, rk * one2 * w) for p, w in opt_groups[k]], dim=d)
-            if side == "minus":
-                conn = constructors.sphere_transport(cut_m, scaled, balls[k], alpha)
-            else:
-                conn = constructors.sphere_transport(scaled, cut_m, balls[k], alpha)
-            paths.append(conn)
-            per_costs.append(currents.alpha_mass(conn, alpha))
-            per_bounds.append(c_meas * w_cut ** alpha * balls[k].radius)
-        return ratios, paths, per_costs, per_bounds
+    for s in sides:
+        s.hand_off(one2, alpha, d)
 
-    ratios_minus, conns_minus, costs_minus, bounds_minus = connectors("minus")
-    ratios_plus, conns_plus, costs_plus, bounds_plus = connectors("plus")
-
-    # excess boundary of the scaled optimal middle, to be walked back
-    nu_excess_minus, nu_excess_plus = [], []
-    for k, group in opt_exit.items():
-        leftover = one2 * (1.0 - (ratios_minus[k] if k < len(ratios_minus) else 0.0))
-        for p, w in group:
-            if leftover * w > 1e-15:
-                nu_excess_minus.append((p, leftover * w))
-    for k, group in opt_entry.items():
-        leftover = one2 * (1.0 - (ratios_plus[k] if k < len(ratios_plus) else 0.0))
-        for p, w in group:
-            if leftover * w > 1e-15:
-                nu_excess_plus.append((p, leftover * w))
-    nu_back_sink = AtomicMeasure.from_atoms(nu_excess_minus, dim=d)
-    nu_back_source = AtomicMeasure.from_atoms(nu_excess_plus, dim=d)
-
+    # the excess boundary of the scaled optimal middle is walked back
     scaled_restr_segs = [(a, b, one2 * w) for piece, w in restr_pieces
                          for a, b in piece.segments()]
     scaled_restr = currents.overlay(scaled_restr_segs, dim=d)
-    excess_total = nu_back_sink.total()
-    if abs(excess_total - nu_back_source.total()) > BOUNDARY_TOL:
+    excess_total = minus.excess.total()
+    if abs(excess_total - plus.excess.total()) > BOUNDARY_TOL:
         raise ValueError("excess boundary masses do not balance")
     if excess_total > 1e-12:
         scaled_pi = PathMeasure(tuple((piece, one2 * w) for piece, w in restr_pieces))
         forward = constructors.cheap_subtransport(
-            scaled_restr, scaled_pi, nu_back_sink, nu_back_source,
+            scaled_restr, scaled_pi, minus.excess, plus.excess,
             eps=max(cc.eps1 + cc.eps2, excess_total * (1.0 + 1e-9)), alpha=alpha)
         t_back = currents.reverse(forward)
     else:
         t_back = currents.empty_path(d)
     back_cost = currents.alpha_mass(t_back, alpha)
 
-    # assembly
-    tilde_segs = list(sel_minus_segs)
-    for conn in conns_minus:
+    # assembly; overlay keeps the first vertex it meets, so the order is fixed
+    tilde_segs = list(minus.kept)
+    for conn in minus.conns:
         tilde_segs.extend(conn.segments())
     tilde_segs.extend(scaled_restr.segments())
     tilde_segs.extend(t_back.segments())
-    for conn in conns_plus:
+    for conn in plus.conns:
         tilde_segs.extend(conn.segments())
-    tilde_segs.extend(sel_plus_segs)
+    tilde_segs.extend(plus.kept)
     t_tilde = currents.overlay(tilde_segs, dim=d)
 
     t_sel = currents.overlay(sel_full_segs, dim=d)
@@ -633,38 +634,31 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     err_full = (currents.boundary(t_bar) - bnd_n).tv()
 
     # energy ledger
-    u_c = BallRegion.union_of(balls_minus[:nm] + balls_plus[:np_], complement=True)
+    u_c = BallRegion.union_of(minus.balls[:minus.n] + plus.balls[:plus.n],
+                              complement=True)
     outside_cost = currents.alpha_mass(currents.restrict(t_tilde, u_c), alpha)
-    sel_minus_path = currents.overlay(sel_minus_segs, dim=d)
-    sel_plus_path = currents.overlay(sel_plus_segs, dim=d)
-    inside_minus = currents.alpha_mass(currents.restrict(
-        currents.subtract(t_tilde, sel_minus_path), u_minus), alpha)
-    inside_plus = currents.alpha_mass(currents.restrict(
-        currents.subtract(t_tilde, sel_plus_path), u_plus), alpha)
+    inside = {s.name: currents.alpha_mass(currents.restrict(currents.subtract(
+        t_tilde, currents.overlay(s.kept, dim=d)), s.region), alpha) for s in sides}
     competitor_cost = currents.alpha_mass(t_bar, alpha)
 
-    conn_cost_minus = sum(costs_minus)
-    conn_cost_plus = sum(costs_plus)
+    conn_cost = {s.name: sum(s.costs) for s in sides}
     ledger = {
         "cost_t_n": mass_tn,
         "cost_t_opt": mass_topt,
         "Delta": cc.Delta,
         "energy_gap": mass_tn - mass_topt,
-        "cover_radius_sum_minus": sum_r_minus,
-        "cover_radius_sum_plus": sum_r_plus,
+        "cover_radius_sum_minus": minus.radius_sum,
+        "cover_radius_sum_plus": plus.radius_sum,
         "cover_radius_budget": r_budget,
-        "cover_energy_n_minus": energy_in_cover["n_minus"],
-        "cover_energy_n_plus": energy_in_cover["n_plus"],
-        "cover_energy_opt_minus": energy_in_cover["opt_minus"],
-        "cover_energy_opt_plus": energy_in_cover["opt_plus"],
-        "connector_cost_minus": conn_cost_minus,
-        "connector_cost_plus": conn_cost_plus,
+        **energy_in_cover,
+        "connector_cost_minus": conn_cost["minus"],
+        "connector_cost_plus": conn_cost["plus"],
         "back_transport_cost": back_cost,
         "excess_mass": excess_total,
         "outside_cost": outside_cost,
         "outside_budget": mass_topt + cc.Delta / 4.0,
-        "inside_minus_cost": inside_minus,
-        "inside_plus_cost": inside_plus,
+        "inside_minus_cost": inside["minus"],
+        "inside_plus_cost": inside["plus"],
         "inside_budget": cc.Delta / 32.0,
         "competitor_cost": competitor_cost,
         "conclusion_budget": mass_tn - cc.Delta / 8.0,
@@ -675,15 +669,14 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
         "cell_mass_growth": growth_ok,
         "boundary_sel_exact": err_sel <= BOUNDARY_TOL,
         "boundary_full_exact": err_full <= BOUNDARY_TOL,
-        "connector_bounds": all(c <= b + 1e-9 for c, b in
-                                zip(costs_minus + costs_plus,
-                                    bounds_minus + bounds_plus)),
-        "connector_budget_minus": conn_cost_minus <= cc.Delta / 128.0 + 1e-12,
-        "connector_budget_plus": conn_cost_plus <= cc.Delta / 128.0 + 1e-12,
+        "connector_bounds": all(c <= b + 1e-9 for s in sides
+                                for c, b in zip(s.costs, s.bounds)),
+        "connector_budget_minus": conn_cost["minus"] <= cc.Delta / 128.0 + 1e-12,
+        "connector_budget_plus": conn_cost["plus"] <= cc.Delta / 128.0 + 1e-12,
         "back_budget": back_cost <= cc.Delta / 128.0 + 1e-12,
         "outside_budget": outside_cost <= mass_topt + cc.Delta / 4.0 + 1e-12,
-        "inside_budget_minus": inside_minus <= cc.Delta / 32.0 + 1e-12,
-        "inside_budget_plus": inside_plus <= cc.Delta / 32.0 + 1e-12,
+        "inside_budget_minus": inside["minus"] <= cc.Delta / 32.0 + 1e-12,
+        "inside_budget_plus": inside["plus"] <= cc.Delta / 32.0 + 1e-12,
     }
     ledger["gap_hypothesis"] = ledger["energy_gap"] >= cc.Delta
     ledger["improves"] = competitor_cost < mass_tn
@@ -691,7 +684,7 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     return CompetitorReport(
         competitor=t_bar, tilde_sel=t_tilde, boundary_error_sel=err_sel,
         boundary_error_full=err_full,
-        alpha_ratios_minus=tuple(ratios_minus), alpha_ratios_plus=tuple(ratios_plus),
+        alpha_ratios_minus=tuple(minus.ratios), alpha_ratios_plus=tuple(plus.ratios),
         ledger=ledger, checks=checks, ok=all(checks.values()))
 
 
