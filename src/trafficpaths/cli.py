@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import constructors, currents, metrics, optimizer, stability
+from . import currents, metrics, optimizer, stability
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, TrafficPath
 from .geometry import Ball
@@ -318,9 +318,7 @@ def _auto_covers(t_opt: TrafficPath, cc: stability.CompetitorConfig,
     pts = [p for p, _ in minus.atoms()] + [p for p, _ in plus.atoms()]
     sep = min(float(np.linalg.norm(p - q))
               for i, p in enumerate(pts) for q in pts[:i])
-    c_meas = constructors.SPHERE_CONSTANT[dim]
-    n_balls = len(pts)
-    r = min(cc.Delta / (128.0 * c_meas), cc.Delta / 128.0, 0.4 * sep) / n_balls
+    r = min(stability.cover_radius_budget(cc.Delta, dim), 0.4 * sep) / len(pts)
     if radius is not None:
         r = radius
     return {

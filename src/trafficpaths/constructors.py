@@ -7,6 +7,13 @@ quantitative lemmas (irrigability above the dimension threshold,
 connection of measures along a sphere, return of small excess mass)
 that the stability machinery consumes.
 
+Thresholds.  dyadic_irrigation needs alpha > 1 - 1/d.  sphere_transport
+needs alpha > 1 - 1/(d-1), the sphere-reduction threshold; the test is
+currents.clears_sphere_threshold, which the stability trials and the
+competitor surgery ask too.  cheap_subtransport takes no smallness
+parameter: its covers, and so its whole construction, follow from the
+boundary of the path it runs along.
+
 Conventions.  Measures fed to the builders are nonnegative atomic
 measures; balance (equal totals on both sides) is validated at 1e-9.
 Sphere supports are validated to sit on the sphere at 1e-9.  Circles
@@ -215,7 +222,7 @@ def sphere_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, ball: Ball
     (total mass)^alpha * radius.
     """
     d = ball.center.shape[0]
-    if not alpha > 1.0 - 1.0 / (d - 1):
+    if not currents.clears_sphere_threshold(alpha, d):
         raise ValueError("below sphere reduction threshold")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -334,7 +341,7 @@ def _sphere_gathered_side(pi: dcmp.PathMeasure, nu: AtomicMeasure, mu: AtomicMea
 
 
 def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMeasure,
-                       nu_plus: AtomicMeasure, eps: float, alpha: float) -> TrafficPath:
+                       nu_plus: AtomicMeasure, alpha: float) -> TrafficPath:
     """Sub-transport moving nu_minus to nu_plus along reweighted pieces of t.
 
     nu_minus and nu_plus must be dominated by the negative and positive
@@ -344,11 +351,10 @@ def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMea
     contact mass to one point per sphere along the spheres themselves, and
     closes the middle with a cone through a fixed point.  Every
     multiplicity is linear in the nu masses, so the reported cost scales
-    exactly by lambda^alpha when nu is scaled by lambda; eps is only
-    validated, the construction itself is determined by the covers.
+    exactly by lambda^alpha when nu is scaled by lambda.  No smallness
+    parameter enters: the covers, and so the whole construction, are
+    fixed by the boundary of t.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     total = _check_balanced(nu_minus, nu_plus)

@@ -84,6 +84,15 @@ class _PointIndex:
         return idx
 
 
+def clears_sphere_threshold(alpha: float, dim: int) -> bool:
+    """Whether alpha clears the sphere-reduction threshold 1 - 1/(d-1).
+
+    Above it, measures on a sphere of dimension d - 1 are connected along
+    the sphere at a cost of order (mass)^alpha * radius.
+    """
+    return alpha > 1.0 - 1.0 / (dim - 1)
+
+
 @dataclass(frozen=True)
 class Config:
     """Ambient parameters shared across a computation."""
@@ -102,7 +111,7 @@ class Config:
 
     def sphere_reduction_ok(self) -> bool:
         """Whether alpha clears the sphere-connection threshold 1 - 1/(d-1)."""
-        return self.alpha > 1.0 - 1.0 / (self.dimension - 1)
+        return clears_sphere_threshold(self.alpha, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,10 @@ class AtomicMeasure:
     def __sub__(self, other: "AtomicMeasure") -> "AtomicMeasure":
         return self + other.scale(-1.0)
 
-    def mass_at(self, p, tol: float = MERGE_TOL) -> float:
+    def mass_at(self, p) -> float:
         q = as_point(p)
         for r, m in self.atoms():
-            if float(np.max(np.abs(r - q))) <= tol:
+            if float(np.max(np.abs(r - q))) <= MERGE_TOL:
                 return m
         return 0.0
 
@@ -186,8 +195,8 @@ class AtomicMeasure:
         kept = [(p, m) for p, m in self.atoms() if region.contains(p)]
         return AtomicMeasure.from_atoms(kept, dim=self.dim)
 
-    def is_nonnegative(self, tol: float = THETA_TOL) -> bool:
-        return bool(np.all(self.masses >= -tol)) if len(self.masses) else True
+    def is_nonnegative(self) -> bool:
+        return bool(np.all(self.masses >= -THETA_TOL)) if len(self.masses) else True
 
 
 @dataclass(frozen=True)
@@ -411,10 +420,9 @@ def restrict(t: TrafficPath, region: BallRegion) -> TrafficPath:
     at 1e-12 only), so the alpha-masses of T restricted to A and to its
     complement add back to alpha_mass(T) at floating precision.
     """
-    spheres = region.spheres()
     pieces = []
     for a, b, th in t.segments():
-        params = sorted({tt for ball in spheres for tt in segment_sphere_params(a, b, ball)})
+        params = sorted({tt for ball in region.terms for tt in segment_sphere_params(a, b, ball)})
         cuts = [0.0] + params + [1.0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi - lo <= THETA_TOL:

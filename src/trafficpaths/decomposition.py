@@ -13,6 +13,8 @@ Curve surgery: split_curve cuts a curve in three pieces, at its first
 exit from a start region and at its last entry into an end region, and
 every cut in the package goes through it; cut_curves applies that cut
 to a whole decomposition against an ordered ball cover, cell by cell.
+first_exit and last_entry are one walk over the curve's pieces between
+sphere crossings, run forward from the start or backward from the end.
 """
 
 from __future__ import annotations
@@ -237,46 +239,46 @@ def reconstruct(pi: PathMeasure, dim: int = 2) -> currents.TrafficPath:
 def _segment_params(c: Curve, region: BallRegion, k: int) -> list[float]:
     a, b = c.waypoints[k], c.waypoints[k + 1]
     out = set()
-    for ball in region.spheres():
+    for ball in region.terms:
         out.update(segment_sphere_params(a, b, ball))
     return sorted(out)
 
 
+def _walk_to_outside(c: Curve, region: BallRegion, forward: bool) -> float | None:
+    """Arclength nearest the walk's start where the curve is outside the region.
+
+    Walking forward from the curve's start this is the first exit, walking
+    back from its end the last entry; None when the curve never leaves.
+    Each segment is split at its sphere crossings, and a piece is outside
+    as soon as its near end or its midpoint is: when only the open part
+    past the near end is outside, the infimum (supremum) is that end.
+    """
+    steps = range(len(c.waypoints) - 1)
+    for k in (steps if forward else reversed(steps)):
+        a, b = c.waypoints[k], c.waypoints[k + 1]
+        locs = [0.0] + _segment_params(c, region, k) + [1.0]
+        pieces = list(zip(locs[:-1], locs[1:]))
+        for lo, hi in (pieces if forward else reversed(pieces)):
+            near = lo if forward else hi
+            if not (region.contains(a + near * (b - a))
+                    and region.contains(a + 0.5 * (lo + hi) * (b - a))):
+                return float(c._cum[k]) + near * float(c._cum[k + 1] - c._cum[k])
+    # the far end of the walk, never a near end, can sit alone outside
+    if not region.contains(c.end() if forward else c.start()):
+        return c.length() if forward else 0.0
+    return None
+
+
 def first_exit(c: Curve, region: BallRegion) -> float:
     """inf of arclengths where the curve sits outside the region; inf if never."""
-    for k in range(len(c.waypoints) - 1):
-        a, b = c.waypoints[k], c.waypoints[k + 1]
-        base = float(c._cum[k])
-        seg = float(c._cum[k + 1] - c._cum[k])
-        locs = [0.0] + _segment_params(c, region, k) + [1.0]
-        for lo, hi in zip(locs[:-1], locs[1:]):
-            p_lo = a + lo * (b - a)
-            if not region.contains(p_lo):
-                return base + lo * seg
-            mid = a + 0.5 * (lo + hi) * (b - a)
-            if not region.contains(mid):
-                # the open part just past lo is outside, so the infimum is lo
-                return base + lo * seg
-    if not region.contains(c.end()):
-        return c.length()
-    return math.inf
+    s = _walk_to_outside(c, region, forward=True)
+    return math.inf if s is None else s
 
 
 def last_entry(c: Curve, region: BallRegion) -> float:
     """sup of arclengths where the curve sits outside the region; 0 if always inside."""
-    for k in range(len(c.waypoints) - 2, -1, -1):
-        a, b = c.waypoints[k], c.waypoints[k + 1]
-        base = float(c._cum[k])
-        seg = float(c._cum[k + 1] - c._cum[k])
-        locs = [0.0] + _segment_params(c, region, k) + [1.0]
-        for lo, hi in zip(reversed(locs[:-1]), reversed(locs[1:])):
-            p_hi = a + hi * (b - a)
-            if not region.contains(p_hi):
-                return base + hi * seg
-            mid = a + 0.5 * (lo + hi) * (b - a)
-            if not region.contains(mid):
-                return base + hi * seg
-    return 0.0
+    s = _walk_to_outside(c, region, forward=False)
+    return 0.0 if s is None else s
 
 
 def restrict_curve(c: Curve, a: float, b: float) -> Curve | None:

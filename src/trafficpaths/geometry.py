@@ -16,6 +16,7 @@ in (1, 1 + 1e-6] when a sphere would hit an atom exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -23,6 +24,8 @@ import numpy as np
 
 ON_SPHERE_TOL = 1e-9
 PARAM_TOL = 1e-12
+# radius draws per ball before a null-set cover halves its base radius
+RADIUS_RETRIES = 64
 
 
 def as_point(p) -> np.ndarray:
@@ -82,12 +85,12 @@ class BallRegion:
         return BallRegion(tuple(balls), "union", complement)
 
     @staticmethod
-    def cell(index: int, balls: Sequence[Ball], complement: bool = False) -> "BallRegion":
+    def cell(index: int, balls: Sequence[Ball]) -> "BallRegion":
         """Cell number ``index`` of an ordered cover: B_i minus earlier open balls."""
         if not 0 <= index < len(balls):
             raise ValueError("cell index out of range")
         chain = tuple(balls[:index]) + (balls[index],)
-        return BallRegion(chain, "cell", complement)
+        return BallRegion(chain, "cell")
 
     def complemented(self) -> "BallRegion":
         return replace(self, complement=not self.complement)
@@ -102,9 +105,6 @@ class BallRegion:
                 b.open_copy().contains(q) for b in self.terms[:-1]
             )
         return inside != self.complement
-
-    def spheres(self) -> list[Ball]:
-        return list(self.terms)
 
 
 def segment_sphere_params(a, b, ball: Ball) -> list[float]:
@@ -194,25 +194,16 @@ def packing_bound(ambient_radius: float, r: float, dim: int) -> int:
     step = r / 10.0
     n = int(np.floor(R / step))
     count = 0
-    rng = range(-n, n + 1)
-    if dim == 2:
-        for i in rng:
-            for j in rng:
-                if (i * i + j * j) * step * step <= R * R:
-                    count += 1
-    else:
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    if (i * i + j * j + k * k) * step * step <= R * R:
-                        count += 1
+    for idx in itertools.product(range(-n, n + 1), repeat=dim):
+        if sum(i * i for i in idx) * step * step <= R * R:
+            count += 1
     return count
 
 
 def _perturbed_radius(base: float, forbidden: Sequence[np.ndarray], center: np.ndarray,
-                      rng: np.random.Generator, retries: int = 64) -> float:
+                      rng: np.random.Generator) -> float:
     """Radius in (base, base*(1+1e-6)] whose sphere avoids all forbidden atoms."""
-    for _ in range(retries):
+    for _ in range(RADIUS_RETRIES):
         rad = base * (1.0 + float(rng.uniform(0.0, 1.0)) * 1e-6)
         ball = Ball(center, rad)
         if not any(ball.on_sphere(p) for p in forbidden):

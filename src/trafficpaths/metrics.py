@@ -29,6 +29,9 @@ from scipy.optimize import linprog
 from . import currents
 from .currents import AtomicMeasure, TrafficPath
 
+# how far outside its box a point may lie and still count as on the grid
+GRID_SLACK = 1e-9
+
 
 def flat_norm_0(measure: AtomicMeasure) -> float:
     """Flat norm of a signed atomic measure (move at cost distance, destroy at cost 1)."""
@@ -127,9 +130,10 @@ class GridComplex:
         j = int(round((float(p[1]) - self.y0) / self.h))
         return min(max(i, 0), self.nx), min(max(j, 0), self.ny)
 
-    def contains(self, p, slack: float = 1e-9) -> bool:
-        return (self.x0 - slack <= float(p[0]) <= self.x0 + self.nx * self.h + slack
-                and self.y0 - slack <= float(p[1]) <= self.y0 + self.ny * self.h + slack)
+    def contains(self, p) -> bool:
+        x, y = float(p[0]), float(p[1])
+        return (self.x0 - GRID_SLACK <= x <= self.x0 + self.nx * self.h + GRID_SLACK
+                and self.y0 - GRID_SLACK <= y <= self.y0 + self.ny * self.h + GRID_SLACK)
 
     def boundary_matrix(self) -> sparse.csr_matrix:
         """Edge x face incidence of the 2-chain boundary operator."""

@@ -401,16 +401,12 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     if k > ORACLE_MAX_ATOMS:
         raise OracleRangeError(
             f"instance exceeds oracle bound of {ORACLE_MAX_ATOMS} atoms")
-    dim = net.dim
+    # every full topology has k - 2 branch points; all start from one
+    # spread around the terminals' mean, which breaks their coincidence
+    spread = np.random.default_rng(7).standard_normal((max(k - 2, 0), net.dim))
+    init = np.mean(net.points, axis=0) + 1e-3 * spread
     best = None
     for edges in enumerate_topologies(k):
-        n_steiner = max((max(a, b) for a, b in edges), default=0) + 1 - k
-        n_steiner = max(n_steiner, 0)
-        init = np.mean(net.points, axis=0) + np.zeros((n_steiner, dim))
-        if n_steiner:
-            # spread the starting branch points to break coincidence
-            rng = np.random.default_rng(7)
-            init = init + 1e-3 * rng.standard_normal((n_steiner, dim))
         topo = Topology(net.points.copy(), net.masses.copy(), init, edges)
         cutoff = best[0][0] if best is not None else math.inf
         solved = _solve_logged(topo, alpha, tol, cutoff)

@@ -214,9 +214,17 @@ class TrialReport:
     notes: tuple
 
 
-def _limit_level(spec: TargetSpec, schedule) -> int:
-    # countable-support targets are truncated to the deepest scheduled level
-    return max(schedule) if spec.kind == "cantor" else 0
+def _limit_side(spec: TargetSpec, schedule) -> tuple[int, AtomicMeasure, float]:
+    """Level, measure and truncation error of one side's limit marginal.
+
+    Countable-support targets are truncated to the deepest scheduled level,
+    which moves their mass by at most mass * 3^-level; point targets are
+    their own level-0 quantization.
+    """
+    if spec.kind != "cantor":
+        return 0, quantize(spec, 0), 0.0
+    level = max(schedule)
+    return level, quantize(spec, level), spec.mass * 3.0 ** (-level)
 
 
 def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
@@ -225,26 +233,19 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     d = cfg.config.dimension
     notes = []
 
-    lvl_m = _limit_level(cfg.minus, cfg.schedule)
-    lvl_p = _limit_level(cfg.plus, cfg.schedule)
-    truncation = 0.0
-    if cfg.minus.kind == "cantor":
-        truncation += cfg.minus.mass * 3.0 ** (-lvl_m)
-    if cfg.plus.kind == "cantor":
-        truncation += cfg.plus.mass * 3.0 ** (-lvl_p)
+    specs = (cfg.minus, cfg.plus)
+    levels, limits, truncations = zip(*(_limit_side(s, cfg.schedule) for s in specs))
+    truncation = sum(truncations, 0.0)
     if truncation:
         notes.append("limit measures truncated; tolerance widened by the "
                      "quantization error %.3g" % truncation)
-
-    limit_minus = quantize(cfg.minus, lvl_m)
-    limit_plus = quantize(cfg.plus, lvl_p)
 
     def solve(mm: AtomicMeasure, mp: AtomicMeasure, n) -> TrafficPath:
         if len(mm.masses) + len(mp.masses) > optimizer.ORACLE_MAX_ATOMS:
             raise optimizer.OracleRangeError(f"oracle range exceeded at n={n}")
         return optimizer.brute_force_optimal(mm, mp, alpha)
 
-    t_limit = solve(limit_minus, limit_plus, max(lvl_m, lvl_p))
+    t_limit = solve(*limits, max(levels))
     limit_cost = currents.alpha_mass(t_limit, alpha)
 
     grid = None
@@ -259,20 +260,18 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
 
     rows = []
     for n in cfg.schedule:
-        mm = quantize(cfg.minus, n)
-        mp = quantize(cfg.plus, n)
-        t_n = solve(mm, mp, n)
+        marginals = [quantize(s, n) for s in specs]
+        t_n = solve(*marginals, n)
         cost_n = currents.alpha_mass(t_n, alpha)
-        gm = metrics.weak_star_gap(mm, limit_minus)
-        gp = metrics.weak_star_gap(mp, limit_plus)
+        gm, gp = (metrics.weak_star_gap(m, lim) for m, lim in zip(marginals, limits))
         if grid is not None:
             value, err = metrics.flat_distance_1(t_n, t_limit, grid)
             fg = value + err
         else:
             fg = currents.mass(currents.subtract(t_n, t_limit))
         rows.append(TrialRow(n=n, cost=cost_n, gap_minus=gm, gap_plus=gp,
-                             flat_gap=fg, atoms_minus=len(mm.masses),
-                             atoms_plus=len(mp.masses)))
+                             flat_gap=fg, atoms_minus=len(marginals[0].masses),
+                             atoms_plus=len(marginals[1].masses)))
 
     costs = [r.cost for r in rows]
     costs_bounded = max(costs) <= 2.0 * (limit_cost + 1.0)
@@ -370,6 +369,16 @@ class CompetitorConfig:
         return cls(Delta=float(d["Delta"]), eps1=float(d["eps1"]),
                    eps2=float(d["eps2"]), delta=float(d["delta"]),
                    N_minus=int(d["N_minus"]), N_plus=int(d["N_plus"]))
+
+
+def cover_radius_budget(Delta: float, dim: int) -> float:
+    """Delta / (128 C_d): each side's cover radii must sum below it.
+
+    C_d is the sphere connector constant: a side's connectors, each at
+    most C_d (cut mass)^alpha times its ball's radius, then cost below
+    Delta / 128 while the cut masses stay at most 1.
+    """
+    return Delta / (128.0 * constructors.SPHERE_CONSTANT[dim])
 
 
 @dataclass(frozen=True)
@@ -490,6 +499,8 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     d = t_n.dim
+    if not currents.clears_sphere_threshold(alpha, d):
+        raise ValueError("alpha must exceed the sphere reduction threshold 1 - 1/(d-1)")
     balls_minus, balls_plus = _sign_covers(covers)
     if cc.N_minus > len(balls_minus) or cc.N_plus > len(balls_plus):
         raise ValueError("cover truncation count exceeds the cover size")
@@ -527,11 +538,10 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
             ba, bb = all_balls[a], all_balls[b]
             if float(np.linalg.norm(ba.center - bb.center)) <= ba.radius + bb.radius:
                 raise ValueError("cover closures are not pairwise disjoint")
-    r_budget = cc.Delta / (128.0 * constructors.SPHERE_CONSTANT[d])
+    r_budget = cover_radius_budget(cc.Delta, d)
     if any(s.radius_sum >= r_budget for s in sides):
         raise ValueError("cover radii too large for the energy gap")
-    if any(abs(float(np.linalg.norm(p - b.center)) - b.radius) <= 1e-9
-           for s in sides for measure in (s.target, s.approx)
+    if any(b.on_sphere(p) for s in sides for measure in (s.target, s.approx)
            for p, _ in measure.atoms() for b in all_balls):
         raise ValueError("marginal atom sits on a cover sphere")
 
@@ -608,8 +618,7 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     if excess_total > 1e-12:
         scaled_pi = PathMeasure(tuple((piece, one2 * w) for piece, w in restr_pieces))
         forward = constructors.cheap_subtransport(
-            scaled_restr, scaled_pi, minus.excess, plus.excess,
-            eps=max(cc.eps1 + cc.eps2, excess_total * (1.0 + 1e-9)), alpha=alpha)
+            scaled_restr, scaled_pi, minus.excess, plus.excess, alpha)
         t_back = currents.reverse(forward)
     else:
         t_back = currents.empty_path(d)

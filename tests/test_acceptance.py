@@ -293,7 +293,7 @@ def test_criterion_9_cheap_subtransport_halving():
     for _ in range(6):
         sub = constructors.cheap_subtransport(
             t, pi, bnd.negative_part().scale(frac),
-            bnd.positive_part().scale(frac), eps=3.0, alpha=alpha)
+            bnd.positive_part().scale(frac), alpha=alpha)
         err = (currents.boundary(sub) -
                (bnd.positive_part().scale(frac) - bnd.negative_part().scale(frac))).tv()
         assert err <= 1e-9

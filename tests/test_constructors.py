@@ -182,8 +182,7 @@ def test_cheap_subtransport_moves_requested_slice():
     nu_minus = bnd.negative_part().scale(0.5)
     nu_plus = bnd.positive_part().scale(0.5)
     alpha = 0.7
-    sub = constructors.cheap_subtransport(t, pi, nu_minus, nu_plus,
-                                          eps=2.0, alpha=alpha)
+    sub = constructors.cheap_subtransport(t, pi, nu_minus, nu_plus, alpha=alpha)
     err = (currents.boundary(sub) - (nu_plus - nu_minus)).tv()
     assert err <= 1e-9
 
@@ -197,8 +196,7 @@ def test_cheap_subtransport_cost_scales_with_slice():
     for _ in range(6):
         nu_minus = bnd.negative_part().scale(frac)
         nu_plus = bnd.positive_part().scale(frac)
-        sub = constructors.cheap_subtransport(t, pi, nu_minus, nu_plus,
-                                              eps=3.0, alpha=alpha)
+        sub = constructors.cheap_subtransport(t, pi, nu_minus, nu_plus, alpha=alpha)
         costs.append(currents.alpha_mass(sub, alpha))
         frac *= 0.5
     for a, b in zip(costs, costs[1:]):
@@ -211,8 +209,7 @@ def test_cheap_subtransport_rejects_oversized_request():
     bnd = currents.boundary(t)
     with pytest.raises(ValueError):
         constructors.cheap_subtransport(t, pi, bnd.negative_part().scale(2.0),
-                                        bnd.positive_part().scale(2.0),
-                                        eps=3.0, alpha=0.7)
+                                        bnd.positive_part().scale(2.0), alpha=0.7)
 
 
 def test_cheap_subtransport_rejects_unbalanced():
@@ -220,5 +217,4 @@ def test_cheap_subtransport_rejects_unbalanced():
     bnd = currents.boundary(t)
     with pytest.raises(ValueError):
         constructors.cheap_subtransport(t, pi, bnd.negative_part().scale(0.5),
-                                        bnd.positive_part().scale(0.25),
-                                        eps=3.0, alpha=0.7)
+                                        bnd.positive_part().scale(0.25), alpha=0.7)

@@ -153,6 +153,31 @@ def test_first_exit_never_leaves():
     assert dcmp.last_entry(c, ball) == pytest.approx(0.0)
 
 
+def test_first_exit_and_last_entry_on_a_union_left_and_reentered():
+    # leaves the first ball at x = 1, re-enters the union through the second
+    # at x = 2 and ends inside it after a turn
+    c = curve((0, 0), (1.5, 0), (3, 0), (3, 0.5))
+    union = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0, closed=False),
+                                 Ball(np.array([3.0, 0.0]), 1.0, closed=False)])
+    assert dcmp.first_exit(c, union) == pytest.approx(1.0, abs=1e-12)
+    assert dcmp.last_entry(c, union) == pytest.approx(2.0, abs=1e-12)
+    # reversed, the first exit and the last entry trade places
+    back = curve((3, 0.5), (3, 0), (1.5, 0), (0, 0))
+    assert dcmp.first_exit(back, union) == pytest.approx(back.length() - 2.0, abs=1e-12)
+    assert dcmp.last_entry(back, union) == pytest.approx(back.length() - 1.0, abs=1e-12)
+
+
+def test_first_exit_of_a_curve_ending_on_an_open_sphere_is_its_length():
+    # the end (0.6, 0.8) lies on the unit sphere and is the only point outside
+    # the open ball; no segment crosses the sphere
+    c = curve((0, 0), (0.5, 0), (0.6, 0.8))
+    ball = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0, closed=False)])
+    assert dcmp.first_exit(c, ball) == c.length()
+    assert dcmp.last_entry(c, ball) == pytest.approx(c.length(), abs=1e-12)
+    closed = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0)])
+    assert math.isinf(dcmp.first_exit(c, closed))
+
+
 def test_restrict_curve_window():
     c = curve((0, 0), (1, 0), (1, 1))
     mid = dcmp.restrict_curve(c, 0.5, 1.5)

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def _experiment_dict(**overrides):
     return d
 
 
+def _experiment_dict_3d(**overrides):
+    d = _experiment_dict(dimension=3, **overrides)
+    d["mu_minus"]["atoms"][0]["point"] = [0.0, 0.0, 0.0]
+    d["mu_plus"]["atoms"][0]["point"] = [1.0, 1.0, 0.0]
+    d["mu_plus"]["atoms"][1]["point"] = [1.0, -1.0, 0.0]
+    return d
+
+
 def test_experiment_from_dict_names_missing_field():
     bad = _experiment_dict()
     del bad["schedule"]
@@ -116,12 +125,8 @@ def test_experiment_rejects_overlapping_supports():
 
 
 def test_experiment_rejects_alpha_below_threshold():
-    bad = _experiment_dict(alpha=0.3, dimension=3)
-    bad["mu_minus"]["atoms"][0]["point"] = [0.0, 0.0, 0.0]
-    bad["mu_plus"]["atoms"][0]["point"] = [1.0, 1.0, 0.0]
-    bad["mu_plus"]["atoms"][1]["point"] = [1.0, -1.0, 0.0]
     with pytest.raises(ValueError, match="threshold"):
-        stability.experiment_from_dict(bad)
+        stability.experiment_from_dict(_experiment_dict_3d(alpha=0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,21 @@ def test_trial_converges_on_two_sink_split(alpha):
     assert last.n == 64
     assert abs(last.cost - report.limit_cost) <= cfg.convergence_tol
     assert last.gap_plus <= 1.0 / 64.0 + 1e-9
+
+
+def test_trial_in_3d_reports_the_mass_surrogate():
+    cfg = stability.experiment_from_dict(_experiment_dict_3d(alpha=0.6, schedule=[1, 2, 4]))
+    report = stability.run_stability_trial(cfg)
+    assert report.flat_gap_kind == "mass-surrogate"
+    assert report.notes == ("dimension 3: path convergence witnessed only by the "
+                            "mass surrogate, not a true flat distance",)
+    # M(T_n - T) grows along this short schedule, and the last cost is still
+    # farther than convergence_tol from the limit
+    assert [r.flat_gap for r in report.rows] == pytest.approx(
+        [2.53230355252, 2.63247447025, 2.71880681595], rel=1e-9)
+    assert report.verdicts == {"costs_bounded": True, "gaps_monotone": True,
+                               "limit_optimal": True, "liminf_ok": False,
+                               "converged": False, "optimal": False}
 
 
 def test_trial_names_offending_level_when_out_of_range():
@@ -208,16 +228,15 @@ def test_shipped_report_matches_results(name):
 # competitor construction
 
 
-def _detour_setup(height=1.0, alpha=0.6):
-    t_opt = currents.from_segments([
-        (np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 1.0)])
-    t_n = currents.from_segments([
-        (np.array([-1.0, 0.0]), np.array([0.0, height]), 1.0),
-        (np.array([0.0, height]), np.array([1.0, 0.0]), 1.0)])
+def _detour_setup(height=1.0, alpha=0.6, dim=2, radius=5e-4):
+    pad = [0.0] * (dim - 2)
+    source, apex, sink = (np.array(p + pad) for p in ([-1.0, 0.0], [0.0, height],
+                                                      [1.0, 0.0]))
+    t_opt = currents.from_segments([(source, sink, 1.0)], dim=dim)
+    t_n = currents.from_segments([(source, apex, 1.0), (apex, sink, 1.0)], dim=dim)
     cc = stability.CompetitorConfig(Delta=0.8, eps1=1e-8, eps2=1e-5,
                                     delta=0.01, N_minus=1, N_plus=1)
-    covers = {"minus": [Ball(np.array([-1.0, 0.0]), 5e-4)],
-              "plus": [Ball(np.array([1.0, 0.0]), 5e-4)]}
+    covers = {"minus": [Ball(source, radius)], "plus": [Ball(sink, radius)]}
     return t_n, t_opt, covers, cc, alpha
 
 
@@ -251,6 +270,14 @@ def test_competitor_beats_detour():
 
 def cc_budget(ledger):
     return ledger["Delta"] / 128.0 + 1e-12
+
+
+def test_competitor_rejects_alpha_below_the_3d_sphere_threshold():
+    # every other precondition holds: 1e-4 balls fit the 3-D radius budget
+    t_n, t_opt, covers, cc, _ = _detour_setup(dim=3, radius=1e-4)
+    message = "alpha must exceed the sphere reduction threshold 1 - 1/(d-1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _run_competitor(t_n, t_opt, covers, cc, 0.5)
 
 
 def test_competitor_rejects_smallness_violation():
