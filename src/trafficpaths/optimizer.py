@@ -5,17 +5,22 @@ atoms, built by the classical edge-insertion recursion: the oracle
 enumerates all (2k-5)!! trees for k terminals (at most ORACLE_MAX_ATOMS),
 local search walks a neighbourhood of them.  On a tree the edge flows are
 forced by mass balance; positions of the auxiliary branch points are then a
-convex sum of weighted Euclidean norms.  One position solver,
-``_minimize_length``, serves every topology: all free vertices move jointly
-by damped Newton steps on the smoothed objective
+convex sum of weighted Euclidean norms.  An edge without flow gets weight
+0, so every full tree on k terminals has the same shape, and one position
+kernel, ``_minimize_length``, solves a whole stack of them at once: the
+oracle's topologies form one batch, and so does each insertion or regraft
+scan of local search.  In every problem the free vertices move jointly by
+damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
-a tenth of the radius R of the terminals.  After each stage the dual
-y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges y
-is re-solved from the balance at the free vertices and clipped to
+a tenth of the radius R of the terminals; each iteration takes one
+batched step for every live problem.  After each of its stages a problem's
+dual y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges
+y is re-solved from the balance at the free vertices and clipped to
 |y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
-because an optimum lies in the terminals' convex hull.  A topology is
+because an optimum lies in the terminals' convex hull.  A problem is
 finished once its certified relative gap is within tol, and dropped as
-soon as its lower bound exceeds the best cost found so far
+soon as its lower bound exceeds the least cost any problem of the batch
+has reached at a stage end, which bounds the batch optimum from above
 (branch-and-bound in the spirit of Smith, Algorithmica 1992).
 Degenerate optima are reached through collisions (branch points
 landing on terminals or each other are contracted at 1e-7) and through
@@ -26,8 +31,8 @@ splittings need no separate enumeration or move.
 Local search follows the tree-space heuristics of Bernot, Caselles and
 Morel (Optimal Transportation Networks, LNM 1955): terminals are inserted
 greedily, heaviest first, each into the edge that solves cheapest, and the
-tree is then improved by terminal regrafts, each scored by the same
-certified solve.
+tree is then improved by terminal regrafts, each taking the best of its
+scan, every candidate scored by the same certified solve.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
@@ -102,16 +107,14 @@ class Topology:
 
     def flows(self) -> list[float]:
         """Signed flow per edge (positive in the a -> b direction), forced by balance."""
-        n = self.n_terminals + len(self.steiner_points)
-        ib = np.zeros(n)
-        ib[: self.n_terminals] = self.terminal_masses
-        deg = np.zeros(n, dtype=int)
-        adj: dict[int, list[int]] = {}
+        # plain Python floats: the oracle strips a hundred trees per solve
+        ib = [float(m) for m in self.terminal_masses] + [0.0] * len(self.steiner_points)
+        n = len(ib)
+        adj: list[list[int]] = [[] for _ in range(n)]
         for e, (a, b) in enumerate(self.edges):
-            deg[a] += 1
-            deg[b] += 1
-            adj.setdefault(a, []).append(e)
-            adj.setdefault(b, []).append(e)
+            adj[a].append(e)
+            adj[b].append(e)
+        deg = [len(es) for es in adj]
         flows = [0.0] * len(self.edges)
         removed_e = [False] * len(self.edges)
         removed_v = [False] * n
@@ -120,7 +123,7 @@ class Topology:
             v = queue.pop()
             if removed_v[v]:
                 continue
-            live = [e for e in adj.get(v, ()) if not removed_e[e]]
+            live = [e for e in adj[v] if not removed_e[e]]
             if not live:
                 removed_v[v] = True
                 continue
@@ -169,154 +172,227 @@ def enumerate_topologies(k: int) -> list[tuple]:
     return trees
 
 
-def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, free: np.ndarray,
-                     anchors: np.ndarray, tol: float, max_iters: int,
-                     cutoff: float = math.inf) -> tuple[np.ndarray, float] | None:
-    """Joint smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on a certified gap.
+def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
+                     tol: float, max_iters: int, cutoff: float = math.inf) -> list:
+    """Stacked smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on certified gaps.
 
-    Moves the vertices in free (each touching an edge); the anchors must
-    include every fixed end of an edge, so an optimum lies in their hull.
-    Returns (positions, cost) once cost - lower_bound <= tol * cost, or None
-    as soon as the lower bound exceeds cutoff.  Raises OptimizeError with the
-    last positions when max_iters Newton steps do not certify the gap, or
-    when steps at the smallest smoothing stop making progress.
+    Solves T problems of one shape together: positions (T, n, d), edges
+    (T, E, 2) and weights (T, E) >= 0.  In every problem the first
+    len(anchors) vertices are the anchors and stay put, and an optimum lies
+    in their hull; the other vertices move, and one that touches no edge of
+    positive weight keeps its place.  Each iteration runs one batched Newton
+    step for every live problem: the stacked Hessians go to one
+    ``np.linalg.solve``, and the Armijo line search tries t = 1, 1/2, ...,
+    2^-19 at once and takes the first t that passes, per problem.  Each
+    problem keeps its own smoothing eps and ends its stages on its own.
+
+    Returns one entry per problem: (positions, cost) once cost - lower
+    bound <= tol * cost; None once its lower bound exceeds the smaller of
+    cutoff and the least cost any problem of the batch reached at a stage
+    end (every such cost bounds the batch optimum from above, so the best
+    problem is never dropped); or an OptimizeError carrying the last
+    positions when max_iters Newton steps do not certify the gap, or when
+    steps at the smallest smoothing stop making progress.
     """
-    nf, dim = len(free), pos.shape[1]
-    col = np.full(len(pos), -1)
-    col[free] = np.arange(nf)
-    # edge vector d = B @ X + D0 over the free positions X
-    B = np.zeros((len(edges), nf))
-    a_free, b_free = col[edges[:, 0]] >= 0, col[edges[:, 1]] >= 0
-    B[a_free, col[edges[a_free, 0]]] += 1.0
-    B[b_free, col[edges[b_free, 1]]] -= 1.0
-    D0 = (np.where(a_free[:, None], 0.0, pos[edges[:, 0]])
-          - np.where(b_free[:, None], 0.0, pos[edges[:, 1]]))
+    T, n, dim = pos.shape
+    k, n_edges = len(anchors), edges.shape[1]
+    nf = n - k
     center = anchors.mean(axis=0)
     R = float(np.max(np.linalg.norm(anchors - center, axis=1)))
-    D0c = D0 - np.outer((~a_free).astype(float) - (~b_free).astype(float), center)
-    X = pos[free].copy()
+    # edge vectors d = B @ X + D0 over the free positions X = pos[:, k:]
+    free_end = edges >= k
+    B = np.zeros((T, n_edges, nf))
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        t_i, e_i = np.nonzero(free_end[..., side])
+        B[t_i, e_i, edges[t_i, e_i, side] - k] += sign
+    ends = np.where(free_end[..., None], 0.0, pos[np.arange(T)[:, None, None], edges])
+    D0 = ends[:, :, 0] - ends[:, :, 1]
+    fixed_sign = (~free_end[..., 0]).astype(float) - (~free_end[..., 1]).astype(float)
+    D0c = D0 - fixed_sign[..., None] * center
+    # a free vertex on no weighted edge gets an identity block and stays put;
+    # a problem whose free vertices all do so is solved as it stands
+    touched = np.einsum("tef,te->tf", np.abs(B), (w > 0).astype(float)) > 0
+    out: list = [None] * T
+    for i in np.flatnonzero(~touched.any(axis=1)):
+        out[i] = pos[i].copy(), float(w[i] @ np.linalg.norm(D0[i], axis=1))
+    live = np.flatnonzero(touched.any(axis=1))
+    counts = {"certified": T - len(live), "pruned": 0, "uncertified": 0}
     eye = np.eye(dim)
-    BB = (B[:, :, None] * B[:, None, :]).reshape(len(edges), nf * nf)
+    ts = 0.5 ** np.arange(20)
+    diag = np.arange(nf * dim)
+    floor, incumbent = SMOOTH_FLOOR * R, math.inf
+    # per live problem: constants, then iterate state; rows follow live
+    B, D0, D0c, w = B[live], D0[live], D0c[live], w[live]
+    Bt = B.transpose(0, 2, 1)
+    BBt = (Bt[:, :, None, :] * Bt[:, None, :, :]).reshape(len(live), nf * nf, n_edges)
+    inert = np.repeat(~touched[live], dim, axis=1).astype(float)
+    scale = w.sum(axis=1)
+    X = pos[live, k:].copy()
+    eps = np.full(len(live), SMOOTH_START * R)
+    steps = np.zeros(len(live), dtype=int)
+    last_eps, last_X = np.full(len(live), np.nan), X.copy()  # previous stage end
+    lower_best = np.full(len(live), -math.inf)
 
-    def result(X):
-        out = pos.copy()
-        out[free] = X
-        return out
+    def positions(i, Xi):
+        p = pos[i].copy()
+        p[k:] = Xi
+        return p
 
-    def lower_bound(y):
+    def edge_vectors(sel, X, eps):
+        """Edge vectors of problems sel at X and their smoothed lengths r."""
+        d = B[sel] @ X + D0[sel]
+        return d, np.sqrt(np.einsum("tej,tej->te", d, d) + (eps * eps)[:, None])
+
+    def lower_bound(sel, y):
         # valid for any y with |y_e| <= w_e: sum_e y_e . d_e <= cost at every
         # point, and the imbalance g at a free vertex x_v is charged R |g_v|
         # because an optimal x_v lies within R of center
-        g = B.T @ y
-        return float(np.sum(y * D0c)) - R * float(np.sum(np.linalg.norm(g, axis=1)))
+        g = Bt[sel] @ y
+        return (y * D0c[sel]).sum(axis=(1, 2)) - R * np.linalg.norm(g, axis=2).sum(axis=1)
 
-    def bounds(X, eps):
-        """Cost at X and a lower bound on the optimum, from y_e = w_e d_e / r_e."""
-        d = B @ X + D0
-        n = np.linalg.norm(d, axis=1)
-        y = (w / np.sqrt(n * n + eps * eps))[:, None] * d
-        lower = lower_bound(y)
-        short = n < math.sqrt(eps * R)
+    def bounds(sel):
+        """Costs of problems sel and lower bounds on their optima, from y_e = w_e d_e / r_e."""
+        d = B[sel] @ X[sel] + D0[sel]
+        norm = np.linalg.norm(d, axis=2)
+        y = (w[sel] / np.sqrt(norm * norm + (eps[sel] * eps[sel])[:, None]))[..., None] * d
+        lower = lower_bound(sel, y)
+        short = (norm < np.sqrt(eps[sel] * R)[:, None]) & (w[sel] > 0)
         if short.any():
             # on edges that are collapsing d/r is rounding noise: take their y
-            # from the balance at free vertices, clipped back into the balls
-            rhs = -(B[~short].T @ y[~short])
-            y[short] = np.linalg.lstsq(B[short].T, rhs, rcond=None)[0]
-            excess = np.linalg.norm(y[short], axis=1) / w[short]
-            y[short] /= np.maximum(excess, 1.0)[:, None]
-            lower = max(lower, lower_bound(y))
-        return float(w @ n), lower
+            # as the min-norm solution of the balance at the free vertices,
+            # clipped back into the balls |y_e| <= w_e
+            rhs = -(Bt[sel] @ np.where(short[..., None], 0.0, y))
+            M = Bt[sel] * short[:, None, :]
+            y_short = np.linalg.pinv(M, rcond=np.finfo(float).eps * max(nf, n_edges)) @ rhs
+            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[sel], 1.0)
+            y_short /= np.maximum(excess, 1.0)[..., None]
+            y = np.where(short[..., None], y_short, y)
+            lower = np.maximum(lower, lower_bound(sel, y))
+        return np.einsum("te,te->t", w[sel], norm), lower
 
-    def smoothed(X, eps):
-        d = B @ X + D0
-        return float(w @ np.sqrt(np.einsum("ij,ij->i", d, d) + eps * eps))
+    def line_search(go, sel, t, P, dP, lam2):
+        """Armijo test of the steps t * P of problems go[sel]; moves those with
+        a passing t by the first one, returns the positions in sel of the rest."""
+        g = go[sel]
+        # f(X + tP) - f(X) for every t, written so that it stays exact far
+        # below the rounding of f itself
+        step = t[None, :, None, None] * dP[sel][:, None]
+        d_new = d[g][:, None] + step
+        r_new = np.sqrt(np.einsum("tsej,tsej->tse", d_new, d_new)
+                        + (eps[g] * eps[g])[:, None, None])
+        change = np.einsum("tse,te->ts", np.einsum("tsej,tsej->tse", step, d[g][:, None] + d_new)
+                           / (r[g][:, None] + r_new), w[g])
+        passed = change <= -0.25 * t * lam2[g][:, None]
+        ok = passed.any(axis=1)
+        first = passed.argmax(axis=1)[ok]
+        X[g[ok]] += t[first][:, None, None] * P[sel[ok]]
+        d[g[ok]], r[g[ok]] = d_new[ok, first], r_new[ok, first]
+        return sel[~ok]
 
-    eps = SMOOTH_START * R
-    floor = SMOOTH_FLOOR * R
-    scale = float(w.sum())
-    steps = 0
-    last = None  # (eps, X) at the end of the previous stage
-    while True:
-        d = B @ X + D0
-        r = np.sqrt(np.einsum("ij,ij->i", d, d) + eps * eps)
-        while True:
-            u = w / r
-            grad = (B.T @ (u[:, None] * d)).ravel()
-            # Hessian of one smoothed norm: w (I - d d^T / r^2) / r
-            K = u[:, None, None] * (eye - d[:, :, None] * d[:, None, :] / (r * r)[:, None, None])
-            H = (BB.T @ K.reshape(-1, dim * dim)).reshape(nf, nf, dim, dim)
-            H = H.transpose(0, 2, 1, 3).reshape(nf * dim, nf * dim)
-            p = -np.linalg.solve(H, grad)
-            lam2 = float(-grad @ p)  # squared Newton decrement
-            if lam2 <= STAGE_DECREMENT * scale * eps * eps / R:
-                break
-            if steps >= max_iters:
-                raise OptimizeError("position stage did not certify its gap", result(X))
-            steps += 1
-            P = p.reshape(nf, dim)
-            dP = B @ P
-            t = 1.0
-            while t >= 1e-6:
-                # f(X + tP) - f(X), written so that it stays exact far below
-                # the rounding of f itself
-                step = t * dP
-                d_new = d + step
-                r_new = np.sqrt(np.einsum("ij,ij->i", d_new, d_new) + eps * eps)
-                change = float(w @ (np.einsum("ij,ij->i", step, d + d_new) / (r + r_new)))
-                if change <= -0.25 * t * lam2:
-                    break
-                t *= 0.5
-            else:
-                break  # no progress at this smoothing
-            X, d, r = X + t * P, d_new, r_new
-        cost, lower = bounds(X, eps)
-        if lower > cutoff:
-            return None
-        if cost - lower <= tol * cost:
-            return result(X), cost
-        if eps <= floor:
-            raise OptimizeError("position stage did not certify its gap", result(X))
-        new_eps = max(eps / SMOOTH_FACTOR, floor)
-        previous, last = last, (eps, X)
-        if previous is not None:
-            # the smoothed minimizer is nearly affine in eps once eps is small:
-            # extrapolate from the last two stages when that helps
-            guess = X + (new_eps - eps) / (previous[0] - eps) * (previous[1] - X)
-            if smoothed(guess, new_eps) < smoothed(X, new_eps):
-                X = guess
-        eps = new_eps
+    d, r = edge_vectors(slice(None), X, eps)
+    iterations = 0
+    while len(live):
+        iterations += 1
+        m = len(live)
+        u = w / r
+        grad = (Bt @ (u[..., None] * d)).reshape(m, nf * dim)
+        # Hessian of one smoothed norm: w (I - d d^T / r^2) / r
+        K = u[..., None, None] * (eye - d[..., :, None] * d[..., None, :] / (r * r)[..., None, None])
+        H = (BBt @ K.reshape(m, n_edges, dim * dim)).reshape(m, nf, nf, dim, dim)
+        H = H.transpose(0, 1, 3, 2, 4).reshape(m, nf * dim, nf * dim)
+        H[:, diag, diag] += inert
+        p = -np.linalg.solve(H, grad[..., None])[..., 0]
+        lam2 = -np.einsum("ti,ti->t", grad, p)  # squared Newton decrements
+        ended = lam2 <= STAGE_DECREMENT * scale * eps * eps / R
+        stuck = ~ended & (steps >= max_iters)
+        go = np.flatnonzero(~ended & ~stuck)
+        if len(go):
+            steps[go] += 1
+            P = p[go].reshape(-1, nf, dim)
+            dP = B[go] @ P
+            # the full step first: the problems it fails try every shorter t at once
+            rest = line_search(go, np.arange(len(go)), ts[:1], P, dP, lam2)
+            if len(rest):
+                rest = line_search(go, rest, ts[1:], P, dP, lam2)
+            ended[go[rest]] = True  # no progress at this smoothing
+        done = np.zeros(m, dtype=bool)
+        se = np.flatnonzero(ended)
+        if len(se):
+            cost, lower = bounds(se)
+            incumbent = min(incumbent, float(cost.min()))
+            lower_best[se] = np.maximum(lower_best[se], lower)
+            certified = cost - lower <= tol * cost
+            for i, c, lo in zip(se[certified], cost[certified], lower[certified]):
+                if lo <= cutoff:
+                    out[live[i]] = positions(live[i], X[i]), float(c)
+                    counts["certified"] += 1
+                else:
+                    counts["pruned"] += 1
+                done[i] = True
+            stuck[se[~certified & (eps[se] <= floor)]] = True
+            adv = se[~certified & (eps[se] > floor)]
+            if len(adv):
+                new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor)
+                prev_eps, prev_X = last_eps[adv], last_X[adv]
+                last_eps[adv], last_X[adv] = eps[adv], X[adv]
+                # the smoothed minimizer is nearly affine in eps once eps is
+                # small: extrapolate from the last two stages when that helps
+                has = ~np.isnan(prev_eps)
+                if has.any():
+                    a, e0, e1 = adv[has], eps[adv[has]], new_eps[has]
+                    guess = X[a] + ((e1 - e0) / (prev_eps[has] - e0))[:, None, None] \
+                        * (prev_X[has] - X[a])
+                    better = (np.einsum("te,te->t", w[a], edge_vectors(a, guess, e1)[1])
+                              < np.einsum("te,te->t", w[a], edge_vectors(a, X[a], e1)[1]))
+                    X[a[better]] = guess[better]
+                eps[adv] = new_eps
+                d[adv], r[adv] = edge_vectors(adv, X[adv], eps[adv])
+        pruned = ~done & (lower_best > min(cutoff, incumbent))
+        counts["pruned"] += int(pruned.sum())
+        for i in np.flatnonzero(stuck & ~pruned):
+            out[live[i]] = OptimizeError("position stage did not certify its gap",
+                                         positions(live[i], X[i]))
+            counts["uncertified"] += 1
+            done[i] = True
+        keep = ~(done | pruned)
+        if not keep.all():
+            live = live[keep]
+            B, Bt, BBt, D0, D0c, w = B[keep], Bt[keep], BBt[keep], D0[keep], D0c[keep], w[keep]
+            inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
+            last_eps, last_X, lower_best = last_eps[keep], last_X[keep], lower_best[keep]
+            d, r = d[keep], r[keep]
+    _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, "
+               "%d Newton iterations", T, counts["certified"], counts["pruned"],
+               counts["uncertified"], iterations)
+    return out
 
 
-def _solve_positions(topology: Topology, alpha: float, tol: float, max_iters: int,
-                     cutoff: float = math.inf) -> tuple[Topology, float] | None:
-    """Position stage of one topology through ``_minimize_length``.
+def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int = 10000,
+                      cutoff: float = math.inf) -> list:
+    """Position stage of same-shape topologies through one ``_minimize_length`` batch.
 
-    The branch points touching an edge with flow move; the terminals are
-    the anchors.  Returns (topology, cost), or None once the lower bound
-    exceeds cutoff; OptimizeError carries the last iterate as a Topology.
+    Edges without flow get weight 0, so every full tree on k terminals has
+    the same shape; the terminals are the anchors.  Entries are (topology,
+    cost), None for a pruned topology, or an OptimizeError carrying the
+    last iterate as a Topology.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    k = topology.n_terminals
-    pos = topology.positions()
-    th = np.abs(np.asarray(topology.flows(), dtype=float))
-    live = th > FLOW_TOL
-    edges = np.asarray(topology.edges, dtype=int).reshape(-1, 2)[live]
-    w = np.ones(len(edges)) if alpha == 0.0 else th[live] ** alpha
-    # vertices touching no edge with flow do not affect the cost and stay put;
-    # every other branch point lies on a path between two terminals
-    free = np.unique(edges)
-    free = free[free >= k]
-    if not len(free):
-        return topology, topology.cost(alpha)
-    try:
-        solved = _minimize_length(pos, edges, w, free, pos[:k], tol, max_iters, cutoff)
-    except OptimizeError as err:
-        raise OptimizeError(str(err), topology.with_steiner(err.best[k:])) from None
-    if solved is None:
-        return None
-    out, cost = solved
-    return topology.with_steiner(out[k:]), cost
+    first = topologies[0]
+    k = first.n_terminals
+    pos = np.stack([t.positions() for t in topologies])
+    th = np.abs(np.array([t.flows() for t in topologies], dtype=float))
+    w = np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
+    edges = np.array([t.edges for t in topologies], dtype=int).reshape(len(topologies), -1, 2)
+    out = []
+    for topo, res in zip(topologies, _minimize_length(pos, edges, w, first.terminal_points,
+                                                      tol, max_iters, cutoff)):
+        if isinstance(res, OptimizeError):
+            res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
+        elif res is not None:
+            res = topo.with_steiner(res[0][k:]), res[1]
+        out.append(res)
+    return out
 
 
 def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
@@ -327,7 +403,10 @@ def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
     iterate attached) if the certified relative gap is not within tol after
     max_iters Newton steps.
     """
-    return _solve_positions(topology, alpha, tol, max_iters)
+    (res,) = _solve_topologies([topology], alpha, tol, max_iters)
+    if isinstance(res, OptimizeError):
+        raise res
+    return res
 
 
 def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float):
@@ -344,14 +423,16 @@ def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
 
 
-def _solve_logged(topology: Topology, alpha: float, tol: float,
-                  cutoff: float) -> tuple[Topology, float] | None:
-    """``_solve_positions``; an uncertified solve is logged and its last iterate kept."""
-    try:
-        return _solve_positions(topology, alpha, tol, 10000, cutoff)
-    except OptimizeError as err:
-        _log.warning("topology %s not certified: %s", _tree_key(topology.edges), err)
-        return err.best, err.best.cost(alpha)
+def _solve_logged(topologies: list, alpha: float, tol: float,
+                  cutoff: float = math.inf) -> list:
+    """``_solve_topologies``; an uncertified solve is logged and its last iterate kept."""
+    out = []
+    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff):
+        if isinstance(res, OptimizeError):
+            _log.warning("topology %s not certified: %s", _tree_key(res.best.edges), res)
+            res = res.best, res.best.cost(alpha)
+        out.append(res)
+    return out
 
 
 def _collision_representatives(pos: np.ndarray) -> np.ndarray:
@@ -394,30 +475,27 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     relative gap of tol; larger instances raise OracleRangeError.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
-    k = len(net.masses)
-    if k == 0:
+    if not len(net.masses):
         dim = mu_minus.dim if mu_minus.points.size else mu_plus.dim
         return currents.empty_path(dim)
-    if k > ORACLE_MAX_ATOMS:
+    if len(net.masses) > ORACLE_MAX_ATOMS:
         raise OracleRangeError(
             f"instance exceeds oracle bound of {ORACLE_MAX_ATOMS} atoms")
+    topo, _ = _oracle_topology(net, alpha, tol)
+    return dcmp.remove_cycles(_contracted_path(topo))
+
+
+def _oracle_topology(net: AtomicMeasure, alpha: float, tol: float) -> tuple[Topology, float]:
+    """Least (cost, tree key) over every full topology on the atoms of net, in one batch."""
+    k = len(net.masses)
     # every full topology has k - 2 branch points; all start from one
     # spread around the terminals' mean, which breaks their coincidence
     spread = np.random.default_rng(7).standard_normal((max(k - 2, 0), net.dim))
     init = np.mean(net.points, axis=0) + 1e-3 * spread
-    best = None
-    for edges in enumerate_topologies(k):
-        topo = Topology(net.points.copy(), net.masses.copy(), init, edges)
-        cutoff = best[0][0] if best is not None else math.inf
-        solved = _solve_logged(topo, alpha, tol, cutoff)
-        if solved is None:
-            continue  # provably worse than the incumbent
-        topo, cost = solved
-        key = (cost, _tree_key(edges))
-        if best is None or key < best[0]:
-            best = (key, topo)
-    path = _contracted_path(best[1])
-    return dcmp.remove_cycles(path)
+    solved = _solve_logged([Topology(net.points.copy(), net.masses.copy(), init, edges)
+                            for edges in enumerate_topologies(k)], alpha, tol)
+    return min((s for s in solved if s is not None),
+               key=lambda s: (s[1], _tree_key(s[0].edges)))
 
 
 @dataclass(frozen=True)
@@ -472,10 +550,11 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     costs least; until the last one is in, terminal 0 carries the mass of
     the terminals still missing.  Then, cyclically over the terminals, one
     at a time is detached with its branch point and re-inserted into every
-    other edge; the first move that lowers the cost by more than the solve
-    tolerance is kept, and the search stops after a full cycle over the
-    terminals without one.  Every solve is screened against the cost to beat, and an
-    uncertified one logs a warning and keeps its last iterate.  The result
+    other edge; the best of these moves is kept when it lowers the cost by
+    more than the solve tolerance, and the search stops after a full cycle
+    over the terminals without one.  Each scan, insertion or regraft, is
+    one batched position solve, screened against the cost to beat; an
+    uncertified solve logs a warning and keeps its last iterate.  The result
     is contracted like the oracle's, so its boundary is exact.  No
     optimality promise: the tests compare it against the exhaustive
     optimum on oracle-range instances.
@@ -487,38 +566,31 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     order = np.argsort(-np.abs(net.masses), kind="stable")
     points, masses = net.points[order], net.masses[order]
 
-    def solve(edges, steiner, last, cutoff):
+    def scan(edges, pos, t, s, last, cutoff, skip=None):
+        # t hung from s on every edge but skip, s started at the centroid; the
         # terminals after last are not in the tree yet: terminal 0 carries them
         m = masses.copy()
         m[0] += m[last + 1:].sum()
         m[last + 1:] = 0.0
-        return _solve_logged(Topology(points, m, steiner, edges), alpha, LOCAL_TOL, cutoff)
-
-    def insertions(edges, pos, t, s, skip=None):
-        # t hung from s on every edge but skip, s started at the centroid
+        cands = []
         for e_idx, (a, b) in enumerate(edges):
             if e_idx != skip:
                 steiner = pos[k:].copy()
                 steiner[s - k] = (pos[a] + pos[b] + pos[t]) / 3.0
-                yield _insert(edges, e_idx, t, s), steiner
+                cands.append(Topology(points, m, steiner, _insert(edges, e_idx, t, s)))
+        solved = [s for s in _solve_logged(cands, alpha, LOCAL_TOL, cutoff) if s is not None]
+        return min(solved, key=lambda s: s[1]) if solved else None
 
-    topo, cost = solve(((0, 1),), np.zeros((max(k - 2, 0), net.dim)), 1, math.inf)
+    topo = Topology(points, masses, np.zeros((max(k - 2, 0), net.dim)), ((0, 1),))
     for t in range(2, k):
-        best = None
-        for edges, steiner in insertions(topo.edges, topo.positions(), t, k + t - 2):
-            solved = solve(edges, steiner, t, best[1] if best else math.inf)
-            if solved is not None and (best is None or solved[1] < best[1]):
-                best = solved
-        topo, cost = best
+        topo, cost = scan(topo.edges, topo.positions(), t, k + t - 2, t, math.inf)
     stale = 0  # terminals in a row whose regrafts found no improvement
     t = 0
     while k > 3 and stale < k:
         edges, s = _detach(topo.edges, t)
         stale += 1
-        for cand, steiner in insertions(edges, topo.positions(), t, s, skip=len(edges) - 1):
-            solved = solve(cand, steiner, k - 1, cost)
-            if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
-                (topo, cost), stale = solved, 0
-                break
+        solved = scan(edges, topo.positions(), t, s, k - 1, cost, skip=len(edges) - 1)
+        if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
+            (topo, cost), stale = solved, 0
         t = (t + 1) % k
     return dcmp.remove_cycles(_contracted_path(topo))

@@ -257,8 +257,7 @@ def test_criterion_8_competitor_ledger_family():
         cc = stability.CompetitorConfig(Delta=delta_gap, eps1=1e-3 * eps2,
                                         eps2=eps2, delta=0.01,
                                         N_minus=1, N_plus=1)
-        r = 0.5 * min(cc.Delta / (128.0 * constructors.SPHERE_CONSTANT[2]),
-                      cc.Delta / 128.0)
+        r = 0.5 * stability.cover_radius_budget(cc.Delta, 2)
         covers = {"minus": [Ball(np.array([-1.0, 0.0]), r)],
                   "plus": [Ball(np.array([1.0, 0.0]), r)]}
         report = stability.build_competitor(

@@ -162,6 +162,74 @@ def test_optimize_positions_raises_with_best_iterate():
     assert exc.value.best is not None
 
 
+def _y_topology(steiner):
+    terminals = np.array([[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    return optimizer.Topology(terminals, np.array([-1.0, -1.0, 2.0]),
+                              np.array([steiner]), ((0, 3), (1, 3), (3, 2)))
+
+
+def test_batch_keeps_certifying_beside_a_stuck_problem(caplog):
+    # two starts near the junction certify within 8 Newton steps, the far
+    # one needs 11: it stops with its iterate and the batch goes on
+    topos = [_y_topology(s) for s in ([0.0, 1.0], [0.1, 0.9], [30.0, -40.0])]
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        near, nearby, far = optimizer._solve_topologies(topos, 0.5, 1e-10, max_iters=8)
+    for solved, topo in ((near, topos[0]), (nearby, topos[1])):
+        alone = optimizer.optimize_positions(topo, 0.5, tol=1e-10, max_iters=8)
+        assert solved[1] == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-10)
+        assert solved[1] == pytest.approx(alone[1], rel=1e-12)
+    assert isinstance(far, optimizer.OptimizeError)
+    with pytest.raises(optimizer.OptimizeError) as exc:
+        optimizer.optimize_positions(topos[2], 0.5, tol=1e-10, max_iters=8)
+    assert not np.allclose(far.best.steiner_points, topos[2].steiner_points)
+    assert np.allclose(far.best.steiner_points, exc.value.best.steiner_points, atol=1e-12)
+    assert any("batch of 3: 2 certified, 0 pruned, 1 uncertified" in r.getMessage()
+               for r in caplog.records)
+
+
+def _reference_oracle(net, alpha, tol):
+    """Every topology solved alone with ``optimize_positions``: sorted (cost, tree key)."""
+    k = len(net.masses)
+    init = net.points.mean(axis=0) + 1e-3 * np.random.default_rng(7).standard_normal(
+        (k - 2, net.dim))
+    return sorted((optimizer.optimize_positions(
+        optimizer.Topology(net.points.copy(), net.masses.copy(), init, edges), alpha, tol)[1],
+        optimizer._tree_key(edges)) for edges in optimizer.enumerate_topologies(k))
+
+
+def _assert_oracle_matches_reference(net, alpha, tol=1e-9):
+    topo, cost = optimizer._oracle_topology(net, alpha, tol)
+    ranked = _reference_oracle(net, alpha, tol)
+    best, key = ranked[0]
+    # no other tree ties within the certified gaps, so the best one is well defined
+    assert all(c > best * (1.0 + 2.0 * tol) for c, _ in ranked[1:])
+    assert abs(cost - best) <= tol * best
+    assert optimizer._tree_key(topo.edges) == key
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8, 1.0])
+def test_batched_oracle_matches_topologies_solved_alone(alpha):
+    rng = np.random.default_rng(int(alpha * 10) + 41)
+    for k_minus, k_plus, dim in ((1, 2, 3), (2, 2, 2), (2, 3, 3), (3, 3, 2)):
+        mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim=dim)
+        _assert_oracle_matches_reference(mu_plus - mu_minus, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+def test_batched_oracle_matches_alone_on_zero_flow_edges(alpha):
+    # unit masses: every tree that pairs a source with a sink first has an
+    # edge without flow, so its branch points touch weight-0 edges
+    rng = np.random.default_rng(8)
+    mu_minus = AtomicMeasure.from_atoms([(p, 1.0) for p in rng.uniform(-1, 1, (2, 2))], dim=2)
+    mu_plus = AtomicMeasure.from_atoms([(p + [2.0, 0.0], 1.0) for p in rng.uniform(-1, 1, (2, 2))],
+                                       dim=2)
+    net = mu_plus - mu_minus
+    flows = [optimizer.Topology(net.points, net.masses, np.zeros((2, 2)), e).flows()
+             for e in optimizer.enumerate_topologies(4)]
+    assert sum(min(abs(f) for f in fl) <= optimizer.FLOW_TOL for fl in flows) == 2
+    _assert_oracle_matches_reference(net, alpha)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 
@@ -375,14 +443,25 @@ def test_local_search_certifies_every_position_solve(alpha, bound, sources, sink
     assert currents.alpha_mass(t, alpha) <= bound
 
 
-def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):
-    def stalled(pos, *args):
-        raise optimizer.OptimizeError("position stage did not certify its gap", pos)
+def _stalled(pos, *args):
+    """A position kernel that certifies nothing: every problem keeps its start."""
+    return [optimizer.OptimizeError("position stage did not certify its gap", p) for p in pos]
 
-    monkeypatch.setattr(optimizer, "_minimize_length", stalled)
+
+def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):
+    monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
     mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
     mu_plus = atoms2(((0.0, 0.0), 2.0))
     with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
         t = optimizer.local_search(mu_minus, mu_plus, alpha=0.5)
     assert any("not certified" in r.getMessage() for r in caplog.records)
+    assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
+
+
+def test_oracle_warns_on_uncertified_position_solve(caplog, monkeypatch):
+    monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
+    mu_minus, mu_plus = balanced_clouds(np.random.default_rng(5), 2, 3)
+    with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+        t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha=0.6)
+    assert sum("not certified" in r.getMessage() for r in caplog.records) == 15
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
