@@ -182,8 +182,9 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     in their hull; the other vertices move, and one that touches no edge of
     positive weight keeps its place.  Each iteration runs one batched Newton
     step for every live problem: the stacked Hessians go to one
-    ``np.linalg.solve``, and the Armijo line search tries t = 1, 1/2, ...,
-    2^-19 at once and takes the first t that passes, per problem.  Each
+    ``np.linalg.solve``, and the Armijo line search takes, per problem, the
+    first of t = 1, 1/2, ..., 2^-19 that passes (the full step is tried
+    for all, the shorter ones at once for the problems it fails).  Each
     problem keeps its own smoothing eps and ends its stages on its own.
 
     Returns one entry per problem: (positions, cost) once cost - lower
@@ -383,7 +384,7 @@ def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int
     pos = np.stack([t.positions() for t in topologies])
     th = np.abs(np.array([t.flows() for t in topologies], dtype=float))
     w = np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
-    edges = np.array([t.edges for t in topologies], dtype=int).reshape(len(topologies), -1, 2)
+    edges = np.array([t.edges for t in topologies], dtype=int)
     out = []
     for topo, res in zip(topologies, _minimize_length(pos, edges, w, first.terminal_points,
                                                       tol, max_iters, cutoff)):
@@ -475,10 +476,11 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     relative gap of tol; larger instances raise OracleRangeError.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
-    if not len(net.masses):
+    k = len(net.masses)
+    if k == 0:
         dim = mu_minus.dim if mu_minus.points.size else mu_plus.dim
         return currents.empty_path(dim)
-    if len(net.masses) > ORACLE_MAX_ATOMS:
+    if k > ORACLE_MAX_ATOMS:
         raise OracleRangeError(
             f"instance exceeds oracle bound of {ORACLE_MAX_ATOMS} atoms")
     topo, _ = _oracle_topology(net, alpha, tol)
