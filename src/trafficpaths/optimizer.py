@@ -7,9 +7,12 @@ local search walks a neighbourhood of them.  On a tree the edge flows are
 forced by mass balance; positions of the auxiliary branch points are then a
 convex sum of weighted Euclidean norms.  An edge without flow gets weight
 0, so every full tree on k terminals has the same shape, and one position
-kernel, ``_minimize_length``, solves a whole stack of them at once: the
-oracle's topologies form one batch, and so does each insertion or regraft
-scan of local search.  In every problem the free vertices move jointly by
+kernel, ``_minimize_length``, solves a whole stack of them at once, each
+problem with its own terminals and a group id naming its instance: the
+oracle solves every topology of every instance with the same atom count in
+one batch, one group per instance (a stability trial's limit and all its
+levels share one), and each insertion or regraft scan of local search is a
+batch of one group.  In every problem the free vertices move jointly by
 damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
 a tenth of the radius R of the terminals; each iteration takes one
@@ -19,8 +22,8 @@ y is re-solved from the balance at the free vertices and clipped to
 |y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
 because an optimum lies in the terminals' convex hull.  A problem is
 finished once its certified relative gap is within tol, and dropped as
-soon as its lower bound exceeds the least cost any problem of the batch
-has reached at a stage end, which bounds the batch optimum from above
+soon as its lower bound exceeds the least cost any problem of its group
+has reached at a stage end, which bounds the group optimum from above
 (branch-and-bound in the spirit of Smith, Algorithmica 1992).
 Degenerate optima are reached through collisions (branch points
 landing on terminals or each other are contracted at 1e-7) and through
@@ -173,33 +176,39 @@ def enumerate_topologies(k: int) -> list[tuple]:
 
 
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
-                     tol: float, max_iters: int, cutoff: float = math.inf) -> list:
+                     tol: float, max_iters: int, cutoff: float = math.inf, *,
+                     groups: np.ndarray) -> list:
     """Stacked smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on certified gaps.
 
     Solves T problems of one shape together: positions (T, n, d), edges
-    (T, E, 2) and weights (T, E) >= 0.  In every problem the first
-    len(anchors) vertices are the anchors and stay put, and an optimum lies
-    in their hull; the other vertices move, and one that touches no edge of
-    positive weight keeps its place.  Each iteration runs one batched Newton
-    step for every live problem: the stacked Hessians go to one
-    ``np.linalg.solve``, and the Armijo line search takes, per problem, the
-    first of t = 1, 1/2, ..., 2^-19 that passes (the full step is tried
-    for all, the shorter ones at once for the problems it fails).  Each
-    problem keeps its own smoothing eps and ends its stages on its own.
+    (T, E, 2), weights (T, E) >= 0, anchors (T, k, d) and integer group ids
+    (T,).  In every problem the first k vertices are its anchors and stay
+    put, and an optimum lies in their hull, so the center, radius R,
+    smoothing floor and starting eps are per problem; the other vertices
+    move, and one that touches no edge of positive weight keeps its place.
+    Problems of one group are alternatives for one instance: their best cost
+    bounds the group's optimum, and says nothing about any other group's.
+    Each iteration runs one batched Newton step for every live problem: the
+    stacked Hessians go to one ``np.linalg.solve``, and the Armijo line
+    search takes, per problem, the first of t = 1, 1/2, ..., 2^-19 that
+    passes (the full step is tried for all, the shorter ones at once for
+    the problems it fails).  Each problem keeps its own smoothing eps and
+    ends its stages on its own.
 
     Returns one entry per problem: (positions, cost) once cost - lower
     bound <= tol * cost; None once its lower bound exceeds the smaller of
-    cutoff and the least cost any problem of the batch reached at a stage
-    end (every such cost bounds the batch optimum from above, so the best
-    problem is never dropped); or an OptimizeError carrying the last
-    positions when max_iters Newton steps do not certify the gap, or when
-    steps at the smallest smoothing stop making progress.
+    cutoff and the least cost any problem of its group reached at a stage
+    end (every such cost bounds the group optimum from above, so the best
+    problem of a group is never dropped); or an OptimizeError carrying the
+    last positions when max_iters Newton steps do not certify the gap, or
+    when steps at the smallest smoothing stop making progress.
     """
     T, n, dim = pos.shape
-    k, n_edges = len(anchors), edges.shape[1]
+    k, n_edges = anchors.shape[1], edges.shape[1]
     nf = n - k
-    center = anchors.mean(axis=0)
-    R = float(np.max(np.linalg.norm(anchors - center, axis=1)))
+    center = anchors.mean(axis=1)
+    R = np.max(np.linalg.norm(anchors - center[:, None], axis=2), axis=1)
+    labels, grp = np.unique(groups, return_inverse=True)
     # edge vectors d = B @ X + D0 over the free positions X = pos[:, k:]
     free_end = edges >= k
     B = np.zeros((T, n_edges, nf))
@@ -209,7 +218,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     ends = np.where(free_end[..., None], 0.0, pos[np.arange(T)[:, None, None], edges])
     D0 = ends[:, :, 0] - ends[:, :, 1]
     fixed_sign = (~free_end[..., 0]).astype(float) - (~free_end[..., 1]).astype(float)
-    D0c = D0 - fixed_sign[..., None] * center
+    D0c = D0 - fixed_sign[..., None] * center[:, None]
     # a free vertex on no weighted edge gets an identity block and stays put;
     # a problem whose free vertices all do so is solved as it stands
     touched = np.einsum("tef,te->tf", np.abs(B), (w > 0).astype(float)) > 0
@@ -221,15 +230,16 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     eye = np.eye(dim)
     ts = 0.5 ** np.arange(20)
     diag = np.arange(nf * dim)
-    floor, incumbent = SMOOTH_FLOOR * R, math.inf
+    incumbent = np.full(len(labels), math.inf)  # least stage-end cost per group
     # per live problem: constants, then iterate state; rows follow live
-    B, D0, D0c, w = B[live], D0[live], D0c[live], w[live]
+    B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], grp[live]
+    floor = SMOOTH_FLOOR * R
     Bt = B.transpose(0, 2, 1)
     BBt = (Bt[:, :, None, :] * Bt[:, None, :, :]).reshape(len(live), nf * nf, n_edges)
     inert = np.repeat(~touched[live], dim, axis=1).astype(float)
     scale = w.sum(axis=1)
     X = pos[live, k:].copy()
-    eps = np.full(len(live), SMOOTH_START * R)
+    eps = SMOOTH_START * R
     steps = np.zeros(len(live), dtype=int)
     last_eps, last_X = np.full(len(live), np.nan), X.copy()  # previous stage end
     lower_best = np.full(len(live), -math.inf)
@@ -249,7 +259,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         # point, and the imbalance g at a free vertex x_v is charged R |g_v|
         # because an optimal x_v lies within R of center
         g = Bt[sel] @ y
-        return (y * D0c[sel]).sum(axis=(1, 2)) - R * np.linalg.norm(g, axis=2).sum(axis=1)
+        return (y * D0c[sel]).sum(axis=(1, 2)) - R[sel] * np.linalg.norm(g, axis=2).sum(axis=1)
 
     def bounds(sel):
         """Costs of problems sel and lower bounds on their optima, from y_e = w_e d_e / r_e."""
@@ -257,7 +267,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         norm = np.linalg.norm(d, axis=2)
         y = (w[sel] / np.sqrt(norm * norm + (eps[sel] * eps[sel])[:, None]))[..., None] * d
         lower = lower_bound(sel, y)
-        short = (norm < np.sqrt(eps[sel] * R)[:, None]) & (w[sel] > 0)
+        short = (norm < np.sqrt(eps[sel] * R[sel])[:, None]) & (w[sel] > 0)
         if short.any():
             # on edges that are collapsing d/r is rounding noise: take their y
             # as the min-norm solution of the balance at the free vertices,
@@ -320,7 +330,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         se = np.flatnonzero(ended)
         if len(se):
             cost, lower = bounds(se)
-            incumbent = min(incumbent, float(cost.min()))
+            np.minimum.at(incumbent, grp[se], cost)
             lower_best[se] = np.maximum(lower_best[se], lower)
             certified = cost - lower <= tol * cost
             for i, c, lo in zip(se[certified], cost[certified], lower[certified]):
@@ -330,10 +340,10 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                 else:
                     counts["pruned"] += 1
                 done[i] = True
-            stuck[se[~certified & (eps[se] <= floor)]] = True
-            adv = se[~certified & (eps[se] > floor)]
+            stuck[se[~certified & (eps[se] <= floor[se])]] = True
+            adv = se[~certified & (eps[se] > floor[se])]
             if len(adv):
-                new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor)
+                new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor[adv])
                 prev_eps, prev_X = last_eps[adv], last_X[adv]
                 last_eps[adv], last_X[adv] = eps[adv], X[adv]
                 # the smoothed minimizer is nearly affine in eps once eps is
@@ -348,7 +358,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                     X[a[better]] = guess[better]
                 eps[adv] = new_eps
                 d[adv], r[adv] = edge_vectors(adv, X[adv], eps[adv])
-        pruned = ~done & (lower_best > min(cutoff, incumbent))
+        pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
         counts["pruned"] += int(pruned.sum())
         for i in np.flatnonzero(stuck & ~pruned):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
@@ -359,35 +369,39 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         if not keep.all():
             live = live[keep]
             B, Bt, BBt, D0, D0c, w = B[keep], Bt[keep], BBt[keep], D0[keep], D0c[keep], w[keep]
+            R, floor, grp = R[keep], floor[keep], grp[keep]
             inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
             last_eps, last_X, lower_best = last_eps[keep], last_X[keep], lower_best[keep]
             d, r = d[keep], r[keep]
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, "
-               "%d Newton iterations", T, counts["certified"], counts["pruned"],
-               counts["uncertified"], iterations)
+               "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
+               counts["uncertified"], iterations, len(labels))
     return out
 
 
 def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int = 10000,
-                      cutoff: float = math.inf) -> list:
+                      cutoff: float = math.inf, groups=None) -> list:
     """Position stage of same-shape topologies through one ``_minimize_length`` batch.
 
     Edges without flow get weight 0, so every full tree on k terminals has
-    the same shape; the terminals are the anchors.  Entries are (topology,
-    cost), None for a pruned topology, or an OptimizeError carrying the
-    last iterate as a Topology.
+    the same shape; each topology's terminals are its anchors, and groups
+    (default: one group) names the instance each topology belongs to.
+    Entries are (topology, cost), None for a pruned topology, or an
+    OptimizeError carrying the last iterate as a Topology.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    first = topologies[0]
-    k = first.n_terminals
+    k = topologies[0].n_terminals
     pos = np.stack([t.positions() for t in topologies])
     th = np.abs(np.array([t.flows() for t in topologies], dtype=float))
     w = np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
     edges = np.array([t.edges for t in topologies], dtype=int)
+    anchors = np.stack([t.terminal_points for t in topologies])
+    if groups is None:
+        groups = np.zeros(len(topologies), dtype=int)
     out = []
-    for topo, res in zip(topologies, _minimize_length(pos, edges, w, first.terminal_points,
-                                                      tol, max_iters, cutoff)):
+    for topo, res in zip(topologies, _minimize_length(pos, edges, w, anchors, tol, max_iters,
+                                                      cutoff, groups=groups)):
         if isinstance(res, OptimizeError):
             res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
         elif res is not None:
@@ -425,12 +439,16 @@ def _tree_key(edges) -> tuple:
 
 
 def _solve_logged(topologies: list, alpha: float, tol: float,
-                  cutoff: float = math.inf) -> list:
+                  cutoff: float = math.inf, groups=None) -> list:
     """``_solve_topologies``; an uncertified solve is logged and its last iterate kept."""
+    if groups is None:
+        groups = np.zeros(len(topologies), dtype=int)
     out = []
-    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff):
+    for g, res in zip(groups, _solve_topologies(topologies, alpha, tol, cutoff=cutoff,
+                                                groups=groups)):
         if isinstance(res, OptimizeError):
-            _log.warning("topology %s not certified: %s", _tree_key(res.best.edges), res)
+            _log.warning("instance %d topology %s not certified: %s", g,
+                         _tree_key(res.best.edges), res)
             res = res.best, res.best.cost(alpha)
         out.append(res)
     return out
@@ -475,29 +493,56 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     Every topology not pruned by its lower bound is solved to a certified
     relative gap of tol; larger instances raise OracleRangeError.
     """
-    net = _merged_terminals(mu_minus, mu_plus, alpha)
-    k = len(net.masses)
-    if k == 0:
-        dim = mu_minus.dim if mu_minus.points.size else mu_plus.dim
-        return currents.empty_path(dim)
-    if k > ORACLE_MAX_ATOMS:
+    (t,) = brute_force_many([(mu_minus, mu_plus)], alpha, tol)
+    return t
+
+
+def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
+    """``brute_force_optimal`` of every (mu_minus, mu_plus) pair of instances.
+
+    Every instance is checked against the oracle range before any is
+    solved; the trees of all instances with the same merged atom count go
+    to one position batch, one group per instance.
+    """
+    nets = [_merged_terminals(mm, mp, alpha) for mm, mp in instances]
+    if any(len(net.masses) > ORACLE_MAX_ATOMS for net in nets):
         raise OracleRangeError(
             f"instance exceeds oracle bound of {ORACLE_MAX_ATOMS} atoms")
-    topo, _ = _oracle_topology(net, alpha, tol)
-    return dcmp.remove_cycles(_contracted_path(topo))
+    out = []
+    for (mm, mp), best in zip(instances, _oracle_topologies(nets, alpha, tol)):
+        if best is None:
+            out.append(currents.empty_path(mm.dim if mm.points.size else mp.dim))
+        else:
+            out.append(dcmp.remove_cycles(_contracted_path(best[0])))
+    return out
 
 
-def _oracle_topology(net: AtomicMeasure, alpha: float, tol: float) -> tuple[Topology, float]:
-    """Least (cost, tree key) over every full topology on the atoms of net, in one batch."""
-    k = len(net.masses)
-    # every full topology has k - 2 branch points; all start from one
-    # spread around the terminals' mean, which breaks their coincidence
-    spread = np.random.default_rng(7).standard_normal((max(k - 2, 0), net.dim))
-    init = np.mean(net.points, axis=0) + 1e-3 * spread
-    solved = _solve_logged([Topology(net.points.copy(), net.masses.copy(), init, edges)
-                            for edges in enumerate_topologies(k)], alpha, tol)
-    return min((s for s in solved if s is not None),
-               key=lambda s: (s[1], _tree_key(s[0].edges)))
+def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
+    """Least (cost, tree key) (topology, cost) over every full topology on the atoms
+    of each net; None for a net without atoms.
+
+    Every full topology on k atoms has k - 2 branch points; all start from
+    one spread around their net's mean, which breaks their coincidence.  The
+    trees of all nets with the same atom count and dimension form one batch,
+    one group per net.
+    """
+    batches: dict = {}
+    for i, net in enumerate(nets):
+        if len(net.masses):
+            batches.setdefault((len(net.masses), net.dim), []).append(i)
+    best = [None] * len(nets)
+    for (k, dim), members in batches.items():
+        trees = enumerate_topologies(k)
+        spread = 1e-3 * np.random.default_rng(7).standard_normal((max(k - 2, 0), dim))
+        topos = [Topology(nets[i].points.copy(), nets[i].masses.copy(),
+                          np.mean(nets[i].points, axis=0) + spread, edges)
+                 for i in members for edges in trees]
+        solved = _solve_logged(topos, alpha, tol, groups=np.repeat(members, len(trees)))
+        for j, i in enumerate(members):
+            best[i] = min((s for s in solved[j * len(trees):(j + 1) * len(trees)]
+                           if s is not None),
+                          key=lambda s: (s[1], _tree_key(s[0].edges)))
+    return best
 
 
 @dataclass(frozen=True)

@@ -240,12 +240,13 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
         notes.append("limit measures truncated; tolerance widened by the "
                      "quantization error %.3g" % truncation)
 
-    def solve(mm: AtomicMeasure, mp: AtomicMeasure, n) -> TrafficPath:
+    # the limit and every level are checked against the oracle range, then
+    # solved together: one position batch per distinct merged atom count
+    instances = [limits] + [[quantize(s, n) for s in specs] for n in cfg.schedule]
+    for (mm, mp), n in zip(instances, [max(levels), *cfg.schedule]):
         if len(mm.masses) + len(mp.masses) > optimizer.ORACLE_MAX_ATOMS:
             raise optimizer.OracleRangeError(f"oracle range exceeded at n={n}")
-        return optimizer.brute_force_optimal(mm, mp, alpha)
-
-    t_limit = solve(*limits, max(levels))
+    t_limit, *level_paths = optimizer.brute_force_many(instances, alpha)
     limit_cost = currents.alpha_mass(t_limit, alpha)
 
     grid = None
@@ -259,9 +260,7 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
                      "mass surrogate, not a true flat distance")
 
     rows = []
-    for n in cfg.schedule:
-        marginals = [quantize(s, n) for s in specs]
-        t_n = solve(*marginals, n)
+    for n, marginals, t_n in zip(cfg.schedule, instances[1:], level_paths):
         cost_n = currents.alpha_mass(t_n, alpha)
         gm, gp = (metrics.weak_star_gap(m, lim) for m, lim in zip(marginals, limits))
         if grid is not None:

@@ -198,7 +198,7 @@ def _reference_oracle(net, alpha, tol):
 
 
 def _assert_oracle_matches_reference(net, alpha, tol=1e-9):
-    topo, cost = optimizer._oracle_topology(net, alpha, tol)
+    ((topo, cost),) = optimizer._oracle_topologies([net], alpha, tol)
     ranked = _reference_oracle(net, alpha, tol)
     best, key = ranked[0]
     # no other tree ties within the certified gaps, so the best one is well defined
@@ -228,6 +228,30 @@ def test_batched_oracle_matches_alone_on_zero_flow_edges(alpha):
              for e in optimizer.enumerate_topologies(4)]
     assert sum(min(abs(f) for f in fl) <= optimizer.FLOW_TOL for fl in flows) == 2
     _assert_oracle_matches_reference(net, alpha)
+
+
+def test_grouped_oracle_prunes_each_instance_by_its_own_incumbent(monkeypatch):
+    # the second instance is the first scaled by 100: its every lower bound
+    # exceeds the first one's costs, so a batch-wide incumbent would prune
+    # all its trees; per group, each instance is solved as if alone
+    mu_minus, mu_plus = balanced_clouds(np.random.default_rng(5), 2, 3)
+    small = mu_plus - mu_minus
+    large = AtomicMeasure(100.0 * small.points, small.masses.copy())
+    kernel, calls = optimizer._minimize_length, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.unique(kwargs["groups"])))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_minimize_length", counted)
+    grouped = optimizer._oracle_topologies([small, large], 0.6, 1e-9)
+    assert calls == [2]
+    for net, (topo, cost) in zip((small, large), grouped):
+        ((alone, alone_cost),) = optimizer._oracle_topologies([net], 0.6, 1e-9)
+        assert cost == alone_cost
+        assert optimizer._tree_key(topo.edges) == optimizer._tree_key(alone.edges)
+        assert np.array_equal(topo.steiner_points, alone.steiner_points)
+    assert grouped[1][1] > 50.0 * grouped[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +467,7 @@ def test_local_search_certifies_every_position_solve(alpha, bound, sources, sink
     assert currents.alpha_mass(t, alpha) <= bound
 
 
-def _stalled(pos, *args):
+def _stalled(pos, *args, **kwargs):
     """A position kernel that certifies nothing: every problem keeps its start."""
     return [optimizer.OptimizeError("position stage did not certify its gap", p) for p in pos]
 
@@ -464,4 +488,5 @@ def test_oracle_warns_on_uncertified_position_solve(caplog, monkeypatch):
     with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
         t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha=0.6)
     assert sum("not certified" in r.getMessage() for r in caplog.records) == 15
+    assert all(r.getMessage().startswith("instance 0 topology ") for r in caplog.records)
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9

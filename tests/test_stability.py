@@ -185,6 +185,45 @@ def test_trial_names_offending_level_when_out_of_range():
         stability.run_stability_trial(cfg)
 
 
+def _position_batches(monkeypatch) -> list:
+    """Group counts of every ``_minimize_length`` call from now on; the real kernel runs."""
+    kernel, calls = optimizer._minimize_length, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.unique(kwargs["groups"])))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_minimize_length", counted)
+    return calls
+
+
+def test_trial_solves_limit_and_levels_in_one_batch(monkeypatch):
+    # every level of a shipped config has the limit's five atoms: one batch
+    # holds the limit and the seven levels, then is_optimal re-solves the limit
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
+    calls = _position_batches(monkeypatch)
+    stability.run_stability_trial(cfg)
+    assert calls == [1 + len(cfg.schedule), 1]
+
+
+def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
+    cfg = stability.experiment_from_dict(_experiment_dict(
+        mu_plus={"kind": "cantor", "origin": [1.0, 0.0], "length": 1.0,
+                 "mass": 1.0},
+        mu_minus={"kind": "points",
+                  "atoms": [{"point": [-1.0, 0.0], "mass": 1.0}],
+                  "perturbation": 0.0},
+        schedule=[1, 2]))
+    merged = {len((stability.quantize(cfg.plus, n) - stability.quantize(cfg.minus, n)).masses)
+              for n in cfg.schedule}
+    assert merged == {3, 5}
+    calls = _position_batches(monkeypatch)
+    stability.run_stability_trial(cfg)
+    assert len(calls) == len(merged) + 1
+    assert sum(calls[:-1]) == 1 + len(cfg.schedule)
+
+
 def test_report_csv_shape():
     cfg = stability.experiment_from_dict(_experiment_dict(schedule=[1, 2]))
     report = stability.run_stability_trial(cfg)
