@@ -182,8 +182,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
 
     Solves T problems of one shape together: positions (T, n, d), edges
     (T, E, 2), weights (T, E) >= 0, anchors (T, k, d) and integer group ids
-    (T,).  In every problem the first k vertices are its anchors and stay
-    put, and an optimum lies in their hull, so the center, radius R,
+    (T,) >= 0.  In every problem the first k vertices are its anchors and
+    stay put, and an optimum lies in their hull, so the center, radius R,
     smoothing floor and starting eps are per problem; the other vertices
     move, and one that touches no edge of positive weight keeps its place.
     Problems of one group are alternatives for one instance: their best cost
@@ -208,7 +208,6 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     nf = n - k
     center = anchors.mean(axis=1)
     R = np.max(np.linalg.norm(anchors - center[:, None], axis=2), axis=1)
-    labels, grp = np.unique(groups, return_inverse=True)
     # edge vectors d = B @ X + D0 over the free positions X = pos[:, k:]
     free_end = edges >= k
     B = np.zeros((T, n_edges, nf))
@@ -230,9 +229,9 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     eye = np.eye(dim)
     ts = 0.5 ** np.arange(20)
     diag = np.arange(nf * dim)
-    incumbent = np.full(len(labels), math.inf)  # least stage-end cost per group
+    incumbent = np.full(int(groups.max()) + 1, math.inf)  # least stage-end cost per group
     # per live problem: constants, then iterate state; rows follow live
-    B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], grp[live]
+    B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], groups[live]
     floor = SMOOTH_FLOOR * R
     Bt = B.transpose(0, 2, 1)
     BBt = (Bt[:, :, None, :] * Bt[:, None, :, :]).reshape(len(live), nf * nf, n_edges)
@@ -326,7 +325,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             if len(rest):
                 rest = line_search(go, rest, ts[1:], P, dP, lam2)
             ended[go[rest]] = True  # no progress at this smoothing
-        done = np.zeros(m, dtype=bool)
+        done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         se = np.flatnonzero(ended)
         if len(se):
             cost, lower = bounds(se)
@@ -340,8 +339,9 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                 else:
                     counts["pruned"] += 1
                 done[i] = True
-            stuck[se[~certified & (eps[se] <= floor[se])]] = True
-            adv = se[~certified & (eps[se] > floor[se])]
+            at_floor = eps[se] <= floor[se]
+            stuck[se[~certified & at_floor]] = True
+            adv = se[~certified & ~at_floor]
             if len(adv):
                 new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor[adv])
                 prev_eps, prev_X = last_eps[adv], last_X[adv]
@@ -358,8 +358,10 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                     X[a[better]] = guess[better]
                 eps[adv] = new_eps
                 d[adv], r[adv] = edge_vectors(adv, X[adv], eps[adv])
-        pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
-        counts["pruned"] += int(pruned.sum())
+            # bounds and incumbents move only at stage ends, and every problem
+            # they prune leaves the batch at once, so only here can one go
+            pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
+            counts["pruned"] += int(pruned.sum())
         for i in np.flatnonzero(stuck & ~pruned):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
                                          positions(live[i], X[i]))
@@ -375,7 +377,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             d, r = d[keep], r[keep]
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
-               counts["uncertified"], iterations, len(labels))
+               counts["uncertified"], iterations, len(set(groups.tolist())))
     return out
 
 
@@ -396,11 +398,10 @@ def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int
     th = np.abs(np.array([t.flows() for t in topologies], dtype=float))
     w = np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
     edges = np.array([t.edges for t in topologies], dtype=int)
-    anchors = np.stack([t.terminal_points for t in topologies])
     if groups is None:
         groups = np.zeros(len(topologies), dtype=int)
     out = []
-    for topo, res in zip(topologies, _minimize_length(pos, edges, w, anchors, tol, max_iters,
+    for topo, res in zip(topologies, _minimize_length(pos, edges, w, pos[:, :k], tol, max_iters,
                                                       cutoff, groups=groups)):
         if isinstance(res, OptimizeError):
             res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
@@ -518,8 +519,8 @@ def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
 
 
 def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
-    """Least (cost, tree key) (topology, cost) over every full topology on the atoms
-    of each net; None for a net without atoms.
+    """Per net, the (topology, cost) of least (cost, tree key) over every full
+    topology on its atoms; None for a net without atoms.
 
     Every full topology on k atoms has k - 2 branch points; all start from
     one spread around their net's mean, which breaks their coincidence.  The
@@ -534,9 +535,9 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
     for (k, dim), members in batches.items():
         trees = enumerate_topologies(k)
         spread = 1e-3 * np.random.default_rng(7).standard_normal((max(k - 2, 0), dim))
-        topos = [Topology(nets[i].points.copy(), nets[i].masses.copy(),
-                          np.mean(nets[i].points, axis=0) + spread, edges)
-                 for i in members for edges in trees]
+        inits = [np.mean(nets[i].points, axis=0) + spread for i in members]
+        topos = [Topology(nets[i].points.copy(), nets[i].masses.copy(), init, edges)
+                 for i, init in zip(members, inits) for edges in trees]
         solved = _solve_logged(topos, alpha, tol, groups=np.repeat(members, len(trees)))
         for j, i in enumerate(members):
             best[i] = min((s for s in solved[j * len(trees):(j + 1) * len(trees)]

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import pathlib
 import re
@@ -197,14 +198,18 @@ def _position_batches(monkeypatch) -> list:
     return calls
 
 
-def test_trial_solves_limit_and_levels_in_one_batch(monkeypatch):
+def test_trial_solves_limit_and_levels_in_one_batch(monkeypatch, caplog):
     # every level of a shipped config has the limit's five atoms: one batch
     # holds the limit and the seven levels, then is_optimal re-solves the limit
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
     calls = _position_batches(monkeypatch)
-    stability.run_stability_trial(cfg)
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        stability.run_stability_trial(cfg)
     assert calls == [1 + len(cfg.schedule), 1]
+    batches = [r.getMessage() for r in caplog.records if "position batch" in r.getMessage()]
+    assert batches[0].startswith(f"position batch of {15 * (1 + len(cfg.schedule))}: ")
+    assert batches[0].endswith(f"Newton iterations, {1 + len(cfg.schedule)} groups")
 
 
 def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
