@@ -11,6 +11,7 @@ field), 3 instance outside the exhaustive solver's range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -357,6 +358,7 @@ def cmd_competitor(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="trafficpaths",

@@ -66,7 +66,7 @@ def flat_norm_0(measure: AtomicMeasure) -> float:
     a_eq = sparse.coo_matrix((vals, (rows, cols)), shape=(n + m + 2, nv))
     b_eq = np.concatenate([supply, demand])
     res = linprog(cost.ravel(), A_eq=a_eq.tocsr(), b_eq=b_eq,
-                  bounds=[(0, None)] * nv, method="highs")
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError("transshipment LP failed: " + str(res.message))
     return float(res.fun)
@@ -137,15 +137,12 @@ class GridComplex:
 
     def boundary_matrix(self) -> sparse.csr_matrix:
         """Edge x face incidence of the 2-chain boundary operator."""
-        rows, cols, vals = [], [], []
-        for j in range(self.ny):
-            for i in range(self.nx):
-                f = j * self.nx + i
-                rows.extend([self.hedge(i, j), self.vedge(i + 1, j),
-                             self.hedge(i, j + 1), self.vedge(i, j)])
-                cols.extend([f, f, f, f])
-                vals.extend([1.0, 1.0, -1.0, -1.0])
-        return sparse.coo_matrix((vals, (rows, cols)),
+        # face f = j nx + i, in order: bottom, right, top, left
+        j, i = np.divmod(np.arange(self.n_faces), self.nx)
+        vedge = self.n_hedges + j * (self.nx + 1) + i
+        rows = np.stack([j * self.nx + i, vedge + 1, (j + 1) * self.nx + i, vedge], axis=1)
+        vals = np.tile([1.0, 1.0, -1.0, -1.0], self.n_faces)
+        return sparse.coo_matrix((vals, (rows.ravel(), np.repeat(np.arange(self.n_faces), 4))),
                                  shape=(self.n_edges, self.n_faces)).tocsr()
 
     def edge_boundary_matrix(self) -> sparse.csr_matrix:
@@ -259,8 +256,7 @@ def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
                         np.full(nf, box.h ** 2), np.full(nf, box.h ** 2)])
     eye = sparse.identity(ne, format="csr")
     a_eq = sparse.hstack([eye, -eye, B, -B], format="csr")
-    res = linprog(c, A_eq=a_eq, b_eq=chain, bounds=[(0, None)] * (2 * ne + 2 * nf),
-                  method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=chain, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError("flat norm LP failed: " + str(res.message))
     return float(res.fun)

@@ -12,7 +12,10 @@ problem with its own terminals and a group id naming its instance: the
 oracle solves every topology of every instance with the same atom count in
 one batch, one group per instance (a stability trial's limit and all its
 levels share one), and each insertion or regraft scan of local search is a
-batch of one group.  In every problem the free vertices move jointly by
+batch of one group.  The oracle builds its batch from arrays cached per atom
+count k (every tree's edges, key and leaf-stripping order), replays the
+stripping on whole columns of masses for the flows, and builds a Topology
+only for each instance's winner.  In every problem the free vertices move jointly by
 damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
 a tenth of the radius R of the terminals; each iteration takes one
@@ -44,9 +47,12 @@ nonzero flow gets unit weight, which is the Fermat-point regime, and
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,36 +116,11 @@ class Topology:
 
     def flows(self) -> list[float]:
         """Signed flow per edge (positive in the a -> b direction), forced by balance."""
-        # plain Python floats: the oracle strips a hundred trees per solve
         ib = [float(m) for m in self.terminal_masses] + [0.0] * len(self.steiner_points)
-        n = len(ib)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e, (a, b) in enumerate(self.edges):
-            adj[a].append(e)
-            adj[b].append(e)
-        deg = [len(es) for es in adj]
         flows = [0.0] * len(self.edges)
-        removed_e = [False] * len(self.edges)
-        removed_v = [False] * n
-        queue = [v for v in range(n) if deg[v] == 1]
-        while queue:
-            v = queue.pop()
-            if removed_v[v]:
-                continue
-            live = [e for e in adj[v] if not removed_e[e]]
-            if not live:
-                removed_v[v] = True
-                continue
-            e = live[0]
-            a, b = self.edges[e]
-            u = b if a == v else a
-            flows[e] = ib[v] if v == b else -ib[v]
+        for v, u, e, head in _strip_order(self.edges, len(ib)):
+            flows[e] = ib[v] if head else -ib[v]
             ib[u] += ib[v]
-            removed_e[e] = True
-            removed_v[v] = True
-            deg[u] -= 1
-            if deg[u] == 1:
-                queue.append(u)
         return flows
 
     def cost(self, alpha: float) -> float:
@@ -152,6 +133,39 @@ class Topology:
             w = 1.0 if alpha == 0.0 else th ** alpha
             total += w * float(np.linalg.norm(pos[a] - pos[b]))
         return total
+
+
+def _strip_order(edges, n: int) -> list[tuple]:
+    """Leaf-stripping order of a forest on vertices 0..n-1, one step per edge.
+
+    Step (v, u, e, head) strips leaf v off edge e to its neighbour u; head
+    says whether v is the edge's second end.  The flow on e is then the
+    balance accumulated at v (negated when v is the tail), which is added
+    to u's.  Leaves are taken last found first.
+    """
+    # deg[v] counts v's edges not yet stripped and lone[v] is the XOR of
+    # their indices, which is the index of the one left once v is a leaf
+    deg, lone = [0] * n, [0] * n
+    for e, (a, b) in enumerate(edges):
+        deg[a] += 1
+        deg[b] += 1
+        lone[a] ^= e
+        lone[b] ^= e
+    order = []
+    queue = [v for v in range(n) if deg[v] == 1]
+    while queue:
+        v = queue.pop()
+        if deg[v] == 0:  # the last vertex of its tree
+            continue
+        e = lone[v]
+        a, b = edges[e]
+        u = b if a == v else a
+        order.append((v, u, e, v == b))
+        deg[u] -= 1
+        lone[u] ^= e
+        if deg[u] == 1:
+            queue.append(u)
+    return order
 
 
 def _insert(tree: tuple, e_idx: int, t: int, s: int) -> tuple:
@@ -173,6 +187,45 @@ def enumerate_topologies(k: int) -> list[tuple]:
         trees = [_insert(tree, e_idx, t, k + t - 2)
                  for tree in trees for e_idx in range(len(tree))]
     return trees
+
+
+class _Trees(NamedTuple):
+    """Every full tree on k terminals as read-only arrays, in enumeration order."""
+
+    edges: np.ndarray  # (T, 2k-3, 2) vertex indices
+    keys: tuple  # _tree_key of each tree
+    order: np.ndarray  # (T, 2k-3, 4) steps (v, u, e, head) of ``_strip_order``
+
+
+@functools.lru_cache(maxsize=None)
+def _trees(k: int) -> _Trees:
+    """The trees of ``enumerate_topologies(k)``; built on first use, then shared."""
+    trees = enumerate_topologies(k)
+    flat = itertools.chain.from_iterable
+    edges = np.fromiter(flat(flat(trees)), dtype=int).reshape(len(trees), -1, 2)
+    order = np.fromiter(flat(flat(_strip_order(tree, 2 * k - 2) for tree in trees)),
+                        dtype=int).reshape(len(trees), -1, 4)
+    edges.flags.writeable = order.flags.writeable = False
+    return _Trees(edges, tuple(map(_tree_key, trees)), order)
+
+
+def _tree_flows(k: int, masses: np.ndarray) -> np.ndarray:
+    """Signed edge flows (G, T, 2k-3) of every tree on k terminals, per row of masses (G, k).
+
+    Replays each tree's stripping order on whole columns: the same additions
+    in the same order as ``Topology.flows``, so the same bits.
+    """
+    order = _trees(k).order
+    T, n_edges = order.shape[:2]
+    ib = np.zeros((len(masses), T, 2 * k - 2))
+    ib[:, :, :k] = masses[:, None]
+    flows = np.empty((len(masses), T, n_edges))
+    rows = np.arange(T)
+    for v, u, e, head in order.transpose(1, 2, 0):
+        x = ib[:, rows, v]
+        flows[:, rows, e] = np.where(head, x, -x)
+        ib[:, rows, u] += x
+    return flows
 
 
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
@@ -267,37 +320,40 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         y = (w[sel] / np.sqrt(norm * norm + (eps[sel] * eps[sel])[:, None]))[..., None] * d
         lower = lower_bound(sel, y)
         short = (norm < np.sqrt(eps[sel] * R[sel])[:, None]) & (w[sel] > 0)
-        if short.any():
+        has = np.flatnonzero(short.any(axis=1))
+        if len(has):
             # on edges that are collapsing d/r is rounding noise: take their y
             # as the min-norm solution of the balance at the free vertices,
             # clipped back into the balls |y_e| <= w_e
-            rhs = -(Bt[sel] @ np.where(short[..., None], 0.0, y))
-            M = Bt[sel] * short[:, None, :]
+            s, short, y = sel[has], short[has], y[has]
+            rhs = -(Bt[s] @ np.where(short[..., None], 0.0, y))
+            M = Bt[s] * short[:, None, :]
             y_short = np.linalg.pinv(M, rcond=np.finfo(float).eps * max(nf, n_edges)) @ rhs
-            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[sel], 1.0)
+            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[s], 1.0)
             y_short /= np.maximum(excess, 1.0)[..., None]
             y = np.where(short[..., None], y_short, y)
-            lower = np.maximum(lower, lower_bound(sel, y))
+            lower[has] = np.maximum(lower[has], lower_bound(s, y))
         return np.einsum("te,te->t", w[sel], norm), lower
 
-    def line_search(go, sel, t, P, dP, lam2):
-        """Armijo test of the steps t * P of problems go[sel]; moves those with
-        a passing t by the first one, returns the positions in sel of the rest."""
-        g = go[sel]
+    def line_search(g, t, P, dP, lam2):
+        """Armijo test of the steps t * P of the live problems g (indices, or
+        a slice of all of them, which needs no gathers); moves those with a
+        passing t by the first one, returns the mask of the rest."""
+        dg, rg, eg = d[g], r[g], eps[g]
         # f(X + tP) - f(X) for every t, written so that it stays exact far
         # below the rounding of f itself
-        step = t[None, :, None, None] * dP[sel][:, None]
-        d_new = d[g][:, None] + step
-        r_new = np.sqrt(np.einsum("tsej,tsej->tse", d_new, d_new)
-                        + (eps[g] * eps[g])[:, None, None])
-        change = np.einsum("tse,te->ts", np.einsum("tsej,tsej->tse", step, d[g][:, None] + d_new)
-                           / (r[g][:, None] + r_new), w[g])
+        step = t[None, :, None, None] * dP[:, None]
+        d_new = dg[:, None] + step
+        r_new = np.sqrt(np.einsum("tsej,tsej->tse", d_new, d_new) + (eg * eg)[:, None, None])
+        change = np.einsum("tse,te->ts", np.einsum("tsej,tsej->tse", step, dg[:, None] + d_new)
+                           / (rg[:, None] + r_new), w[g])
         passed = change <= -0.25 * t * lam2[g][:, None]
         ok = passed.any(axis=1)
         first = passed.argmax(axis=1)[ok]
-        X[g[ok]] += t[first][:, None, None] * P[sel[ok]]
-        d[g[ok]], r[g[ok]] = d_new[ok, first], r_new[ok, first]
-        return sel[~ok]
+        moved = np.arange(len(X))[g][ok]
+        X[moved] += t[first][:, None, None] * P[ok]
+        d[moved], r[moved] = d_new[ok, first], r_new[ok, first]
+        return ~ok
 
     d, r = edge_vectors(slice(None), X, eps)
     iterations = 0
@@ -318,12 +374,13 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         go = np.flatnonzero(~ended & ~stuck)
         if len(go):
             steps[go] += 1
-            P = p[go].reshape(-1, nf, dim)
-            dP = B[go] @ P
+            g = slice(None) if len(go) == m else go
+            P = p[g].reshape(-1, nf, dim)
+            dP = B[g] @ P
             # the full step first: the problems it fails try every shorter t at once
-            rest = line_search(go, np.arange(len(go)), ts[:1], P, dP, lam2)
+            rest = np.flatnonzero(line_search(g, ts[:1], P, dP, lam2))
             if len(rest):
-                rest = line_search(go, rest, ts[1:], P, dP, lam2)
+                rest = rest[line_search(go[rest], ts[1:], P[rest], dP[rest], lam2)]
             ended[go[rest]] = True  # no progress at this smoothing
         done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         se = np.flatnonzero(ended)
@@ -353,11 +410,14 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                     a, e0, e1 = adv[has], eps[adv[has]], new_eps[has]
                     guess = X[a] + ((e1 - e0) / (prev_eps[has] - e0))[:, None, None] \
                         * (prev_X[has] - X[a])
-                    better = (np.einsum("te,te->t", w[a], edge_vectors(a, guess, e1)[1])
-                              < np.einsum("te,te->t", w[a], edge_vectors(a, X[a], e1)[1]))
+                    (d_g, r_g), (d_x, r_x) = edge_vectors(a, guess, e1), edge_vectors(a, X[a], e1)
+                    better = np.einsum("te,te->t", w[a], r_g) < np.einsum("te,te->t", w[a], r_x)
                     X[a[better]] = guess[better]
+                    d[a] = np.where(better[:, None, None], d_g, d_x)
+                    r[a] = np.where(better[:, None], r_g, r_x)
                 eps[adv] = new_eps
-                d[adv], r[adv] = edge_vectors(adv, X[adv], eps[adv])
+                fresh = adv[~has]
+                d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], eps[fresh])
             # bounds and incumbents move only at stage ends, and every problem
             # they prune leaves the batch at once, so only here can one go
             pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
@@ -381,28 +441,31 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     return out
 
 
+def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
+    """Cost weight |f|^alpha of every edge flow, 1 at alpha = 0, and 0 without flow."""
+    th = np.abs(flows)
+    return np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
+
+
 def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int = 10000,
-                      cutoff: float = math.inf, groups=None) -> list:
-    """Position stage of same-shape topologies through one ``_minimize_length`` batch.
+                      cutoff: float = math.inf) -> list:
+    """Position stage of same-shape topologies of one instance through one
+    ``_minimize_length`` batch.
 
     Edges without flow get weight 0, so every full tree on k terminals has
-    the same shape; each topology's terminals are its anchors, and groups
-    (default: one group) names the instance each topology belongs to.
-    Entries are (topology, cost), None for a pruned topology, or an
-    OptimizeError carrying the last iterate as a Topology.
+    the same shape; each topology's terminals are its anchors.  Entries are
+    (topology, cost), None for a pruned topology, or an OptimizeError
+    carrying the last iterate as a Topology.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     k = topologies[0].n_terminals
     pos = np.stack([t.positions() for t in topologies])
-    th = np.abs(np.array([t.flows() for t in topologies], dtype=float))
-    w = np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
+    w = _edge_weights(np.array([t.flows() for t in topologies], dtype=float), alpha)
     edges = np.array([t.edges for t in topologies], dtype=int)
-    if groups is None:
-        groups = np.zeros(len(topologies), dtype=int)
     out = []
     for topo, res in zip(topologies, _minimize_length(pos, edges, w, pos[:, :k], tol, max_iters,
-                                                      cutoff, groups=groups)):
+                                                      cutoff, groups=np.zeros(len(pos), int))):
         if isinstance(res, OptimizeError):
             res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
         elif res is not None:
@@ -439,17 +502,12 @@ def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
 
 
-def _solve_logged(topologies: list, alpha: float, tol: float,
-                  cutoff: float = math.inf, groups=None) -> list:
+def _solve_logged(topologies: list, alpha: float, tol: float, cutoff: float = math.inf) -> list:
     """``_solve_topologies``; an uncertified solve is logged and its last iterate kept."""
-    if groups is None:
-        groups = np.zeros(len(topologies), dtype=int)
     out = []
-    for g, res in zip(groups, _solve_topologies(topologies, alpha, tol, cutoff=cutoff,
-                                                groups=groups)):
+    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff):
         if isinstance(res, OptimizeError):
-            _log.warning("instance %d topology %s not certified: %s", g,
-                         _tree_key(res.best.edges), res)
+            _log.warning("instance 0 topology %s not certified: %s", _tree_key(res.best.edges), res)
             res = res.best, res.best.cost(alpha)
         out.append(res)
     return out
@@ -525,7 +583,8 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
     Every full topology on k atoms has k - 2 branch points; all start from
     one spread around their net's mean, which breaks their coincidence.  The
     trees of all nets with the same atom count and dimension form one batch,
-    one group per net.
+    one group per net, built from the arrays of ``_trees(k)``; a Topology is
+    built only for each net's winner and for trees left uncertified.
     """
     batches: dict = {}
     for i, net in enumerate(nets):
@@ -533,17 +592,34 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
             batches.setdefault((len(net.masses), net.dim), []).append(i)
     best = [None] * len(nets)
     for (k, dim), members in batches.items():
-        trees = enumerate_topologies(k)
+        trees = _trees(k)
+        T = len(trees.keys)
         spread = 1e-3 * np.random.default_rng(7).standard_normal((max(k - 2, 0), dim))
-        inits = [np.mean(nets[i].points, axis=0) + spread for i in members]
-        topos = [Topology(nets[i].points.copy(), nets[i].masses.copy(), init, edges)
-                 for i, init in zip(members, inits) for edges in trees]
-        solved = _solve_logged(topos, alpha, tol, groups=np.repeat(members, len(trees)))
+        starts = np.stack([np.vstack([nets[i].points, np.mean(nets[i].points, axis=0) + spread])
+                           for i in members])
+        pos = np.repeat(starts, T, axis=0)
+        flows = _tree_flows(k, np.stack([nets[i].masses for i in members]))
+        solved = _minimize_length(pos, np.tile(trees.edges, (len(members), 1, 1)),
+                                  _edge_weights(flows.reshape(len(pos), -1), alpha), pos[:, :k],
+                                  tol, max_iters=10000, groups=np.repeat(members, T))
         for j, i in enumerate(members):
-            best[i] = min((s for s in solved[j * len(trees):(j + 1) * len(trees)]
-                           if s is not None),
-                          key=lambda s: (s[1], _tree_key(s[0].edges)))
+            group = solved[j * T:(j + 1) * T]
+            for t, res in enumerate(group):
+                if isinstance(res, OptimizeError):
+                    _log.warning("instance %d topology %s not certified: %s", i, trees.keys[t],
+                                 res)
+                    topo = _tree_topology(nets[i], trees.edges[t], res.best)
+                    group[t] = res.best, topo.cost(alpha)
+            t = min((t for t, res in enumerate(group) if res is not None),
+                    key=lambda t: (group[t][1], trees.keys[t]))
+            best[i] = _tree_topology(nets[i], trees.edges[t], group[t][0]), group[t][1]
     return best
+
+
+def _tree_topology(net: AtomicMeasure, edges: np.ndarray, pos: np.ndarray) -> Topology:
+    """Topology over net's atoms with the tree of an edge array and branch points pos[k:]."""
+    return Topology(net.points.copy(), net.masses.copy(), pos[len(net.masses):],
+                    tuple(map(tuple, edges.tolist())))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,18 @@ def test_solve_roundtrip_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cached_parser_carries_no_option_into_the_next_call(tmp_path):
+    inst = write_instance(tmp_path / "i.json")
+    alone, first, second = (tmp_path / f"{n}.json" for n in ("alone", "first", "second"))
+    cli.build_parser.cache_clear()
+    assert cli.main(["--out", str(alone), "solve", "--in", str(inst)]) == 0
+    cli.build_parser.cache_clear()
+    assert cli.main(["--alpha", "0.3", "--out", str(first), "solve", "--in", str(inst)]) == 0
+    assert cli.main(["--out", str(second), "solve", "--in", str(inst)]) == 0
+    assert json.loads(first.read_text())["alpha"] == 0.3
+    assert second.read_bytes() == alone.read_bytes()
+
+
 def test_solve_local_method(tmp_path):
     inst = write_instance(tmp_path / "i.json")
     out = tmp_path / "o.json"

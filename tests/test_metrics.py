@@ -91,6 +91,27 @@ def test_boundary_of_boundary_vanishes():
     assert abs(dd).max() == 0.0
 
 
+def _loop_boundary_matrix(g: metrics.GridComplex) -> sparse.csr_matrix:
+    """The face-by-face reference build of ``GridComplex.boundary_matrix``."""
+    rows, cols, vals = [], [], []
+    for j in range(g.ny):
+        for i in range(g.nx):
+            f = j * g.nx + i
+            rows.extend([g.hedge(i, j), g.vedge(i + 1, j), g.hedge(i, j + 1), g.vedge(i, j)])
+            cols.extend([f, f, f, f])
+            vals.extend([1.0, 1.0, -1.0, -1.0])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(g.n_edges, g.n_faces)).tocsr()
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 6), (5, 1), (7, 4), (40, 33)])
+def test_boundary_matrix_matches_face_loop(nx, ny):
+    g = metrics.GridComplex(-1.0, 0.5, nx, ny, 0.25)
+    got, ref = g.boundary_matrix(), _loop_boundary_matrix(g)
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_rasterize_rejects_out_of_box():
     g = metrics.GridComplex.from_box(0.0, 0.0, 1.0, 1.0, 0.25)
     t = currents.from_segments([seg(0.5, 0.5, 3.0, 0.5, 1.0)])

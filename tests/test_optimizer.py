@@ -94,6 +94,58 @@ def test_topology_enumeration_rejects_single_terminal():
         optimizer.enumerate_topologies(1)
 
 
+def test_tree_arrays_are_read_only_and_enumeration_stays_fresh():
+    first, second = optimizer.enumerate_topologies(5), optimizer.enumerate_topologies(5)
+    assert first == second and first is not second
+    assert all(isinstance(tree, tuple) for tree in first)
+    first.pop()
+    assert len(optimizer.enumerate_topologies(5)) == 15
+    trees = optimizer._trees(5)
+    assert trees.edges.tolist() == [list(map(list, tree)) for tree in second]
+    assert trees.keys == tuple(optimizer._tree_key(tree) for tree in second)
+    for arr in (trees.edges, trees.order):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+def _unit_mass_net():
+    """Two unit sources, two unit sinks: some trees have an edge without flow."""
+    rng = np.random.default_rng(8)
+    mu_minus = AtomicMeasure.from_atoms([(p, 1.0) for p in rng.uniform(-1, 1, (2, 2))], dim=2)
+    mu_plus = AtomicMeasure.from_atoms([(p + [2.0, 0.0], 1.0) for p in rng.uniform(-1, 1, (2, 2))],
+                                       dim=2)
+    return mu_plus - mu_minus
+
+
+def test_replayed_flows_equal_topology_flows():
+    rng = np.random.default_rng(3)
+    cases = [rng.standard_normal((2, k)) for k in range(2, 8)] + [_unit_mass_net().masses[None]]
+    for masses in cases:
+        k = masses.shape[1]
+        replayed = optimizer._tree_flows(k, masses)
+        for g, m in enumerate(masses):
+            for t, edges in enumerate(optimizer.enumerate_topologies(k)):
+                topo = optimizer.Topology(np.zeros((k, 2)), m, np.zeros((k - 2, 2)), edges)
+                assert replayed[g, t].tolist() == topo.flows()
+
+
+@pytest.mark.parametrize("k_minus, k_plus, dim", [(2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 4, 3)])
+def test_oracle_winner_matches_its_tree_solved_alone(k_minus, k_plus, dim):
+    # the array-built batch and a lone Topology solve from the same start
+    # take the same steps: the same branch points, bit for bit
+    mu_minus, mu_plus = balanced_clouds(np.random.default_rng(10 * k_plus + dim), k_minus, k_plus,
+                                        dim=dim)
+    net = mu_plus - mu_minus
+    k = len(net.masses)
+    assert k == k_minus + k_plus
+    ((topo, cost),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
+    init = net.points.mean(axis=0) + 1e-3 * np.random.default_rng(7).standard_normal((k - 2, dim))
+    ((alone, alone_cost),) = optimizer._solve_topologies(
+        [optimizer.Topology(net.points.copy(), net.masses.copy(), init, topo.edges)], 0.5, 1e-9)
+    assert cost == alone_cost
+    assert np.array_equal(topo.steiner_points, alone.steiner_points)
+
+
 def test_flows_from_leaf_stripping():
     # one branch vertex 3 joining terminals 0 (source) and 1, 2 (sinks)
     terminals = np.array([[0.0, 0.0], [2.0, 1.0], [2.0, -1.0]])
@@ -219,11 +271,7 @@ def test_batched_oracle_matches_topologies_solved_alone(alpha):
 def test_batched_oracle_matches_alone_on_zero_flow_edges(alpha):
     # unit masses: every tree that pairs a source with a sink first has an
     # edge without flow, so its branch points touch weight-0 edges
-    rng = np.random.default_rng(8)
-    mu_minus = AtomicMeasure.from_atoms([(p, 1.0) for p in rng.uniform(-1, 1, (2, 2))], dim=2)
-    mu_plus = AtomicMeasure.from_atoms([(p + [2.0, 0.0], 1.0) for p in rng.uniform(-1, 1, (2, 2))],
-                                       dim=2)
-    net = mu_plus - mu_minus
+    net = _unit_mass_net()
     flows = [optimizer.Topology(net.points, net.masses, np.zeros((2, 2)), e).flows()
              for e in optimizer.enumerate_topologies(4)]
     assert sum(min(abs(f) for f in fl) <= optimizer.FLOW_TOL for fl in flows) == 2
