@@ -108,6 +108,52 @@ def test_tree_arrays_are_read_only_and_enumeration_stays_fresh():
             arr[0, 0] = 0
 
 
+def _adjacency_strip_order(edges, n):
+    """Reference leaf stripping: adjacency lists, each leaf takes its first live edge."""
+    adj = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        adj[a].append(e)
+        adj[b].append(e)
+    deg = [len(es) for es in adj]
+    removed_e, removed_v = [False] * len(edges), [False] * n
+    order, queue = [], [v for v in range(n) if deg[v] == 1]
+    while queue:
+        v = queue.pop()
+        if removed_v[v]:
+            continue
+        live = [e for e in adj[v] if not removed_e[e]]
+        removed_v[v] = True
+        if not live:
+            continue
+        e = live[0]
+        a, b = edges[e]
+        u = b if a == v else a
+        order.append((v, u, e, v == b))
+        removed_e[e] = True
+        deg[u] -= 1
+        if deg[u] == 1:
+            queue.append(u)
+    return order
+
+
+def test_strip_order_matches_adjacency_stripping():
+    # every insertion level as local search builds it (the last one holds
+    # the oracle's full trees) and the trees its regrafts detach: vertices
+    # not in the tree yet, or spliced out, are isolated
+    for k in range(2, 8):
+        n = 2 * k - 2
+        level = [((0, 1),)]
+        forests = list(level)
+        for t in range(2, k):
+            level = [optimizer._insert(tree, e, t, k + t - 2)
+                     for tree in level for e in range(len(tree))]
+            forests += level
+        if k > 3:
+            forests += [optimizer._detach(tree, t)[0] for tree in level for t in range(k)]
+        for edges in forests:
+            assert optimizer._strip_order(edges, n) == _adjacency_strip_order(edges, n)
+
+
 def _unit_mass_net():
     """Two unit sources, two unit sinks: some trees have an edge without flow."""
     rng = np.random.default_rng(8)
