@@ -15,8 +15,8 @@ levels share one), and each insertion or regraft scan of local search is a
 batch of one group.  The oracle builds its batch from arrays cached per atom
 count k (every tree's edges, key and leaf-stripping order), replays the
 stripping on whole columns of masses for the flows, and builds a Topology
-only for each instance's winner.  In every problem the free vertices move jointly by
-damped Newton steps on the smoothed objective
+only for each instance's winner.  In every problem the free vertices move
+jointly by damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
 a tenth of the radius R of the terminals; each iteration takes one
 batched step for every live problem.  After each of its stages a problem's
