@@ -182,7 +182,9 @@ class AtomicMeasure:
                                         dim=self.dim if len(self.masses) else other.dim)
 
     def __sub__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return self + other.scale(-1.0)
+        # other's atoms are already merged, nonzero and sorted, so negating its
+        # masses gives the arrays other.scale(-1.0) would build
+        return self + AtomicMeasure(other.points, -other.masses)
 
     def mass_at(self, p) -> float:
         q = as_point(p)

@@ -126,6 +126,23 @@ def test_flatnorm_measure_mode(tmp_path):
     assert doc["minus_gap"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_flatnorm_measure_mode_output_is_pinned(tmp_path):
+    # bytes recorded before the weak-* transport left the LP; the plus side
+    # moves 1.5 over 0.36 and destroys the 0.5 sent past distance 2
+    a = write_instance(tmp_path / "a.json")
+    b = write_instance(
+        tmp_path / "b.json",
+        mu_minus=[{"point": [-0.75, 2.25], "mass": 0.75},
+                  {"point": [1.125, 1.625], "mass": 1.25}],
+        mu_plus=[{"point": [0.3, -0.2], "mass": 1.5},
+                 {"point": [3.5, 0.1], "mass": 0.5}])
+    out = tmp_path / "f.json"
+    assert cli.main(["--out", str(out), "flatnorm", "--in", str(a),
+                     "--against", str(b)]) == 0
+    assert out.read_bytes() == (b'{\n  "kind": "flat-0",\n  "minus_gap": 1.16044975047,\n'
+                                b'  "plus_gap": 1.54083269132,\n  "value": 2.70128244179\n}\n')
+
+
 def test_flatnorm_path_mode(tmp_path):
     a = write_instance(tmp_path / "a.json")
     b = write_instance(tmp_path / "b.json")

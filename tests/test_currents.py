@@ -100,6 +100,25 @@ def test_measure_parts_and_tv():
     assert mu.negative_part().is_nonnegative()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_measure_subtraction_equals_adding_the_negated_measure(dim):
+    rng = np.random.default_rng(dim)
+    grid = 0.5 * np.arange(-2, 3)
+    for _ in range(300):
+        def rand_measure():
+            k = int(rng.integers(0, 7))
+            # lattice points shared between the two measures, some jittered
+            # across the merge tolerance, and some generic points
+            pts = rng.choice(grid, size=(k, dim)) + rng.choice([0.0, 0.0, 7e-10, -2e-9], size=(k, dim))
+            pts[::3] = rng.uniform(-1.0, 1.0, size=pts[::3].shape)
+            masses = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.1, 2.0, size=k)
+            return AtomicMeasure.from_atoms(zip(pts, masses), dim=dim)
+        a, b = rand_measure(), rand_measure()
+        got, ref = a - b, a + b.scale(-1.0)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.masses, ref.masses)
+
+
 def test_measure_restrict():
     mu = AtomicMeasure.from_atoms([((0.0, 0.0), 1.0), ((3.0, 0.0), 1.0)])
     region = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0)])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 
 from trafficpaths import currents, metrics
 from trafficpaths.currents import AtomicMeasure
@@ -50,6 +50,71 @@ def test_flat0_triangle_inequality_and_symmetry(seed):
     dac = metrics.flat_norm_0(a - c)
     dcb = metrics.flat_norm_0(c - b)
     assert dab <= dac + dcb + 1e-8
+
+
+def _lp_flat_norm_0(measure: AtomicMeasure) -> float:
+    """The transshipment LP on the same cost matrix: the reference for the transport solve."""
+    pos, neg = measure.positive_part(), measure.negative_part()
+    n, m = len(pos.masses), len(neg.masses)
+    if n == 0 or m == 0:
+        return pos.tv() + neg.tv()
+    supply = np.concatenate([pos.masses, [neg.tv()]])
+    demand = np.concatenate([neg.masses, [pos.tv()]])
+    cost = np.ones((n + 1, m + 1))
+    for i in range(n):
+        for j in range(m):
+            cost[i, j] = float(np.linalg.norm(pos.points[i] - neg.points[j]))
+    cost[n, m] = 0.0
+    rows, cols = [], []
+    for i in range(n + 1):
+        for j in range(m + 1):
+            k = i * (m + 1) + j
+            rows += [i, n + 1 + j]
+            cols += [k, k]
+    a_eq = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                             shape=(n + m + 2, (n + 1) * (m + 1)))
+    res = linprog(cost.ravel(), A_eq=a_eq.tocsr(), b_eq=np.concatenate([supply, demand]),
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def _random_signed_measure(rng, dim, kind):
+    """1-7 atoms a side: generic, on a half-step lattice (tied distances and
+    cancelling atoms), with masses in quarters, or generic at scale 1e-3."""
+    n, m = (int(k) for k in rng.integers(1, 8, size=2))
+    if kind == "lattice":
+        pts = 0.5 * rng.integers(0, 4, size=(n + m, dim))
+    else:
+        pts = rng.uniform(-2.0, 2.0, size=(n + m, dim))
+    masses = rng.uniform(0.05, 2.0, size=n + m)
+    if kind in ("lattice", "quarters"):
+        masses = np.maximum(np.round(4.0 * masses), 1.0) / 4.0
+    if kind == "small":
+        pts, masses = 1e-3 * pts, 1e-3 * masses
+    signs = np.repeat([1.0, -1.0], [n, m])
+    return AtomicMeasure.from_atoms(zip(pts, signs * masses), dim=dim)
+
+
+@pytest.mark.parametrize("kind", ["generic", "lattice", "quarters", "small"])
+def test_flat0_transport_matches_lp_reference(kind):
+    rng = np.random.default_rng(["generic", "lattice", "quarters", "small"].index(kind))
+    for trial in range(500):
+        mu = _random_signed_measure(rng, 2 + trial % 2, kind)
+        got, ref = metrics.flat_norm_0(mu), _lp_flat_norm_0(mu)
+        assert abs(got - ref) <= 1e-12 * ref, (kind, trial, got, ref)
+
+
+def test_flat0_undoes_a_greedy_first_path():
+    # sources a = (0, 0), b = (0, 0.2); sinks c = (-0.2, -0.3), d = (0.2, -0.1).
+    # After the free dummy-dummy path, the shortest path is a -> d (sqrt .05).
+    # The optimum pairs a - c and b - d (2 sqrt .13), so b's path must run
+    # b -> d -> a -> c, backwards over a -> d: it beats b -> c (sqrt .29) only
+    # with the potentials, since a backward arc clipped at 0 would lose sqrt .05
+    mu = AtomicMeasure.from_atoms([((0.0, 0.0), 1.0), ((0.0, 0.2), 1.0),
+                                   ((-0.2, -0.3), -1.0), ((0.2, -0.1), -1.0)])
+    assert metrics.flat_norm_0(mu) == pytest.approx(2.0 * np.sqrt(0.13), rel=1e-12)
+    assert metrics.flat_norm_0(mu) == pytest.approx(_lp_flat_norm_0(mu), rel=1e-12)
 
 
 def test_weak_star_gap_matches_flat0():
@@ -189,8 +254,8 @@ def test_flat_chain_norm_zero_chain():
     assert metrics.flat_chain_norm(g, np.zeros(g.n_edges)) == 0.0
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_flat_chain_norm_box_matches_full_grid(seed):
+def _box_chains(seed):
+    """A random grid and one random chain on each of its test boxes."""
     rng = np.random.default_rng(seed)
     g = metrics.GridComplex(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
                             int(rng.integers(3, 8)), int(rng.integers(3, 8)),
@@ -206,8 +271,33 @@ def test_flat_chain_norm_box_matches_full_grid(seed):
         (2, 2, 0, ny - 1), (nx, nx, 1, ny),    # single columns, inner and right
         (0, 0, 0, 1), (nx, nx, ny - 1, ny),    # one vertical edge in a corner
     ]
-    for i0, i1, j0, j1 in boxes:
-        _assert_box_lp_matches(g, _random_box_chain(rng, g, i0, i1, j0, j1))
+    return g, [_random_box_chain(rng, g, *box) for box in boxes]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_chain_norm_box_matches_full_grid(seed):
+    g, chains = _box_chains(seed)
+    for chain in chains:
+        _assert_box_lp_matches(g, chain)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_chain_norm_equals_linprog_of_its_box_lp(seed, monkeypatch):
+    # milp with no integer variable must return linprog's HiGHS optimum to the bit
+    lps = []
+
+    def recording_milp(c, constraints):
+        lps.append((c, constraints))
+        return milp(c, constraints=constraints)
+
+    monkeypatch.setattr(metrics, "milp", recording_milp)
+    g, chains = _box_chains(seed)
+    for chain in chains:
+        got = metrics.flat_chain_norm(g, chain)
+        c, con = lps[-1]
+        assert np.array_equal(con.lb, con.ub)
+        ref = linprog(c, A_eq=con.A, b_eq=con.lb, bounds=(0, None), method="highs")
+        assert ref.success and got == ref.fun
 
 
 def test_flat_chain_norm_box_matches_full_grid_on_cancelling_difference():
