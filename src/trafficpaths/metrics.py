@@ -131,7 +131,8 @@ def flat_norm_0(measure: AtomicMeasure) -> float:
     supply = pos.masses.tolist() + [neg.tv()]
     demand = neg.masses.tolist() + [pos.tv()]
     cost = np.ones((n + 1, m + 1))
-    # each distance is the one dot product np.linalg.norm takes of one difference
+    # one dot product per pair, as np.linalg.norm takes of a single difference
+    # (its axis form sums the squares instead and differs in the last bit)
     diff = pos.points[:, None, None, :] - neg.points[None, :, None, :]
     cost[:n, :m] = np.sqrt((diff @ diff.swapaxes(-1, -2))[..., 0, 0])
     cost[n, m] = 0.0

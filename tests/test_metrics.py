@@ -96,9 +96,9 @@ def _random_signed_measure(rng, dim, kind):
     return AtomicMeasure.from_atoms(zip(pts, signs * masses), dim=dim)
 
 
-@pytest.mark.parametrize("kind", ["generic", "lattice", "quarters", "small"])
-def test_flat0_transport_matches_lp_reference(kind):
-    rng = np.random.default_rng(["generic", "lattice", "quarters", "small"].index(kind))
+@pytest.mark.parametrize("seed, kind", enumerate(["generic", "lattice", "quarters", "small"]))
+def test_flat0_transport_matches_lp_reference(seed, kind):
+    rng = np.random.default_rng(seed)
     for trial in range(500):
         mu = _random_signed_measure(rng, 2 + trial % 2, kind)
         got, ref = metrics.flat_norm_0(mu), _lp_flat_norm_0(mu)
