@@ -16,9 +16,15 @@ Everything downstream (decompositions, constructive transports, the
 competitor assembly) funnels through this overlay, so its tolerances
 are the global ones: vertices merge at 1e-9, multiplicities below 1e-12
 are dropped, collinearity is decided at 1e-9 angular tolerance.  Vertex
-merging and line grouping share one registry (``_PointIndex``), which
-probes only the grid buckets that can hold a point within tolerance, so
-each lookup costs one bucket probe away from bucket faces.
+merging, line grouping and atom merging share one rule, the order-
+dependent first-match merge of ``_PointIndex``, applied to whole lists
+of rows by ``_merge_rows``: exact repeats meet in one dict, a sort per
+axis shows which distinct rows have a neighbour within tolerance, and
+only those few rows are replayed through a ``_PointIndex``.  Canonical
+lines, interval parameters, sphere crossings and region membership are
+computed for all segments at once with ``geometry.row_dots``, whose
+entries equal the 1-d dot products, so every answer is bit-identical
+to a segment-by-segment evaluation.
 
 Masses: mass(T) is the total variation (sum of theta * length) and
 alpha_mass(T, a) the concave transport energy (sum of theta^a * length)
@@ -36,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, BallRegion, as_point, segment_sphere_params, project_to_ball
+from .geometry import (Ball, BallRegion, as_point, project_to_ball, row_dots, row_norms,
+                       segment_sphere_params, sphere_params)
 
 MERGE_TOL = 1e-9
 THETA_TOL = 1e-12
@@ -82,6 +89,78 @@ class _PointIndex:
         key = tuple(math.floor(x / self.grid) for x in p)
         self._buckets.setdefault(key, []).append(idx)
         return idx
+
+
+def _crowded(rows: list[tuple[float, ...]], reach: float) -> list[int]:
+    """Indices of the rows that may have another row within ``reach`` on every axis.
+
+    The rows are sorted along each axis in turn, inside the runs of the
+    previous axis, and cut into runs wherever neighbours lie more than
+    ``reach`` apart; a row alone in its run leaves.  Two rows within
+    ``reach`` on every axis always share a run, so both are returned;
+    rows farther apart may be returned too.
+    """
+    runs = [range(len(rows))]
+    for axis in range(len(rows[0])):
+        split = []
+        for run in runs:
+            order = sorted(run, key=lambda i: rows[i][axis])
+            start = 0
+            for k in range(1, len(order) + 1):
+                if k == len(order) or rows[order[k]][axis] - rows[order[k - 1]][axis] > reach:
+                    if k - start > 1:
+                        split.append(order[start:k])
+                    start = k
+        runs = split
+    return [i for run in runs for i in run]
+
+
+def _merge_rows(rows: list[tuple[float, ...]], tol: float) -> list[int]:
+    """For each row, the row that sequential ``_PointIndex(tol)`` insertion merges it into.
+
+    Entry k is the position of the first row of row k's merge class, the
+    one insertion keeps as the representative.  Exact repeats meet in one
+    dict (-0.0 == 0.0 there, as in ``_PointIndex``).  A distinct row that
+    ``_crowded`` leaves out has no other row within tol, so it and its
+    repeats form a class of their own.  The other rows, repeats included,
+    are replayed through a fresh ``_PointIndex`` in their original order;
+    ``find`` matches only within tol, so the rows left out could not have
+    changed their answers and the replay gives the global one.
+    """
+    first: dict[tuple[float, ...], int] = {}
+    merged = [first.setdefault(r, k) for k, r in enumerate(rows)]
+    if len(first) > 1:
+        distinct = list(first)
+        keys = {distinct[i] for i in _crowded(distinct, 2.0 * tol)}
+        if keys:
+            index = _PointIndex(tol)
+            owner: list[int] = []
+            for k, r in enumerate(rows):
+                if r in keys:
+                    i = index.insert(r)
+                    if i == len(owner):
+                        owner.append(k)
+                    merged[k] = owner[i]
+    return merged
+
+
+def _as_points(points: list) -> np.ndarray:
+    """The points as rows of an (n, d) float array; a point ``as_point`` rejects raises its error."""
+    try:
+        arr = np.array(points, dtype=float)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] not in (2, 3):
+        if not points:
+            return np.zeros((0, 0))
+        for p in points:
+            as_point(p)
+        raise ValueError("points must share one dimension")
+    return arr
+
+
+def _rows(points: np.ndarray) -> list[tuple[float, ...]]:
+    return list(map(tuple, points.tolist()))
 
 
 def clears_sphere_threshold(alpha: float, dim: int) -> bool:
@@ -133,19 +212,24 @@ class AtomicMeasure:
             if dim is None:
                 raise ValueError("empty measure needs an explicit dimension")
             return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
-        d = len(as_point(atoms[0][0]))
-        index = _PointIndex(tol)
+        return AtomicMeasure._merged(_as_points([p for p, _ in atoms]),
+                                     [float(m) for _, m in atoms], tol)
+
+    @staticmethod
+    def _merged(points: np.ndarray, masses: list[float], tol: float = MERGE_TOL
+                ) -> "AtomicMeasure":
+        """``from_atoms`` of the atoms (points[k], masses[k]) of an (n, d) array."""
+        rows = _rows(np.asarray(points, dtype=float))
         net: dict[int, float] = {}
-        for p, m in atoms:
-            i = index.insert(tuple(as_point(p).tolist()))
-            net[i] = net.get(i, 0.0) + float(m)
+        for i, m in zip(_merge_rows(rows, tol), masses):
+            net[i] = net.get(i, 0.0) + m
         pts, ms = [], []
         for i, m in net.items():
             if abs(m) > THETA_TOL:
-                pts.append(index.points[i])
+                pts.append(rows[i])
                 ms.append(m)
         if not pts:
-            return AtomicMeasure(np.zeros((0, d)), np.zeros(0))
+            return AtomicMeasure(np.zeros((0, points.shape[1])), np.zeros(0))
         order = sorted(range(len(pts)), key=pts.__getitem__)
         return AtomicMeasure(np.array([pts[k] for k in order]),
                              np.array([ms[k] for k in order]))
@@ -178,8 +262,10 @@ class AtomicMeasure:
                                         dim=self.dim)
 
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure.from_atoms(self.atoms() + other.atoms(),
-                                        dim=self.dim if len(self.masses) else other.dim)
+        # from_atoms(self.atoms() + other.atoms()), without a Python list of atoms
+        both = [m for m in (self, other) if len(m.masses)] or [other]
+        return AtomicMeasure._merged(np.concatenate([m.points for m in both]),
+                                     [x for m in both for x in m.masses.tolist()])
 
     def __sub__(self, other: "AtomicMeasure") -> "AtomicMeasure":
         # other's atoms are already merged, nonzero and sorted, so negating its
@@ -236,19 +322,33 @@ def from_segments(segs, dim: int | None = None, merge_tol: float = MERGE_TOL) ->
         if dim is None:
             raise ValueError("empty path needs an explicit dimension")
         return empty_path(dim)
-    d = len(as_point(segs[0][0]))
-    index = _PointIndex(merge_tol)
+    rows = _rows(_as_points([p for a, b, _ in segs for p in (a, b)]))
+    return _from_rows(rows, [float(th) for _, _, th in segs], len(rows[0]), merge_tol)
+
+
+def _from_rows(rows: list[tuple[float, ...]], thetas: list[float], d: int,
+               merge_tol: float) -> TrafficPath:
+    """``from_segments`` of the segments rows[2k] -> rows[2k+1] with multiplicity thetas[k]."""
+    keep = [k for k in range(len(thetas)) if math.dist(rows[2 * k], rows[2 * k + 1]) > THETA_TOL]
+    if len(keep) < len(thetas):
+        rows = [rows[i] for k in keep for i in (2 * k, 2 * k + 1)]
+        thetas = [thetas[k] for k in keep]
+    merged = _merge_rows(rows, merge_tol)
     net: dict[tuple[int, int], float] = {}
-    for a, b, th in segs:
-        pa, pb = tuple(as_point(a).tolist()), tuple(as_point(b).tolist())
-        if math.dist(pa, pb) <= THETA_TOL:
-            continue
-        i, j = index.insert(pa), index.insert(pb)
+    for k, th in enumerate(thetas):
+        i, j = merged[2 * k], merged[2 * k + 1]
         if i == j:
             continue
         key, sign = ((i, j), 1.0) if i < j else ((j, i), -1.0)
-        net[key] = net.get(key, 0.0) + sign * float(th)
-    return _assemble(index.points, net, d)
+        net[key] = net.get(key, 0.0) + sign * th
+    return _assemble(rows, net, d)
+
+
+def _edges_of(*paths: TrafficPath) -> tuple[np.ndarray, list[float]]:
+    """The paths' edges in order: a (2m, d) array of tail and head rows, and the thetas."""
+    ends = np.concatenate([t.vertices[[v for i, j, _ in t.edges for v in (i, j)]]
+                           for t in paths])
+    return ends, [th for t in paths for _, _, th in t.edges]
 
 
 def _assemble(points: list[tuple[float, ...]], net: dict[tuple[int, int], float], d: int) -> TrafficPath:
@@ -272,39 +372,30 @@ def _assemble(points: list[tuple[float, ...]], net: dict[tuple[int, int], float]
     return TrafficPath(verts, tuple(out))
 
 
-def _canonical_line(a: np.ndarray, b: np.ndarray):
-    u = b - a
-    u = u / np.linalg.norm(u)
-    for c in u:
-        if abs(c) > THETA_TOL:
-            if c < 0:
-                u = -u
-            break
-    p0 = a - float(a @ u) * u
-    return u, p0
+def _line_groups(a: np.ndarray, b: np.ndarray, thetas: list[float]) -> list:
+    """Group the segments a[k] -> b[k] by supporting line: one list of intervals per line.
 
-
-def _line_groups(segs) -> list:
-    """Group segments by supporting line: one list of intervals per line.
-
-    A line is its canonical direction u and foot point p0; lines merge when
-    both agree within LINE_TOL (Chebyshev), found through a _PointIndex on
-    the concatenated (u, p0) vector, and a group keeps the line of its
-    first segment.  Each interval is (lo, hi, signed theta, segment index)
-    with lo < hi the segment's parameters along the group's line; theta is
-    negated when the segment runs against u.
+    A line is its canonical direction u (the first component above 1e-12
+    made positive) and foot point p0; lines merge when both agree within
+    LINE_TOL (Chebyshev), through ``_merge_rows`` on the concatenated
+    (u, p0) rows, and a group keeps the line of its first segment.  Each
+    interval is (lo, hi, signed theta, segment index) with lo < hi the
+    segment's parameters along the group's line; theta is negated when
+    the segment runs against u.  Groups come in order of their first
+    segment, intervals in segment order.
     """
-    index = _PointIndex(LINE_TOL)
-    groups: list[tuple[np.ndarray, np.ndarray, list]] = []
-    for k, (a, b, th) in enumerate(segs):
-        u, p0 = _canonical_line(a, b)
-        found = index.insert((*u.tolist(), *p0.tolist()))
-        if found == len(groups):
-            groups.append((u, p0, []))
-        lu, lp, intervals = groups[found]
-        ta, tb = float((a - lp) @ lu), float((b - lp) @ lu)
-        intervals.append((ta, tb, th, k) if tb > ta else (tb, ta, -th, k))
-    return [intervals for _, _, intervals in groups]
+    u = b - a
+    u = u / row_norms(u)[:, None]
+    lead = u[np.arange(len(u)), (np.abs(u) > THETA_TOL).argmax(axis=1)]
+    u *= np.where(lead < 0, -1.0, 1.0)[:, None]  # an exact sign flip
+    p0 = a - row_dots(a, u)[:, None] * u
+    first = _merge_rows(_rows(np.concatenate([u, p0], axis=1)), LINE_TOL)
+    lu, lp = u[first], p0[first]
+    ta, tb = row_dots(a - lp, lu).tolist(), row_dots(b - lp, lu).tolist()
+    groups: dict[int, list] = {}
+    for k, (g, lo, hi, th) in enumerate(zip(first, ta, tb, thetas)):
+        groups.setdefault(g, []).append((lo, hi, th, k) if hi > lo else (hi, lo, -th, k))
+    return list(groups.values())
 
 
 def overlay(segs, dim: int | None = None) -> TrafficPath:
@@ -319,16 +410,44 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
     input vertex and a segment grouped onto a line that agrees with its
     own only within 1e-9 keeps its endpoints.
     """
-    segs = [(as_point(a), as_point(b), float(th)) for a, b, th in segs]
-    segs = [(a, b, th) for a, b, th in segs
-            if math.dist(a.tolist(), b.tolist()) > THETA_TOL and abs(th) > 0.0]
-    if not segs:
+    segs = list(segs)
+    ends = _as_points([p for a, b, _ in segs for p in (a, b)])
+    return _overlay_ends(ends, [float(th) for _, _, th in segs], dim)
+
+
+def _overlay_ends(ends: np.ndarray, thetas: list[float], dim: int | None) -> TrafficPath:
+    """``overlay`` of the segments ends[2k] -> ends[2k+1] with multiplicity thetas[k]."""
+    rows = _rows(ends)
+    keep = [k for k, th in enumerate(thetas)
+            if math.dist(rows[2 * k], rows[2 * k + 1]) > THETA_TOL and abs(th) > 0.0]
+    if not keep:
         if dim is None:
             raise ValueError("empty overlay needs an explicit dimension")
         return empty_path(dim)
-    d = len(segs[0][0])
-    out_segs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for intervals in _line_groups(segs):
+    if len(keep) < len(thetas):
+        pick = [i for k in keep for i in (2 * k, 2 * k + 1)]
+        rows, ends = [rows[i] for i in pick], ends[pick]
+        thetas = [thetas[k] for k in keep]
+    out_rows: list[tuple[float, ...]] = []
+    out_thetas: list[float] = []
+
+    def emit(tail: int, head: int, th: float) -> None:
+        out_rows.extend((rows[tail], rows[head]))
+        out_thetas.append(th)
+
+    for intervals in _line_groups(ends[0::2], ends[1::2], thetas):
+        if len(intervals) == 1:
+            # the run loop below on one interval: it keeps the segment, with
+            # multiplicity |theta| and running along theta's sign, exactly
+            # when hi survives the coalescing and does not snap back to lo
+            lo, hi, th, k = intervals[0]
+            if hi - lo > THETA_TOL and hi - THETA_TOL > lo and abs(th) > THETA_TOL:
+                seg_th = thetas[k]
+                if seg_th > 0:
+                    emit(2 * k, 2 * k + 1, seg_th)
+                else:
+                    emit(2 * k + 1, 2 * k, -seg_th)
+            continue
         raw = sorted({t for lo, hi, _, _ in intervals for t in (lo, hi)})
         # coalesce parameter values that differ only by floating dust
         reps: list[float] = []
@@ -341,15 +460,14 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
             return reps[bisect.bisect_left(reps, t - THETA_TOL)]
 
         delta: dict[float, float] = {t: 0.0 for t in reps}
-        where: dict[float, np.ndarray] = {}
+        where: dict[float, int] = {}
         for lo, hi, th, k in intervals:
-            a, b, seg_th = segs[k]
-            lo_pt, hi_pt = (a, b) if th == seg_th else (b, a)
+            lo_row, hi_row = (2 * k, 2 * k + 1) if th == thetas[k] else (2 * k + 1, 2 * k)
             lo, hi = snap(lo), snap(hi)
             delta[lo] += th
             delta[hi] -= th
-            where.setdefault(lo, lo_pt)
-            where.setdefault(hi, hi_pt)
+            where.setdefault(lo, lo_row)
+            where.setdefault(hi, hi_row)
         run_start = None
         run_mult = 0.0
         cur = 0.0
@@ -361,21 +479,20 @@ def overlay(segs, dim: int | None = None) -> TrafficPath:
                     run_start, run_mult = t, nxt_mult
                 continue
             if k + 1 >= len(reps) or abs(nxt_mult - run_mult) > THETA_TOL:
-                pa, pb = where[run_start], where[t]
                 if run_mult > 0:
-                    out_segs.append((pa, pb, run_mult))
+                    emit(where[run_start], where[t], run_mult)
                 else:
-                    out_segs.append((pb, pa, -run_mult))
+                    emit(where[t], where[run_start], -run_mult)
                 run_start, run_mult = None, 0.0
                 if k + 1 < len(reps) and abs(nxt_mult) > THETA_TOL:
                     run_start, run_mult = t, nxt_mult
-    return from_segments(out_segs, dim=d)
+    return _from_rows(out_rows, out_thetas, len(rows[0]), MERGE_TOL)
 
 
 def add(t1: TrafficPath, t2: TrafficPath) -> TrafficPath:
     if t1.dim != t2.dim:
         raise ValueError("dimension mismatch")
-    return overlay(t1.segments() + t2.segments(), dim=t1.dim)
+    return _overlay_ends(*_edges_of(t1, t2), t1.dim)
 
 
 def reverse(t: TrafficPath) -> TrafficPath:
@@ -422,17 +539,26 @@ def restrict(t: TrafficPath, region: BallRegion) -> TrafficPath:
     at 1e-12 only), so the alpha-masses of T restricted to A and to its
     complement add back to alpha_mass(T) at floating precision.
     """
-    pieces = []
-    for a, b, th in t.segments():
-        params = sorted({tt for ball in region.terms for tt in segment_sphere_params(a, b, ball)})
-        cuts = [0.0] + params + [1.0]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= THETA_TOL:
-                continue
-            mid = a + 0.5 * (lo + hi) * (b - a)
-            if region.contains(mid):
-                pieces.append((a + lo * (b - a), a + hi * (b - a), th))
-    return from_segments(pieces, dim=t.dim, merge_tol=1e-12)
+    if t.is_empty():
+        return empty_path(t.dim)
+    ends, thetas = _edges_of(t)
+    a, b = ends[0::2], ends[1::2]
+    edge, lo, hi = [], [], []
+    for k, params in enumerate(sphere_params(a, b, region.terms)):
+        cuts = [0.0, *params, 1.0]
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            if e - s > THETA_TOL:
+                edge.append(k)
+                lo.append(s)
+                hi.append(e)
+    a, u = a[edge], (b - a)[edge]
+    lo, hi = np.array(lo)[:, None], np.array(hi)[:, None]
+    inside = region.contains_rows(a + 0.5 * (lo + hi) * u)
+    pieces = np.empty((2 * int(inside.sum()), t.dim))
+    pieces[0::2] = (a + lo * u)[inside]
+    pieces[1::2] = (a + hi * u)[inside]
+    kept = [thetas[k] for k, keep in zip(edge, inside.tolist()) if keep]
+    return _from_rows(_rows(pieces), kept, t.dim, 1e-12)
 
 
 class AffineMap:

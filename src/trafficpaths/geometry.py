@@ -17,6 +17,7 @@ in (1, 1 + 1e-6] when a sphere would hit an atom exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -33,6 +34,23 @@ def as_point(p) -> np.ndarray:
     if q.ndim != 1 or q.shape[0] not in (2, 3):
         raise ValueError("points must be 1-d arrays of length 2 or 3")
     return q
+
+
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of x with the same row of y.
+
+    Each entry equals float(x[k] @ y[k]) bit for bit: the stacked matmul
+    reaches the same BLAS dot as the 1-d product, and np.linalg.norm of a
+    vector is np.sqrt of that dot.  ``np.einsum("ij,ij->i")`` and sums of
+    elementwise products differ from it in the last bit on 25-42 % of
+    random rows, so they would change answers.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x, bit for bit."""
+    return np.sqrt(row_dots(x, x))
 
 
 @dataclass(frozen=True)
@@ -102,9 +120,44 @@ class BallRegion:
         else:
             # difference chains always subtract the open interiors
             inside = self.terms[-1].contains(q) and not any(
-                b.open_copy().contains(q) for b in self.terms[:-1]
+                float(np.linalg.norm(q - b.center)) < b.radius for b in self.terms[:-1]
             )
         return inside != self.complement
+
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` of each row of an (n, d) array, as a boolean mask."""
+        def within(ball: Ball, closed: bool) -> np.ndarray:
+            dist = row_norms(points - ball.center)
+            return dist <= ball.radius if closed else dist < ball.radius
+
+        if self.kind == "union":
+            inside = np.zeros(len(points), dtype=bool)
+            for b in self.terms:
+                inside |= within(b, b.closed)
+        else:
+            inside = within(self.terms[-1], self.terms[-1].closed)
+            for b in self.terms[:-1]:
+                inside &= ~within(b, False)
+        return inside != self.complement
+
+
+def _crossings(A: float, B: float, C: float) -> list[float]:
+    """Roots in (0,1) of A t^2 + B t + C, increasing; the rule of both callers below."""
+    if A <= PARAM_TOL ** 2:
+        return []
+    disc = B * B - 4.0 * A * C
+    if disc <= 1e-30:
+        return []
+    sq = math.sqrt(disc)
+    # stable pairing of roots: avoid cancellation between -B and the root
+    q = -0.5 * (B + math.copysign(sq, B if B != 0 else 1.0))
+    roots = [q / A, C / q] if abs(q) > 0 else [-B / (2 * A)]
+    out = sorted(t for t in roots if PARAM_TOL < t < 1.0 - PARAM_TOL)
+    dedup: list[float] = []
+    for t in out:
+        if not dedup or t - dedup[-1] > PARAM_TOL:
+            dedup.append(t)
+    return dedup
 
 
 def segment_sphere_params(a, b, ball: Ball) -> list[float]:
@@ -117,28 +170,32 @@ def segment_sphere_params(a, b, ball: Ball) -> list[float]:
     b = as_point(b)
     u = b - a
     w = a - ball.center
-    A = float(u @ u)
-    if A <= PARAM_TOL ** 2:
-        return []
-    B = 2.0 * float(u @ w)
-    C = float(w @ w) - ball.radius ** 2
-    disc = B * B - 4.0 * A * C
-    if disc <= 1e-30:
-        return []
-    sq = np.sqrt(disc)
-    # stable pairing of roots: avoid cancellation between -B and the root
-    q = -0.5 * (B + np.copysign(sq, B if B != 0 else 1.0))
-    roots = []
-    if abs(q) > 0:
-        roots = [q / A, C / q]
-    else:
-        roots = [-B / (2 * A)]
-    out = sorted(t for t in roots if PARAM_TOL < t < 1.0 - PARAM_TOL)
-    dedup: list[float] = []
-    for t in out:
-        if not dedup or t - dedup[-1] > PARAM_TOL:
-            dedup.append(float(t))
-    return dedup
+    return _crossings(float(u @ u), 2.0 * float(u @ w), float(w @ w) - ball.radius ** 2)
+
+
+def sphere_params(a: np.ndarray, b: np.ndarray, balls: Sequence[Ball]) -> list[list[float]]:
+    """Crossings of the segments a[k] -> b[k] with the spheres of ``balls``.
+
+    Entry k is the increasing list of distinct parameters that
+    ``segment_sphere_params`` gives for segment k and any of the balls.
+    The coefficients of all (segment, ball) pairs come from one batch of
+    row dot products equal to the scalar ones, and only pairs whose
+    discriminant clears 1e-30 reach the root rule.
+    """
+    n, m = len(a), len(balls)
+    centers = np.array([ball.center for ball in balls])
+    radii_sq = np.array([ball.radius ** 2 for ball in balls])
+    u = b - a
+    w = (a[:, None, :] - centers[None]).reshape(n * m, a.shape[1])
+    A = np.repeat(row_dots(u, u), m)
+    B = 2.0 * row_dots(np.repeat(u, m, axis=0), w)
+    C = row_dots(w, w) - np.tile(radii_sq, n)
+    out: list[list[float]] = [[] for _ in range(n)]
+    live = np.flatnonzero((A > PARAM_TOL ** 2) & (B * B - 4.0 * A * C > 1e-30))
+    for pair, A_k, B_k, C_k in zip(live.tolist(), A[live].tolist(), B[live].tolist(),
+                                   C[live].tolist()):
+        out[pair // m].extend(_crossings(A_k, B_k, C_k))
+    return [sorted(set(ts)) if len(ts) > 1 else ts for ts in out]
 
 
 def project_to_ball(p, ball: Ball) -> np.ndarray:

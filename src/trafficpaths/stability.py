@@ -253,6 +253,8 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     if d == 2:
         r = cfg.config.ambient_radius
         grid = metrics.GridComplex.from_box(-r, -r, r, r, cfg.grid_step)
+        # the limit's chain is the same at every level: rasterize it once
+        limit_chain, limit_err = metrics.rasterize(grid, t_limit)
         flat_kind = "grid-flat-upper"
     else:
         flat_kind = "mass-surrogate"
@@ -264,8 +266,9 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
         cost_n = currents.alpha_mass(t_n, alpha)
         gm, gp = (metrics.weak_star_gap(m, lim) for m, lim in zip(marginals, limits))
         if grid is not None:
-            value, err = metrics.flat_distance_1(t_n, t_limit, grid)
-            fg = value + err
+            # flat_distance_1(t_n, t_limit, grid), term for term
+            chain_n, err_n = metrics.rasterize(grid, t_n)
+            fg = metrics.flat_chain_norm(grid, chain_n - limit_chain) + (err_n + limit_err)
         else:
             fg = currents.mass(currents.subtract(t_n, t_limit))
         rows.append(TrialRow(n=n, cost=cost_n, gap_minus=gm, gap_plus=gp,
@@ -715,8 +718,9 @@ def competitor_json_dict(report: CompetitorReport) -> dict:
 def _shared_pieces(t1: TrafficPath, t2: TrafficPath):
     """Collinear overlap pieces of two paths: (theta1, theta2, length)."""
     n1 = len(t1.edges)
+    ends, thetas = currents._edges_of(t1, t2)
     out = []
-    for intervals in currents._line_groups(t1.segments() + t2.segments()):
+    for intervals in currents._line_groups(ends[0::2], ends[1::2], thetas):
         for lo1, hi1, th1, k1 in intervals:
             if k1 >= n1:
                 continue

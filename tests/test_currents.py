@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficpaths import currents
+from trafficpaths import currents, geometry
 from trafficpaths.currents import AtomicMeasure, AffineMap, BallProjection, Config
 from trafficpaths.geometry import Ball, BallRegion
 
@@ -77,17 +77,43 @@ _near_face = st.builds(lambda k, e: k * 1e-6 + e, st.integers(-2, 2),
                        st.floats(-3e-9, 3e-9))
 
 
+def _flip_zeros(p: tuple) -> tuple:
+    """p with the sign of every zero coordinate flipped: 0.0 <-> -0.0."""
+    return tuple(-x if x == 0.0 else x for x in p)
+
+
 @settings(max_examples=150, deadline=None)
 @given(dim=st.sampled_from([2, 3, 4, 6]), data=st.data())
 def test_point_index_matches_full_neighbour_scan(dim, data):
-    centres = data.draw(st.lists(st.tuples(*[_near_face] * dim), min_size=1, max_size=4))
+    coord = st.one_of(_near_face, st.just(0.0))
+    centres = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
     # jitter up to 1.5e-9 per axis: pairs of one centre fall on both sides of tol
+    jitter = st.one_of(st.floats(-1.5e-9, 1.5e-9), st.just(0.0))
     point = st.builds(lambda i, e: tuple(c + x for c, x in zip(centres[i], e)),
-                      st.integers(0, len(centres) - 1),
-                      st.tuples(*[st.floats(-1.5e-9, 1.5e-9)] * dim))
+                      st.integers(0, len(centres) - 1), st.tuples(*[jitter] * dim))
     points = data.draw(st.lists(point, min_size=1, max_size=30))
+    # exact repeats of earlier points and their -0.0 / 0.0 twins, anywhere later
+    for pos, src, flip in data.draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60),
+                                                       st.booleans()), max_size=10)):
+        p = points[src % len(points)]
+        points.insert(pos % (len(points) + 1), _flip_zeros(p) if flip else p)
     pruned, scan = currents._PointIndex(), _ScanPointIndex(dim)
-    assert [pruned.insert(p) for p in points] == [scan.insert(np.array(p)) for p in points]
+    want = [scan.insert(np.array(p)) for p in points]
+    assert [pruned.insert(p) for p in points] == want
+    # the batch merge names each class by its first row; number them in order
+    classes: dict[int, int] = {}
+    assert [classes.setdefault(r, len(classes))
+            for r in currents._merge_rows(points, currents.MERGE_TOL)] == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_dots_equal_one_dimensional_products(dim):
+    rng = np.random.default_rng(dim)
+    for scale in (1e-6, 1e-3, 1.0, 1e3):
+        x = rng.normal(size=(4000, dim)) * scale
+        y = rng.normal(size=(4000, dim)) * scale * rng.uniform(0.5, 2.0, size=(4000, 1))
+        assert geometry.row_dots(x, y).tolist() == [float(p @ q) for p, q in zip(x, y)]
+        assert geometry.row_norms(x).tolist() == [float(np.linalg.norm(p)) for p in x]
 
 
 def test_measure_parts_and_tv():

@@ -229,6 +229,27 @@ def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
     assert sum(calls[:-1]) == 1 + len(cfg.schedule)
 
 
+def test_trial_rasterizes_the_limit_once(monkeypatch):
+    cfg = stability.experiment_from_dict(_experiment_dict(schedule=[1, 2, 4, 8]))
+    seen = []
+    real = metrics.rasterize
+
+    def counted(grid, t):
+        seen.append((grid, t))
+        return real(grid, t)
+
+    monkeypatch.setattr(metrics, "rasterize", counted)
+    report = stability.run_stability_trial(cfg)
+    monkeypatch.undo()
+    grid, limit = seen[0]
+    assert limit is report.limit_path
+    assert len(seen) == 1 + len(cfg.schedule)
+    # each level's gap is still flat_distance_1 to the limit, bit for bit
+    for (_, t_n), row in zip(seen[1:], report.rows):
+        value, err = metrics.flat_distance_1(t_n, limit, grid)
+        assert row.flat_gap == value + err
+
+
 def test_report_csv_shape():
     cfg = stability.experiment_from_dict(_experiment_dict(schedule=[1, 2]))
     report = stability.run_stability_trial(cfg)
