@@ -21,13 +21,16 @@ sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
 a tenth of the radius R of the terminals; each iteration takes one
 batched step for every live problem.  After each of its stages a problem's
 dual y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges
-y is re-solved from the balance at the free vertices and clipped to
+y is re-solved as the min-norm balance at the free vertices (one solve with
+the grounded Laplacian of those edges, no SVD) and clipped to
 |y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
 because an optimum lies in the terminals' convex hull.  A problem is
 finished once its certified relative gap is within tol, and dropped as
 soon as its lower bound exceeds the least cost any problem of its group
 has reached at a stage end, which bounds the group optimum from above
-(branch-and-bound in the spirit of Smith, Algorithmica 1992).
+(branch-and-bound in the spirit of Smith, Algorithmica 1992).  A caller
+that needs only a group's best tree, not its cost, may have the last
+problem left in a group returned uncertified once all others are dropped.
 Degenerate optima are reached through collisions (branch points
 landing on terminals or each other are contracted at 1e-7) and through
 zero-flow edges, which cost nothing and realize disconnected optima
@@ -38,7 +41,9 @@ Local search follows the tree-space heuristics of Bernot, Caselles and
 Morel (Optimal Transportation Networks, LNM 1955): terminals are inserted
 greedily, heaviest first, each into the edge that solves cheapest, and the
 tree is then improved by terminal regrafts, each taking the best of its
-scan, every candidate scored by the same certified solve.
+scan.  An insertion before the last needs only its best tree: its scan
+stops once bounds have dropped every other candidate.  The last insertion
+and every regraft candidate are scored by the certified solve.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
@@ -228,9 +233,39 @@ def _tree_flows(k: int, masses: np.ndarray) -> np.ndarray:
     return flows
 
 
+def _reachable(linked: np.ndarray) -> np.ndarray:
+    """Transitive closure of symmetric, reflexive adjacency matrices (..., n, n), as 0/1
+    floats: each squaring doubles the length of the paths it covers."""
+    closure = linked.astype(float)
+    for _ in range(max(linked.shape[-1] - 2, 0).bit_length()):
+        closure = np.minimum(closure @ closure, 1.0)
+    return closure
+
+
+def _min_norm_duals(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """pinv(M) @ rhs for stacked signed incidences M (S, nf, E) of edge sets at free vertices.
+
+    Each column of M has at most one +1 and one -1 entry: an edge between
+    two free vertices, or one between a free vertex and an anchor (which
+    has no row).  L = M M^T is then the Laplacian of the edges' forest
+    grounded at the anchors, whose null space is spanned by the indicators
+    of the components with no anchor (a free vertex on no edge is one; the
+    components come from the closure of L's pattern), and P, the
+    orthogonal projector onto it, gives pinv(L) = (L + P)^-1 - P.
+    As M^T P = 0, pinv(M) = M^T pinv(L) = M^T (L + P)^-1: one small solve
+    per problem instead of an SVD.
+    """
+    L = M @ M.transpose(0, 2, 1)
+    same = _reachable((L != 0) | np.eye(M.shape[1], dtype=bool))
+    # a row sum of L counts the vertex's edges to anchors
+    anchored = (same @ L.sum(axis=2)[..., None])[..., 0] > 0.5
+    P = same * np.where(anchored, 0.0, 1.0 / same.sum(axis=2))[..., None]
+    return M.transpose(0, 2, 1) @ np.linalg.solve(L + P, rhs)
+
+
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
                      tol: float, max_iters: int, cutoff: float = math.inf, *,
-                     groups: np.ndarray) -> list:
+                     groups: np.ndarray, decide: bool = False) -> list:
     """Stacked smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on certified gaps.
 
     Solves T problems of one shape together: positions (T, n, d), edges
@@ -254,7 +289,11 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     end (every such cost bounds the group optimum from above, so the best
     problem of a group is never dropped); or an OptimizeError carrying the
     last positions when max_iters Newton steps do not certify the gap, or
-    when steps at the smallest smoothing stop making progress.
+    when steps at the smallest smoothing stop making progress.  With
+    decide, a problem is also returned as (positions, cost), its true cost
+    at its current iterate with no certificate, as soon as every other
+    problem of its group has been dropped: each of those has its optimum
+    above a cost its group reached, so it holds the group's optimum.
     """
     T, n, dim = pos.shape
     k, n_edges = anchors.shape[1], edges.shape[1]
@@ -278,11 +317,12 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     for i in np.flatnonzero(~touched.any(axis=1)):
         out[i] = pos[i].copy(), float(w[i] @ np.linalg.norm(D0[i], axis=1))
     live = np.flatnonzero(touched.any(axis=1))
-    counts = {"certified": T - len(live), "pruned": 0, "uncertified": 0}
+    counts = {"certified": T - len(live), "pruned": 0, "uncertified": 0, "decided": 0}
     eye = np.eye(dim)
     ts = 0.5 ** np.arange(20)
     diag = np.arange(nf * dim)
     incumbent = np.full(int(groups.max()) + 1, math.inf)  # least stage-end cost per group
+    unpruned = np.bincount(groups)  # problems per group not pruned yet
     # per live problem: constants, then iterate state; rows follow live
     B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], groups[live]
     floor = SMOOTH_FLOOR * R
@@ -327,8 +367,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             # clipped back into the balls |y_e| <= w_e
             s, short, y = sel[has], short[has], y[has]
             rhs = -(Bt[s] @ np.where(short[..., None], 0.0, y))
-            M = Bt[s] * short[:, None, :]
-            y_short = np.linalg.pinv(M, rcond=np.finfo(float).eps * max(nf, n_edges)) @ rhs
+            y_short = _min_norm_duals(Bt[s] * short[:, None, :], rhs)
             excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[s], 1.0)
             y_short /= np.maximum(excess, 1.0)[..., None]
             y = np.where(short[..., None], y_short, y)
@@ -395,10 +434,28 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                     counts["certified"] += 1
                 else:
                     counts["pruned"] += 1
+                    unpruned[grp[i]] -= 1
                 done[i] = True
+            # bounds and incumbents move only at stage ends, and every problem
+            # they prune leaves the batch at once, so only here can one go
+            pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
+            counts["pruned"] += int(pruned.sum())
+            np.subtract.at(unpruned, grp[pruned], 1)
+            if decide:
+                # every other problem of its group has an optimum above the
+                # group's incumbent, so this one holds the group's optimum
+                won = np.flatnonzero(~done & ~pruned & (unpruned[grp] == 1))
+                if len(won):
+                    c_won = np.einsum("te,te->t", w[won],
+                                      np.linalg.norm(B[won] @ X[won] + D0[won], axis=2))
+                    for i, c in zip(won, c_won):
+                        out[live[i]] = positions(live[i], X[i]), float(c)
+                    done[won] = True
+                    counts["decided"] += len(won)
+            rest = ~(done | pruned)[se]
             at_floor = eps[se] <= floor[se]
-            stuck[se[~certified & at_floor]] = True
-            adv = se[~certified & ~at_floor]
+            stuck[se[rest & at_floor]] = True
+            adv = se[rest & ~at_floor]
             if len(adv):
                 new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor[adv])
                 prev_eps, prev_X = last_eps[adv], last_X[adv]
@@ -418,11 +475,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                 eps[adv] = new_eps
                 fresh = adv[~has]
                 d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], eps[fresh])
-            # bounds and incumbents move only at stage ends, and every problem
-            # they prune leaves the batch at once, so only here can one go
-            pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
-            counts["pruned"] += int(pruned.sum())
-        for i in np.flatnonzero(stuck & ~pruned):
+        for i in np.flatnonzero(stuck & ~(done | pruned)):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
                                          positions(live[i], X[i]))
             counts["uncertified"] += 1
@@ -435,9 +488,9 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
             last_eps, last_X, lower_best = last_eps[keep], last_X[keep], lower_best[keep]
             d, r = d[keep], r[keep]
-    _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, "
+    _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, %d decided, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
-               counts["uncertified"], iterations, len(set(groups.tolist())))
+               counts["uncertified"], counts["decided"], iterations, len(set(groups.tolist())))
     return out
 
 
@@ -448,14 +501,16 @@ def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int = 10000,
-                      cutoff: float = math.inf) -> list:
+                      cutoff: float = math.inf, decide: bool = False) -> list:
     """Position stage of same-shape topologies of one instance through one
     ``_minimize_length`` batch.
 
     Edges without flow get weight 0, so every full tree on k terminals has
     the same shape; each topology's terminals are its anchors.  Entries are
     (topology, cost), None for a pruned topology, or an OptimizeError
-    carrying the last iterate as a Topology.
+    carrying the last iterate as a Topology.  With decide, the one
+    topology left once all others are pruned is returned uncertified
+    (see ``_minimize_length``).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -465,7 +520,8 @@ def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int
     edges = np.array([t.edges for t in topologies], dtype=int)
     out = []
     for topo, res in zip(topologies, _minimize_length(pos, edges, w, pos[:, :k], tol, max_iters,
-                                                      cutoff, groups=np.zeros(len(pos), int))):
+                                                      cutoff, groups=np.zeros(len(pos), int),
+                                                      decide=decide)):
         if isinstance(res, OptimizeError):
             res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
         elif res is not None:
@@ -502,10 +558,11 @@ def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
 
 
-def _solve_logged(topologies: list, alpha: float, tol: float, cutoff: float = math.inf) -> list:
+def _solve_logged(topologies: list, alpha: float, tol: float, cutoff: float = math.inf,
+                  decide: bool = False) -> list:
     """``_solve_topologies``; an uncertified solve is logged and its last iterate kept."""
     out = []
-    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff):
+    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff, decide=decide):
         if isinstance(res, OptimizeError):
             _log.warning("instance 0 topology %s not certified: %s", _tree_key(res.best.edges), res)
             res = res.best, res.best.cost(alpha)
@@ -515,14 +572,8 @@ def _solve_logged(topologies: list, alpha: float, tol: float, cutoff: float = ma
 
 def _collision_representatives(pos: np.ndarray) -> np.ndarray:
     """Lowest index of the cluster of every vertex, merging chains closer than COLLISION_TOL."""
-    n = len(pos)
     close = np.linalg.norm(pos[:, None] - pos[None, :], axis=2) <= COLLISION_TOL
-    rep = np.arange(n)
-    while True:
-        spread = np.where(close, rep, n).min(axis=1)
-        if np.array_equal(spread, rep):
-            return rep
-        rep = spread
+    return _reachable(close).argmax(axis=1)
 
 
 def _contracted_path(topology: Topology) -> TrafficPath:
@@ -670,15 +721,21 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     """Greedy insertion plus terminal regrafts in the oracle's tree space.
 
     The merged terminals are inserted one at a time by descending |mass|,
-    each into the edge of the current tree whose certified position solve
-    costs least; until the last one is in, terminal 0 carries the mass of
-    the terminals still missing.  Then, cyclically over the terminals, one
-    at a time is detached with its branch point and re-inserted into every
-    other edge; the best of these moves is kept when it lowers the cost by
-    more than the solve tolerance, and the search stops after a full cycle
-    over the terminals without one.  Each scan, insertion or regraft, is
-    one batched position solve, screened against the cost to beat; an
-    uncertified solve logs a warning and keeps its last iterate.  The result
+    each into the edge of the current tree whose position solve costs
+    least; until the last one is in, terminal 0 carries the mass of the
+    terminals still missing.  An insertion before the last ends its scan as
+    soon as bounds have dropped every candidate but one, and keeps that
+    one's iterate uncertified; the last insertion is certified.  Then, cyclically over the terminals, one at a
+    time is detached with its branch point and re-inserted into every other
+    edge, each candidate certified; the best of these moves is kept when it
+    lowers the cost by more than the solve tolerance.  The search stops
+    after a full cycle over the terminals without one, or, once a move has
+    been kept, after the k - 1 scans of the other terminals: the moved
+    terminal's own rescan cannot improve, as its candidates were dropped
+    or certified no cheaper in the scan that moved it, and its old edge
+    costs more.  Each scan, insertion or regraft, is one batched position
+    solve, screened against the cost to beat; an uncertified solve logs a
+    warning and keeps its last iterate.  The result
     is contracted like the oracle's, so its boundary is exact.  No
     optimality promise: the tests compare it against the exhaustive
     optimum on oracle-range instances.
@@ -690,7 +747,7 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     order = np.argsort(-np.abs(net.masses), kind="stable")
     points, masses = net.points[order], net.masses[order]
 
-    def scan(edges, pos, t, s, last, cutoff, skip=None):
+    def scan(edges, pos, t, s, last, cutoff, skip=None, decide=False):
         # t hung from s on every edge but skip, s started at the centroid; the
         # terminals after last are not in the tree yet: terminal 0 carries them
         m = masses.copy()
@@ -702,19 +759,25 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
                 steiner = pos[k:].copy()
                 steiner[s - k] = (pos[a] + pos[b] + pos[t]) / 3.0
                 cands.append(Topology(points, m, steiner, _insert(edges, e_idx, t, s)))
-        solved = [s for s in _solve_logged(cands, alpha, LOCAL_TOL, cutoff) if s is not None]
+        solved = [s for s in _solve_logged(cands, alpha, LOCAL_TOL, cutoff, decide)
+                  if s is not None]
         return min(solved, key=lambda s: s[1]) if solved else None
 
     topo = Topology(points, masses, np.zeros((max(k - 2, 0), net.dim)), ((0, 1),))
     for t in range(2, k):
-        topo, cost = scan(topo.edges, topo.positions(), t, k + t - 2, t, math.inf)
+        # only the last insertion's cost is compared later: the others need
+        # their best tree, not a certified cost
+        topo, cost = scan(topo.edges, topo.positions(), t, k + t - 2, t, math.inf,
+                          decide=t < k - 1)
     stale = 0  # terminals in a row whose regrafts found no improvement
+    settled = k  # stale scans that end the search
     t = 0
-    while k > 3 and stale < k:
+    while k > 3 and stale < settled:
         edges, s = _detach(topo.edges, t)
         stale += 1
         solved = scan(edges, topo.positions(), t, s, k - 1, cost, skip=len(edges) - 1)
         if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
-            (topo, cost), stale = solved, 0
+            # the moved terminal's own rescan cannot improve (see above)
+            (topo, cost), stale, settled = solved, 0, k - 1
         t = (t + 1) % k
     return dcmp.remove_cycles(_contracted_path(topo))

@@ -285,6 +285,71 @@ def test_batch_keeps_certifying_beside_a_stuck_problem(caplog):
                for r in caplog.records)
 
 
+def _pinv_duals(M, rhs):
+    """The SVD repair that ``_min_norm_duals`` replaced, kept as its reference."""
+    return np.linalg.pinv(M, rcond=np.finfo(float).eps * max(M.shape[1:])) @ rhs
+
+
+def _random_tree(rng, k, n=None):
+    """A random full tree on terminals 0..n-1 (all k by default), branch points k, k+1, ..."""
+    tree = ((0, 1),)
+    for t in range(2, k if n is None else n):
+        tree = optimizer._insert(tree, int(rng.integers(len(tree))), t, k + t - 2)
+    return tree
+
+
+def _short_components(tree, k, short):
+    """Kind of every component of the short edges' forest on the free vertices."""
+    root = list(range(k - 2))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    anchored = [0] * (k - 2)
+    for (a, b), on in zip(tree, short):
+        if on and min(a, b) >= k:
+            root[find(a - k)] = find(b - k)
+        elif on:
+            anchored[max(a, b) - k] += 1
+    comps: dict = {}
+    for v in range(k - 2):
+        size, anchors = comps.get(find(v), (0, 0))
+        comps[find(v)] = size + 1, anchors + anchored[v]
+    return ["isolated" if size == 1 and not anchors else "anchor-free" if not anchors
+            else "two anchors" if anchors > 1 else "grounded" for size, anchors in comps.values()]
+
+
+def test_dual_repair_matches_pinv_reference():
+    # min-norm duals on random short-edge sets of random trees equal the SVD's,
+    # and on a caterpillar whose whole spine hangs from one anchor at its end
+    rng = np.random.default_rng(15)
+    seen = set()
+    for k in range(3, 13):
+        caterpillar = ((0, 1),)
+        for t in range(2, k):  # each terminal splits the edge to the one before
+            caterpillar = optimizer._insert(caterpillar, len(caterpillar) - 1, t, k + t - 2)
+        for dim in (2, 3):
+            trees = [caterpillar] + [_random_tree(rng, k) for _ in range(8)]
+            B = np.zeros((len(trees), 2 * k - 3, k - 2))
+            for i, tree in enumerate(trees):
+                for e, (a, b) in enumerate(tree):
+                    if a >= k:
+                        B[i, e, a - k] += 1.0
+                    if b >= k:
+                        B[i, e, b - k] -= 1.0
+            short = rng.random(B.shape[:2]) < rng.choice([0.2, 0.5, 0.8, 1.0], (len(trees), 1))
+            short[0] = [min(e) >= k or k - 1 in e for e in caterpillar]
+            M = B.transpose(0, 2, 1) * short[:, None, :]
+            rhs = rng.standard_normal((len(trees), k - 2, dim))
+            got, ref = optimizer._min_norm_duals(M, rhs), _pinv_duals(M, rhs)
+            for i, tree in enumerate(trees):
+                assert np.linalg.norm(got[i] - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
+                seen.update(_short_components(tree, k, short[i]))
+    assert seen == {"isolated", "anchor-free", "two anchors", "grounded"}
+
+
 def _reference_oracle(net, alpha, tol):
     """Every topology solved alone with ``optimize_positions``: sorted (cost, tree key)."""
     k = len(net.masses)
@@ -434,6 +499,22 @@ def test_oracle_pinned_generator_instances(rng, caplog):
         assert currents.alpha_mass(t, alpha) <= bound
 
 
+def test_collision_representatives_follow_chains():
+    # points 0.9 COLLISION_TOL apart form one cluster end to end, in any
+    # vertex order, represented by its lowest index
+    rng = np.random.default_rng(9)
+    tol = optimizer.COLLISION_TOL
+    for n in (2, 3, 5, 9, 17, 22):
+        chain = np.outer(np.arange(n) * 0.9 * tol, [1.0, 0.0])
+        apart = np.array([[1.0, 1.0], [1.0, 1.0 + 0.5 * tol], [-1.0, 0.0]])
+        for order in (np.arange(n + 3), rng.permutation(n + 3)):
+            rep = optimizer._collision_representatives(np.vstack([chain, apart])[order])
+            at = np.argsort(order)  # where each row landed
+            assert set(rep[at[:n]].tolist()) == {at[:n].min()}
+            assert rep[at[n]] == rep[at[n + 1]] == min(at[n], at[n + 1])
+            assert rep[at[n + 2]] == at[n + 2]
+
+
 def test_oracle_range_error():
     pts_m = [((float(i), 0.0), 1.0) for i in range(4)]
     pts_p = [((float(i), 3.0), 4.0 / 3.0) for i in range(3)]
@@ -559,6 +640,74 @@ def test_local_search_certifies_every_position_solve(alpha, bound, sources, sink
     assert not caplog.records
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
     assert currents.alpha_mass(t, alpha) <= bound
+
+
+def _insertion_scan(rng):
+    """Candidates of a random insertion scan: terminal t hung on every edge of a
+    random tree on terminals 0..t-1, terminal 0 carrying the missing mass."""
+    k_minus, k_plus, dim = int(rng.integers(1, 4)), int(rng.integers(3, 7)), int(rng.integers(2, 4))
+    mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim)
+    net = mu_plus - mu_minus
+    k = len(net.masses)
+    t = int(rng.integers(3, k))
+    m = net.masses.copy()
+    m[0] += m[t + 1:].sum()
+    m[t + 1:] = 0.0
+    tree = _random_tree(rng, k, t)
+    steiner = net.points.mean(axis=0) + 0.3 * rng.standard_normal((k - 2, dim))
+    cands = []
+    for e_idx, (a, b) in enumerate(tree):
+        pos = np.vstack([net.points, steiner])
+        steiner_e = steiner.copy()
+        steiner_e[t - 2] = (pos[a] + pos[b] + pos[t]) / 3.0
+        cands.append(optimizer.Topology(net.points, m, steiner_e,
+                                        optimizer._insert(tree, e_idx, t, k + t - 2)))
+    return cands, float(rng.choice([0, .3, .5, .8, 1]))
+
+
+def test_decided_scan_picks_the_certified_scans_tree(caplog):
+    # a decided scan stops once every candidate but one is pruned: the same
+    # candidates are left as in the certified scan, and the same tree wins
+    # at a cost no better than certified
+    rng = np.random.default_rng(16)
+    tol = optimizer.LOCAL_TOL
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        for _ in range(16):
+            cands, alpha = _insertion_scan(rng)
+            certified = optimizer._solve_topologies(cands, alpha, tol)
+            decided = optimizer._solve_topologies(cands, alpha, tol, decide=True)
+            assert [res is None for res in decided] == [res is None for res in certified]
+            (cost, key), (decided_cost, decided_key) = (
+                min((res[1], optimizer._tree_key(res[0].edges)) for res in solved if res)
+                for solved in (certified, decided))
+            assert decided_key == key
+            assert decided_cost >= cost * (1.0 - tol)
+    decided_counts = [int(r.getMessage().split(" decided")[0].rsplit(" ", 1)[1])
+                      for r in caplog.records if "position batch" in r.getMessage()]
+    assert sum(decided_counts) >= 8
+
+
+@pytest.mark.parametrize("index, moved", [(2, True), (4, False)])
+def test_regrafts_skip_the_moved_terminals_rescan(index, moved, monkeypatch):
+    # after an accepted regraft the search ends once the k - 1 other
+    # terminals are rescanned without a gain; with none, after all k
+    mu_minus, mu_plus, alpha = _generator_instances(index + 1)[index]
+    k = len((mu_plus - mu_minus).masses)
+    kernel, best = optimizer._minimize_length, []
+
+    def counted(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        best.append(min((res[1] for res in out if isinstance(res, tuple)), default=math.inf))
+        return out
+
+    monkeypatch.setattr(optimizer, "_minimize_length", counted)
+    optimizer.local_search(mu_minus, mu_plus, alpha)
+    cost, last_move = best[k - 3], -1  # the last insertion's, then per regraft scan
+    for j, c in enumerate(best[k - 2:]):
+        if c < (1.0 - optimizer.LOCAL_TOL) * cost:
+            cost, last_move = c, j
+    assert (last_move >= 0) == moved
+    assert len(best) - (k - 2) - (last_move + 1) == (k - 1 if moved else k)
 
 
 def _stalled(pos, *args, **kwargs):
