@@ -306,20 +306,18 @@ def _sphere_gathered_side(pi: dcmp.PathMeasure, nu: AtomicMeasure, mu: AtomicMea
     """
     balls = cover_compact([p for p, _ in mu.atoms()], mesh, ambient)
     region = BallRegion.union_of([b.open_copy() for b in balls])
-    pieces, contacts = [], []
+    kept = []
     for c, w in pi.entries:
         anchor = c.start() if at_start else c.end()
         ref = mu.mass_at(anchor)
         rho = 0.0 if ref <= 1e-12 else min(1.0, nu.mass_at(anchor) / ref)
-        if rho <= 1e-12:
-            continue
-        if at_start:
-            piece, _, _ = dcmp.split_curve(c, start=region)
-            contacts.append((piece.end(), w * rho))
-        else:
-            _, _, piece = dcmp.split_curve(c, end=region)
-            contacts.append((piece.start(), w * rho))
-        pieces.append((piece, w * rho))
+        if rho > 1e-12:
+            kept.append((c, w * rho))
+    regions = [region] * len(kept)
+    cuts = dcmp.split_curves([c for c, _ in kept], regions if at_start else None,
+                             None if at_start else regions)
+    pieces = [(head if at_start else tail, w) for (head, _, tail), (_, w) in zip(cuts, kept)]
+    contacts = [(piece.end() if at_start else piece.start(), w) for piece, w in pieces]
     groups: dict[int, list] = {}
     for p, w in contacts:
         hit = next((k for k, b in enumerate(balls)

@@ -42,7 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Ball, BallRegion, as_point, project_to_ball, row_dots, row_norms,
+# segment_sphere_params is unused here but stays importable by name: the
+# perfbench tracer test checks that its wrapper is removed from this module
+from .geometry import (BallRegion, as_point, row_dots, row_norms,  # noqa: F401
                        segment_sphere_params, sphere_params)
 
 MERGE_TOL = 1e-9
@@ -559,44 +561,6 @@ def restrict(t: TrafficPath, region: BallRegion) -> TrafficPath:
     pieces[1::2] = (a + hi * u)[inside]
     kept = [thetas[k] for k, keep in zip(edge, inside.tolist()) if keep]
     return _from_rows(_rows(pieces), kept, t.dim, 1e-12)
-
-
-class AffineMap:
-    """x -> A x + b; Lipschitz constant is the spectral norm of A.
-
-    Tests use it to check that push_forward contracts alpha_mass by at most
-    the Lipschitz constant.
-    """
-
-    def __init__(self, matrix, offset):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.offset = np.asarray(offset, dtype=float)
-        self.lipschitz = float(np.linalg.norm(self.matrix, 2))
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.matrix @ p + self.offset
-
-    def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
-        return []
-
-
-class BallProjection:
-    """Nearest-point projection onto a closed ball (1-Lipschitz).
-
-    Tests use it to check push-forward contraction by the Lipschitz
-    constant on a nonlinear map.
-    """
-
-    def __init__(self, ball: Ball):
-        self.ball = ball
-        self.lipschitz = 1.0
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return project_to_ball(p, self.ball)
-
-    def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
-        # split where the segment meets the sphere so inside parts stay exact
-        return segment_sphere_params(a, b, self.ball)
 
 
 def push_forward(t: TrafficPath, mapping) -> TrafficPath:

@@ -9,12 +9,18 @@ support digraph, which requires the input to be acyclic; remove_cycles
 turns any path into an acyclic one with the same boundary and no more
 mass.
 
-Curve surgery: split_curve cuts a curve in three pieces, at its first
-exit from a start region and at its last entry into an end region, and
-every cut in the package goes through it; cut_curves applies that cut
-to a whole decomposition against an ordered ball cover, cell by cell.
-first_exit and last_entry are one walk over the curve's pieces between
-sphere crossings, run forward from the start or backward from the end.
+Curve surgery: split_curves cuts every curve of a family in three
+pieces, at its first exit from its start region and at its last entry
+into its end region, and every cut in the package goes through it;
+cut_curves applies it to a whole decomposition against an ordered ball
+cover, and split_curve, first_exit, last_entry and restrict_curve are
+families of one.  A family is one ragged array of waypoint rows, their
+arclengths and per-curve offsets.  The walks to the first exit (forward)
+and the last entry (backward) advance one segment of every unfinished
+curve a round, split at its sphere crossings, with one membership pass
+over the pieces; one clip then cuts every window, and the pieces become
+Curves validated once for the family.  Answers are bit-identical to a
+curve-by-curve walk.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import currents
-from .geometry import Ball, BallRegion, segment_sphere_params
+from .geometry import Ball, BallRegion, row_norms, segment_sphere_params
 
 WEIGHT_TOL = 1e-12
 BALANCE_TOL = 1e-9
@@ -199,7 +205,12 @@ def good_decomposition(t: currents.TrafficPath) -> PathMeasure:
                 return j
         return None
 
-    entries = []
+    walks = []  # (vertex list, weight)
+
+    def curves() -> list[Curve]:
+        return _curves(t.vertices[[v for walk, _ in walks for v in walk]],
+                       np.cumsum([0] + [len(walk) for walk, _ in walks]))
+
     source_order = sorted(deficit, key=lambda v: tuple(t.vertices[v]))
     for s in source_order:
         while deficit.get(s, 0.0) > WEIGHT_TOL:
@@ -212,6 +223,7 @@ def good_decomposition(t: currents.TrafficPath) -> PathMeasure:
                 walk.append(j)
                 v = j
             if len(walk) < 2 or surplus.get(v, 0.0) <= WEIGHT_TOL:
+                curves()  # a zero-length step of an earlier walk is raised first
                 raise ValueError("flow conservation violated during extraction")
             w = min(deficit[s], surplus[v],
                     min(flows[(walk[k], walk[k + 1])] for k in range(len(walk) - 1)))
@@ -219,12 +231,13 @@ def good_decomposition(t: currents.TrafficPath) -> PathMeasure:
                 flows[(walk[k], walk[k + 1])] -= w
             deficit[s] -= w
             surplus[v] -= w
-            entries.append((Curve(t.vertices[list(walk)]), w))
+            walks.append((walk, w))
+    entries = tuple(zip(curves(), (w for _, w in walks)))
     if any(d > BALANCE_TOL for d in deficit.values()):
         raise ValueError("decomposition failed to exhaust sources")
     if any(f > BALANCE_TOL for f in flows.values()):
         raise ValueError("decomposition left residual flow")
-    return PathMeasure(tuple(entries))
+    return PathMeasure(entries)
 
 
 def reconstruct(pi: PathMeasure, dim: int = 2) -> currents.TrafficPath:
@@ -236,72 +249,194 @@ def reconstruct(pi: PathMeasure, dim: int = 2) -> currents.TrafficPath:
     return currents.overlay(segs, dim=pi.entries[0][0].dim if pi.entries else dim)
 
 
-def _segment_params(c: Curve, region: BallRegion, k: int) -> list[float]:
-    a, b = c.waypoints[k], c.waypoints[k + 1]
-    out = set()
-    for ball in region.terms:
-        out.update(segment_sphere_params(a, b, ball))
-    return sorted(out)
+def _curves(rows: np.ndarray, offsets: np.ndarray) -> list[Curve]:
+    """The curves over rows[offsets[i]:offsets[i + 1]], validated once for the family.
 
-
-def _walk_to_outside(c: Curve, region: BallRegion, forward: bool) -> float | None:
-    """Arclength nearest the walk's start where the curve is outside the region.
-
-    Walking forward from the curve's start this is the first exit, walking
-    back from its end the last entry; None when the curve never leaves.
-    Each segment is split at its sphere crossings, and a piece is outside
-    as soon as its near end or its midpoint is: when only the open part
-    past the near end is outside, the infimum (supremum) is that end.
+    Every curve must have at least two waypoints.  The steps come from one
+    np.linalg.norm along axis 1 and the arclengths from a row-wise cumsum
+    over zero-padded step rows, both equal to Curve.__post_init__'s bit
+    for bit.
     """
-    steps = range(len(c.waypoints) - 1)
-    for k in (steps if forward else reversed(steps)):
-        a, b = c.waypoints[k], c.waypoints[k + 1]
-        locs = [0.0] + _segment_params(c, region, k) + [1.0]
-        pieces = list(zip(locs[:-1], locs[1:]))
-        for lo, hi in (pieces if forward else reversed(pieces)):
-            near = lo if forward else hi
-            if not (region.contains(a + near * (b - a))
-                    and region.contains(a + 0.5 * (lo + hi) * (b - a))):
-                return float(c._cum[k]) + near * float(c._cum[k + 1] - c._cum[k])
-    # the far end of the walk, never a near end, can sit alone outside
-    if not region.contains(c.end() if forward else c.start()):
-        return c.length() if forward else 0.0
-    return None
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    col = np.arange(len(rows)) - offsets[owner]
+    later = np.flatnonzero(col > 0)
+    steps = np.linalg.norm(rows[later] - rows[later - 1], axis=1)
+    if np.any(steps <= WEIGHT_TOL):
+        raise ValueError("curve has a zero-length step")
+    cum = np.zeros((len(counts), int(counts.max(initial=0))))
+    cum[owner[later], col[later]] = steps
+    out = [object.__new__(Curve) for _ in counts]
+    for c, w, arclengths in zip(out, np.split(rows, offsets[1:-1]), np.cumsum(cum, axis=1)):
+        object.__setattr__(c, "waypoints", w)
+        object.__setattr__(c, "_cum", arclengths[:len(w)])
+    return out
+
+
+def _stack(curves: Sequence[Curve]) -> tuple:
+    """A family as one ragged array: waypoint rows, their arclengths, per-curve offsets."""
+    return (np.concatenate([c.waypoints for c in curves]), np.concatenate([c._cum for c in curves]),
+            np.cumsum([0] + [len(c.waypoints) for c in curves]))
+
+
+def _contains(regions: list, group: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether row k of points lies in regions[group[k]], one contains_rows per region."""
+    inside = np.zeros(len(points), dtype=bool)
+    for g, region in enumerate(regions):
+        rows = group == g
+        if rows.any():
+            inside[rows] = region.contains_rows(points[rows])
+    return inside
+
+
+def _walk(rows, cum, offsets, regions: Sequence[BallRegion], forward: bool) -> np.ndarray:
+    """Arclength nearest each walk's start where curve i is outside regions[i].
+
+    Walking forward from the curves' starts this is their first exit,
+    walking back from their ends their last entry; nan where a curve
+    never leaves.  The walks advance in lockstep, one segment of every
+    unfinished curve a round.  Each segment is split at its sphere
+    crossings, and the near end and the midpoint of every piece go
+    through one membership pass: a piece is outside as soon as either is,
+    and when only the open part past the near end is outside, the
+    infimum (supremum) is that end.  A curve whose pieces are all inside
+    can still sit outside at the far end of its walk.
+    """
+    index: dict[int, int] = {}
+    group = np.array([index.setdefault(id(r), len(index)) for r in regions], dtype=np.intp)
+    distinct = list({id(r): r for r in regions}.values())
+    n_seg = np.diff(offsets) - 1
+    out = np.full(len(regions), np.nan)
+    live = np.arange(len(regions))
+    for rank in range(int(n_seg.max())):
+        live = live[(n_seg[live] > rank) & np.isnan(out[live])]
+        if not live.size:
+            break
+        seg = offsets[live] + rank if forward else offsets[live + 1] - 2 - rank
+        cuts = [[0.0, *sorted({t for ball in regions[i].terms
+                               for t in segment_sphere_params(rows[k], rows[k + 1], ball)}), 1.0]
+                for k, i in zip(seg.tolist(), live.tolist())]
+        cuts = cuts if forward else [ts[::-1] for ts in cuts]
+        owner = np.repeat(np.arange(len(cuts)), [len(ts) - 1 for ts in cuts])
+        near = np.array([t for ts in cuts for t in ts[:-1]])
+        far = np.array([t for ts in cuts for t in ts[1:]])
+        k = seg[owner]
+        a, u = rows[k], rows[k + 1] - rows[k]
+        pts = np.concatenate((a + near[:, None] * u, a + (0.5 * (near + far))[:, None] * u))
+        inside = _contains(distinct, np.tile(group[live[owner]], 2), pts)
+        hit = np.flatnonzero(~(inside[:len(near)] & inside[len(near):]))
+        found, first = np.unique(owner[hit], return_index=True)
+        k, t = k[hit[first]], near[hit[first]]
+        out[live[found]] = cum[k] + t * (cum[k + 1] - cum[k])
+    rest = np.flatnonzero(np.isnan(out))
+    end = offsets[rest + 1] - 1 if forward else offsets[rest]
+    outside = ~_contains(distinct, group[rest], rows[end])
+    out[rest[outside]] = cum[end[outside]]
+    return out
+
+
+def _clip(rows, cum, offsets, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
+    """restrict_curve of curve idx[j] to the window [lo[j], hi[j]], for every j.
+
+    A piece runs from point_at(lo) through the waypoints strictly inside
+    its window to point_at(hi), and point_at finds its segment by counting
+    the curve's arclengths up to the point.  Only a piece with two
+    consecutive points within WEIGHT_TOL replays restrict_curve's
+    sequential dedup.  Empty and backward windows give None.
+    """
+    a, b = np.maximum(lo, 0.0), np.minimum(hi, cum[offsets[idx + 1] - 1])
+    out = [None] * len(idx)
+    live = np.flatnonzero(b - a > WEIGHT_TOL)
+    idx, a, b = idx[live], a[live], b[live]
+    m, n_rows = len(idx), np.diff(offsets)[idx]
+    win = np.repeat(np.arange(m), n_rows)
+    row = np.repeat(offsets[idx] - np.cumsum(n_rows) + n_rows, n_rows) + np.arange(len(win))
+
+    def point_at(s):  # s lies in [0, length], where point_at's clamp leaves it
+        k = offsets[idx] + np.minimum(np.bincount(win[cum[row] <= s[win]], minlength=m) - 1,
+                                      n_rows - 2)
+        return rows[k] + ((s - cum[k]) / (cum[k + 1] - cum[k]))[:, None] * (rows[k + 1] - rows[k])
+
+    ends = point_at(a), point_at(b)
+    inner = (a[win] + WEIGHT_TOL < cum[row]) & (cum[row] < b[win] - WEIGHT_TOL)
+    row, win = row[inner], win[inner]
+    size = np.bincount(win, minlength=m) + 2
+    start = np.concatenate(([0], np.cumsum(size)))
+    pts = np.empty((start[-1], rows.shape[1]))
+    pts[start[:-1]], pts[start[1:] - 1] = ends
+    pts[np.arange(len(row)) + 2 * win + 1] = rows[row]
+    kept = np.ones(len(pts), dtype=bool)
+    close = row_norms(pts[1:] - pts[:-1]) <= WEIGHT_TOL
+    close[start[1:-1] - 1] = False
+    for w in np.unique(np.searchsorted(start, np.flatnonzero(close), side="right") - 1).tolist():
+        prev = start[w]
+        for q in range(start[w] + 1, start[w + 1]):
+            kept[q] = float(np.linalg.norm(pts[q] - pts[prev])) > WEIGHT_TOL
+            prev = q if kept[q] else prev
+    of = np.repeat(np.arange(m), size)
+    n_kept = np.bincount(of[kept], minlength=m)
+    whole = n_kept >= 2
+    pieces = _curves(pts[kept & whole[of]], np.concatenate(([0], np.cumsum(n_kept[whole]))))
+    for j, piece in zip(live[whole].tolist(), pieces):
+        out[j] = piece
+    return out
+
+
+def split_curves(curves: Sequence[Curve], start: Sequence[BallRegion] | None = None,
+                 end: Sequence[BallRegion] | None = None) -> list[tuple]:
+    """split_curve of every curve of a family, in one batch.
+
+    start and end are None or one region per curve; curves cut against
+    the same region should share one region object, since membership is
+    tested once per distinct object.  Returns one (head, middle, tail)
+    triple per curve, and raises the error that split_curve raises for
+    the first curve that fails.
+    """
+    n = len(curves)
+    if not n or (start is None and end is None):
+        return [(None, None, None)] * n
+    rows, cum, offsets = _stack(curves)
+    length = cum[offsets[1:] - 1]
+    s = np.zeros(n) if start is None else _walk(rows, cum, offsets, start, True)
+    e = length if end is None else _walk(rows, cum, offsets, end, False)
+    left, s, e = ~np.isnan(s), np.nan_to_num(s), np.nan_to_num(e)
+    windows = ((start is not None, np.zeros(n), s),
+               (start is not None and end is not None, s, e),
+               (end is not None, e, length))
+    wanted = [window for window in windows if window[0]]
+    got = iter(_clip(rows, cum, offsets, np.tile(np.arange(n), len(wanted)),
+                     *(np.concatenate([window[k] for window in wanted]) for k in (1, 2))))
+    pieces = [[next(got) for _ in range(n)] if cut else [None] * n for cut, _, _ in windows]
+    backwards = [(lo > hi + WEIGHT_TOL).tolist() for _, lo, hi in windows]
+    for i, ok in enumerate(left.tolist()):  # split_curve's checks, in its order
+        if not ok:
+            raise ValueError("curve never leaves its start region")
+        for (cut, _, _), back, piece in zip(windows, backwards, pieces):
+            if cut and back[i]:
+                raise ValueError("window start exceeds window end")
+            if cut and piece[i] is None:
+                raise ValueError("curve piece collapsed to a point at a cut")
+    return list(zip(*pieces))
 
 
 def first_exit(c: Curve, region: BallRegion) -> float:
     """inf of arclengths where the curve sits outside the region; inf if never."""
-    s = _walk_to_outside(c, region, forward=True)
-    return math.inf if s is None else s
+    s = float(_walk(*_stack([c]), [region], True)[0])
+    return math.inf if math.isnan(s) else s
 
 
 def last_entry(c: Curve, region: BallRegion) -> float:
     """sup of arclengths where the curve sits outside the region; 0 if always inside."""
-    s = _walk_to_outside(c, region, forward=False)
-    return 0.0 if s is None else s
+    s = float(_walk(*_stack([c]), [region], False)[0])
+    return 0.0 if math.isnan(s) else s
 
 
 def restrict_curve(c: Curve, a: float, b: float) -> Curve | None:
     """Clip to the arclength window [a, b]; None when the window is empty."""
     if a > b + WEIGHT_TOL:
         raise ValueError("window start exceeds window end")
-    a = max(a, 0.0)
-    b = min(b, c.length())
-    if b - a <= WEIGHT_TOL:
-        return None
-    pts = [c.point_at(a)]
-    for k in range(len(c.waypoints)):
-        s = float(c._cum[k])
-        if a + WEIGHT_TOL < s < b - WEIGHT_TOL:
-            pts.append(c.waypoints[k])
-    pts.append(c.point_at(b))
-    dedup = [pts[0]]
-    for p in pts[1:]:
-        if float(np.linalg.norm(p - dedup[-1])) > WEIGHT_TOL:
-            dedup.append(p)
-    if len(dedup) < 2:
-        return None
-    return Curve(np.array(dedup))
+    return _clip(*_stack([c]), np.zeros(1, dtype=np.intp), np.array([a], dtype=float),
+                 np.array([b], dtype=float))[0]
 
 
 def split_curve(c: Curve, start: BallRegion | None = None,
@@ -313,22 +448,10 @@ def split_curve(c: Curve, start: BallRegion | None = None,
     curve's end; each is None when its region is not given.  middle, the
     window between the two cuts, is cut only when both regions are given.
     Raises ValueError when the curve never leaves start or when a returned
-    piece collapses to a point.
+    piece collapses to a point.  A family of one for split_curves.
     """
-    s = 0.0 if start is None else first_exit(c, start)
-    if not math.isfinite(s):
-        raise ValueError("curve never leaves its start region")
-    e = c.length() if end is None else last_entry(c, end)
-    windows = ((start is not None, 0.0, s),
-               (start is not None and end is not None, s, e),
-               (end is not None, e, c.length()))
-    pieces = []
-    for wanted, a, b in windows:
-        piece = restrict_curve(c, a, b) if wanted else None
-        if wanted and piece is None:
-            raise ValueError("curve piece collapsed to a point at a cut")
-        pieces.append(piece)
-    return tuple(pieces)
+    return split_curves([c], None if start is None else [start],
+                        None if end is None else [end])[0]
 
 
 @dataclass(frozen=True)
@@ -347,9 +470,22 @@ def cells_of_cover(balls: Sequence[Ball]) -> list[CellSpec]:
     return [CellSpec(BallRegion.cell(i, list(balls)), balls[i]) for i in range(len(balls))]
 
 
-def cell_index(cells: Sequence[CellSpec], point) -> int | None:
-    """Index of the first cell containing the point; None when none does."""
-    return next((k for k, spec in enumerate(cells) if spec.cell.contains(point)), None)
+def cell_indices(cells: Sequence[CellSpec], points) -> np.ndarray:
+    """Index of the first cell containing each point; -1 where none does.
+
+    The cells are those of cells_of_cover, or a prefix of them.  A point
+    outside every earlier cell is then outside every earlier ball, so the
+    first cell holding it is the first ball holding it: one distance per
+    point and ball, each equal to the one the cell's contains takes.
+    """
+    if not len(cells) or not len(points):
+        return np.full(len(points), -1)
+    pts, balls = np.asarray(points, dtype=float), [spec.ball for spec in cells]
+    dist = row_norms((pts[:, None, :] - np.array([b.center for b in balls])[None])
+                     .reshape(-1, pts.shape[1])).reshape(len(pts), len(balls))
+    radii = np.array([b.radius for b in balls])
+    inside = np.where([b.closed for b in balls], dist <= radii, dist < radii)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def cut_curves(pi: PathMeasure, cells: Sequence[CellSpec], mode: str
@@ -359,21 +495,21 @@ def cut_curves(pi: PathMeasure, cells: Sequence[CellSpec], mode: str
     mode "from-start" keeps the piece from the start to the first exit of
     the open parent ball; "from-end" keeps the piece from the last entry
     into the open parent ball to the end.  Returns (curve, weight, cell
-    index) triples.  The cut is split_curve's, so a curve that never
+    index) triples.  The cut is split_curves', so a curve that never
     leaves its start ball, or whose kept piece collapses to a point,
     raises ValueError instead of being kept whole or dropped.
     """
     if mode not in ("from-start", "from-end"):
         raise ValueError("mode must be 'from-start' or 'from-end'")
     from_start = mode == "from-start"
-    out = []
-    for c, w in pi.entries:
-        idx = cell_index(cells, c.start() if from_start else c.end())
-        if idx is None:
-            raise ValueError("curve endpoint not in any cell")
-        if from_start:
-            piece, _, _ = split_curve(c, start=cells[idx].open_ball())
-        else:
-            _, _, piece = split_curve(c, end=cells[idx].open_ball())
-        out.append((piece, w, idx))
-    return out
+    curves = [c for c, _ in pi.entries]
+    idx = cell_indices(cells, [c.start() if from_start else c.end() for c in curves]).tolist()
+    n = idx.index(-1) if -1 in idx else len(idx)
+    balls = {k: cells[k].open_ball() for k in set(idx[:n])}
+    regions = [balls[k] for k in idx[:n]]
+    cut = split_curves(curves[:n], regions if from_start else None,
+                       None if from_start else regions)
+    if n < len(idx):  # raised after the errors of the curves before it
+        raise ValueError("curve endpoint not in any cell")
+    return [(pieces[0 if from_start else 2], w, k)
+            for pieces, (_, w), k in zip(cut, pi.entries, idx)]

@@ -6,17 +6,12 @@ of balls restricted to the shapes the rest of the toolkit actually
 needs: unions, set-difference chains (the last ball minus the open
 preceding ones) and complements of either.
 
-Covering constructions: a greedy Vitali-style cover of a finite compact
-set by balls of radius below a third of the mesh, and a cover of a
-finite null set by balls whose radii sum below a budget, whose spheres
-avoid a prescribed atom list and which cut only a small amount of the
-energy of two given paths.  Radii are nudged by multiplicative factors
-in (1, 1 + 1e-6] when a sphere would hit an atom exactly.
+Covering construction: a greedy Vitali-style cover of a finite compact
+set by balls of radius below a third of the mesh.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -25,8 +20,6 @@ import numpy as np
 
 ON_SPHERE_TOL = 1e-9
 PARAM_TOL = 1e-12
-# radius draws per ball before a null-set cover halves its base radius
-RADIUS_RETRIES = 64
 
 
 def as_point(p) -> np.ndarray:
@@ -214,8 +207,9 @@ def cover_compact(points: Sequence, r: float, ambient_radius: float) -> list[Bal
     Centers are taken from the set itself in lexicographic order and each
     ball gets radius 0.3*r, strictly below r/3.  Uncovered points found
     later become new centers, so accepted centers are pairwise more than
-    0.3*r apart; packing disjoint r/20-balls at those centers shows the
-    count never exceeds packing_bound(ambient_radius, r, d).
+    0.3*r apart; packing disjoint r/20-balls at those centers bounds the
+    count by the number of such balls that fit within r of the ambient
+    ball, which the tests count on a grid.
     """
     if not r > 0:
         raise ValueError("cover mesh r must be positive")
@@ -234,77 +228,3 @@ def cover_compact(points: Sequence, r: float, ambient_radius: float) -> list[Bal
             continue
         balls.append(Ball(p, rho, closed=True))
     return balls
-
-
-def packing_bound(ambient_radius: float, r: float, dim: int) -> int:
-    """Greedy count of disjoint open r/20-balls with centers within r of the ambient ball.
-
-    Centers are scanned over a square grid of spacing r/10; two balls of
-    radius r/20 are disjoint exactly when their centers are at least r/10
-    apart, so grid points themselves form a valid packing and the count is
-    the number of grid points inside the enlarged ambient ball.  Tests
-    check the packing count: cover_compact never uses more balls.
-    """
-    if dim not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    R = ambient_radius + r
-    step = r / 10.0
-    n = int(np.floor(R / step))
-    count = 0
-    for idx in itertools.product(range(-n, n + 1), repeat=dim):
-        if sum(i * i for i in idx) * step * step <= R * R:
-            count += 1
-    return count
-
-
-def _perturbed_radius(base: float, forbidden: Sequence[np.ndarray], center: np.ndarray,
-                      rng: np.random.Generator) -> float:
-    """Radius in (base, base*(1+1e-6)] whose sphere avoids all forbidden atoms."""
-    for _ in range(RADIUS_RETRIES):
-        rad = base * (1.0 + float(rng.uniform(0.0, 1.0)) * 1e-6)
-        ball = Ball(center, rad)
-        if not any(ball.on_sphere(p) for p in forbidden):
-            return rad
-    raise RuntimeError("covering infeasible at tolerance: sphere keeps hitting atoms")
-
-
-def cover_null_set(points: Sequence, path, opt_path, boundary_atoms: Sequence,
-                   eps: float, alpha: float) -> list[Ball]:
-    """Cover a finite set by balls with small radii sum and small cut energy.
-
-    Guarantees on success: radii sum strictly below eps, the alpha-mass of
-    both given paths restricted to the closed union is below eps, and no
-    atom from ``boundary_atoms`` lies on any sphere (radii are perturbed
-    multiplicatively, at most 64 retries per ball).  Base radii are halved
-    up to 60 times to meet the energy budget before giving up.  Tests
-    check this null-set covering budget: radii sum and cut energy below eps.
-    """
-    from . import currents  # local import: geometry stays import-light
-
-    pts = [as_point(p) for p in points]
-    if not pts:
-        return []
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    atoms = [as_point(p) for p in boundary_atoms]
-    rng = np.random.default_rng(20260816)
-    base = 0.45 * eps / len(pts)
-    for _ in range(60):
-        try:
-            balls = [Ball(p, _perturbed_radius(base, atoms, p, rng)) for p in pts]
-        except RuntimeError:
-            base *= 0.5
-            continue
-        if sum(b.radius for b in balls) >= eps:
-            base *= 0.5
-            continue
-        region = BallRegion.union_of(balls)
-        ok = True
-        for t in (path, opt_path):
-            if t is not None and currents.alpha_mass(currents.restrict(t, region), alpha) >= eps:
-                ok = False
-                break
-        if ok:
-            return balls
-        base *= 0.5
-    raise RuntimeError("covering infeasible at tolerance")

@@ -212,33 +212,6 @@ class GridComplex:
         return sparse.coo_matrix((vals, (rows.ravel(), np.repeat(np.arange(self.n_faces), 4))),
                                  shape=(self.n_edges, self.n_faces)).tocsr()
 
-    def edge_boundary_matrix(self) -> sparse.csr_matrix:
-        """Vertex x edge incidence (head +1, tail -1).
-
-        Composed with boundary_matrix it pins the chain-complex identity
-        d d = 0 that the filling LP relies on.
-        """
-        nvert = (self.nx + 1) * (self.ny + 1)
-
-        def vid(i, j):
-            return j * (self.nx + 1) + i
-
-        rows, cols, vals = [], [], []
-        for j in range(self.ny + 1):
-            for i in range(self.nx):
-                e = self.hedge(i, j)
-                rows.extend([vid(i + 1, j), vid(i, j)])
-                cols.extend([e, e])
-                vals.extend([1.0, -1.0])
-        for j in range(self.ny):
-            for i in range(self.nx + 1):
-                e = self.vedge(i, j)
-                rows.extend([vid(i, j + 1), vid(i, j)])
-                cols.extend([e, e])
-                vals.extend([1.0, -1.0])
-        return sparse.coo_matrix((vals, (rows, cols)),
-                                 shape=(nvert, self.n_edges)).tocsr()
-
 
 def _rasterize_segment(grid: GridComplex, chain: np.ndarray, a, b, theta: float) -> None:
     i, j = grid.snap(a)

@@ -434,6 +434,7 @@ class _CoverSide:
     def __post_init__(self):
         self.region = BallRegion.union_of(self.balls[:self.n])
         self.cells = dcmp.cells_of_cover([b.open_copy() for b in self.balls])
+        self.open_balls = [c.open_ball() for c in self.cells]
         self.radius_sum = sum(b.radius for b in self.balls)
 
     def hand_off(self, one2: float, alpha: float, d: int) -> None:
@@ -576,18 +577,19 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
     # selection: curves starting and ending inside the truncated covers, kept
     # up to the first exit from the start ball and from the last entry into
     # the end ball
-    rest = []
+    curves = [c for c, _ in pi_n.entries]
+    i_sel = dcmp.cell_indices(minus.cells[:minus.n], [c.start() for c in curves]).tolist()
+    j_sel = dcmp.cell_indices(plus.cells[:plus.n], [c.end() for c in curves]).tolist()
+    chosen = [k for k in range(len(curves)) if i_sel[k] >= 0 and j_sel[k] >= 0]
+    rest = [entry for k, entry in enumerate(pi_n.entries) if i_sel[k] < 0 or j_sel[k] < 0]
+    cuts = dcmp.split_curves([curves[k] for k in chosen],
+                             [minus.open_balls[i_sel[k]] for k in chosen],
+                             [plus.open_balls[j_sel[k]] for k in chosen])
     sel_weight = 0.0
     sel_full_segs = []
-    for c, w in pi_n.entries:
-        i = dcmp.cell_index(minus.cells[:minus.n], c.start())
-        j = dcmp.cell_index(plus.cells[:plus.n], c.end())
-        if i is None or j is None:
-            rest.append((c, w))
-            continue
+    for k, (head, _, tail) in zip(chosen, cuts):
+        (c, w), i, j = pi_n.entries[k], i_sel[k], j_sel[k]
         sel_weight += w
-        head, _, tail = dcmp.split_curve(c, minus.cells[i].open_ball(),
-                                         plus.cells[j].open_ball())
         sel_full_segs.extend((a, b, w) for a, b in c.segments())
         minus.kept.extend((a, b, w) for a, b in head.segments())
         plus.kept.extend((a, b, w) for a, b in tail.segments())
@@ -595,14 +597,16 @@ def build_competitor(t_n: TrafficPath, pi_n: PathMeasure, t_opt: TrafficPath,
         plus.cut.setdefault(j, []).append((tail.start(), w))
 
     # optimal path: restriction strictly between the two covers
+    curves = [c for c, _ in pi_opt.entries]
+    i_opt = dcmp.cell_indices(minus.cells, [c.start() for c in curves]).tolist()
+    j_opt = dcmp.cell_indices(plus.cells, [c.end() for c in curves]).tolist()
+    n = next((k for k, ij in enumerate(zip(i_opt, j_opt)) if min(ij) < 0), len(curves))
+    cuts = dcmp.split_curves(curves[:n], [minus.open_balls[i] for i in i_opt[:n]],
+                             [plus.open_balls[j] for j in j_opt[:n]])
+    if n < len(curves):  # raised after the errors of the curves before it
+        raise ValueError("optimal decomposition endpoint not covered")
     restr_pieces = []
-    for c, w in pi_opt.entries:
-        i = dcmp.cell_index(minus.cells, c.start())
-        j = dcmp.cell_index(plus.cells, c.end())
-        if i is None or j is None:
-            raise ValueError("optimal decomposition endpoint not covered")
-        _, piece, _ = dcmp.split_curve(c, minus.cells[i].open_ball(),
-                                       plus.cells[j].open_ball())
+    for (_, piece, _), (_, w), i, j in zip(cuts, pi_opt.entries, i_opt, j_opt):
         restr_pieces.append((piece, w))
         minus.opt.setdefault(i, []).append((piece.start(), w))
         plus.opt.setdefault(j, []).append((piece.end(), w))

@@ -1,9 +1,10 @@
-"""Shared builders: random acyclic traffic paths and balanced atom clouds."""
+"""Shared builders: random acyclic traffic paths, balanced atom clouds, Lipschitz maps."""
 
 import numpy as np
 import pytest
 
 from trafficpaths import currents
+from trafficpaths.geometry import Ball, project_to_ball, segment_sphere_params
 
 
 def random_acyclic_path(rng: np.random.Generator, max_edges: int = 40,
@@ -47,6 +48,36 @@ def balanced_clouds(rng: np.random.Generator, k_minus: int, k_plus: int,
     mu_plus = currents.AtomicMeasure.from_atoms(
         [(pp[i], float(wp[i])) for i in range(k_plus)], dim=dim)
     return mu_minus, mu_plus
+
+
+class AffineMap:
+    """x -> A x + b for push_forward; its Lipschitz constant is the spectral norm of A."""
+
+    def __init__(self, matrix, offset):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.offset = np.asarray(offset, dtype=float)
+        self.lipschitz = float(np.linalg.norm(self.matrix, 2))
+
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        return self.matrix @ p + self.offset
+
+    def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
+        return []
+
+
+class BallProjection:
+    """Nearest-point projection onto a closed ball for push_forward (1-Lipschitz)."""
+
+    def __init__(self, ball: Ball):
+        self.ball = ball
+        self.lipschitz = 1.0
+
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        return project_to_ball(p, self.ball)
+
+    def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
+        # split where the segment meets the sphere so inside parts stay exact
+        return segment_sphere_params(a, b, self.ball)
 
 
 @pytest.fixture

@@ -15,10 +15,10 @@ import pytest
 
 from trafficpaths import constructors, currents, metrics, optimizer, stability
 from trafficpaths import decomposition as dcmp
-from trafficpaths.currents import AtomicMeasure, AffineMap
+from trafficpaths.currents import AtomicMeasure
 from trafficpaths.geometry import Ball, BallRegion
 
-from conftest import random_acyclic_path
+from conftest import AffineMap, random_acyclic_path
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

@@ -1,12 +1,14 @@
-"""The array path calculus against the segment-by-segment one it replaced.
+"""The array path calculus and curve surgery against the scalar code they replaced.
 
 ``overlay``, ``from_segments``, ``restrict``, ``_line_groups`` and
 ``AtomicMeasure.from_atoms`` compute canonical lines, interval
 parameters, sphere crossings and memberships for all segments at once and
-merge vertices through ``_merge_rows``.  The scalar versions below are
-the previous implementations, kept as the reference: every answer must
-be bit-identical to theirs (``np.array_equal`` on vertices and points,
-``==`` on edges and masses).
+merge vertices through ``_merge_rows``.  ``split_curves`` walks and clips
+a whole curve family at once, and ``cell_indices`` locates all its
+endpoints.  The scalar versions below are the previous implementations,
+kept as the reference: every answer must be bit-identical to theirs
+(``np.array_equal`` on vertices and points, ``==`` on edges and masses,
+``tobytes`` on curve waypoints and arclengths, the same raised message).
 """
 
 import bisect
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 from trafficpaths import currents, geometry
+from trafficpaths import decomposition as dcmp
 from trafficpaths.currents import MERGE_TOL, THETA_TOL, AtomicMeasure, TrafficPath
+from trafficpaths.decomposition import WEIGHT_TOL, Curve, PathMeasure
 from trafficpaths.geometry import Ball, BallRegion
 
 
@@ -171,6 +175,98 @@ def _ref_from_atoms(atoms, dim, tol=MERGE_TOL):
     return np.array([p for p, _ in kept]), np.array([m for _, m in kept])
 
 
+def _ref_segment_params(c, region, k):
+    a, b = c.waypoints[k], c.waypoints[k + 1]
+    out = set()
+    for ball in region.terms:
+        out.update(geometry.segment_sphere_params(a, b, ball))
+    return sorted(out)
+
+
+def _ref_walk_to_outside(c, region, forward):
+    steps = range(len(c.waypoints) - 1)
+    for k in (steps if forward else reversed(steps)):
+        a, b = c.waypoints[k], c.waypoints[k + 1]
+        locs = [0.0] + _ref_segment_params(c, region, k) + [1.0]
+        pieces = list(zip(locs[:-1], locs[1:]))
+        for lo, hi in (pieces if forward else reversed(pieces)):
+            near = lo if forward else hi
+            if not (region.contains(a + near * (b - a))
+                    and region.contains(a + 0.5 * (lo + hi) * (b - a))):
+                return float(c._cum[k]) + near * float(c._cum[k + 1] - c._cum[k])
+    if not region.contains(c.end() if forward else c.start()):
+        return c.length() if forward else 0.0
+    return None
+
+
+def _ref_first_exit(c, region):
+    s = _ref_walk_to_outside(c, region, forward=True)
+    return math.inf if s is None else s
+
+
+def _ref_last_entry(c, region):
+    s = _ref_walk_to_outside(c, region, forward=False)
+    return 0.0 if s is None else s
+
+
+def _ref_restrict_curve(c, a, b):
+    if a > b + WEIGHT_TOL:
+        raise ValueError("window start exceeds window end")
+    a = max(a, 0.0)
+    b = min(b, c.length())
+    if b - a <= WEIGHT_TOL:
+        return None
+    pts = [c.point_at(a)]
+    for k in range(len(c.waypoints)):
+        s = float(c._cum[k])
+        if a + WEIGHT_TOL < s < b - WEIGHT_TOL:
+            pts.append(c.waypoints[k])
+    pts.append(c.point_at(b))
+    dedup = [pts[0]]
+    for p in pts[1:]:
+        if float(np.linalg.norm(p - dedup[-1])) > WEIGHT_TOL:
+            dedup.append(p)
+    if len(dedup) < 2:
+        return None
+    return Curve(np.array(dedup))
+
+
+def _ref_split_curve(c, start=None, end=None):
+    s = 0.0 if start is None else _ref_first_exit(c, start)
+    if not math.isfinite(s):
+        raise ValueError("curve never leaves its start region")
+    e = c.length() if end is None else _ref_last_entry(c, end)
+    windows = ((start is not None, 0.0, s),
+               (start is not None and end is not None, s, e),
+               (end is not None, e, c.length()))
+    pieces = []
+    for wanted, a, b in windows:
+        piece = _ref_restrict_curve(c, a, b) if wanted else None
+        if wanted and piece is None:
+            raise ValueError("curve piece collapsed to a point at a cut")
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def _ref_cell_index(cells, point):
+    return next((k for k, spec in enumerate(cells) if spec.cell.contains(point)), None)
+
+
+def _ref_cut_curves(pi, cells, mode):
+    from_start = mode == "from-start"
+    out = []
+    for c, w in pi.entries:
+        idx = _ref_cell_index(cells, c.start() if from_start else c.end())
+        if idx is None:
+            raise ValueError("curve endpoint not in any cell")
+        if from_start:
+            piece, _, _ = _ref_split_curve(c, start=cells[idx].open_ball())
+        else:
+            _, _, piece = _ref_split_curve(c, end=cells[idx].open_ball())
+        out.append((piece, w, idx))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # inputs: collinear overlaps, shared endpoints, near-duplicates, dust
 
@@ -322,3 +418,138 @@ def test_from_atoms_and_measure_sums_match_scalar_reference(dim):
         both = _ref_from_atoms(mu.atoms() + nu.atoms(), dim)
         assert np.array_equal((mu + nu).points, both[0])
         assert np.array_equal((mu + nu).masses, both[1])
+
+
+def _polyline(rng, dim):
+    """2-5 waypoints in the unit box, some coordinates -0.0, no step within 1e-3."""
+    while True:
+        w = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), dim))
+        w[rng.random(w.shape) < 0.15] = -0.0
+        if np.all(np.linalg.norm(np.diff(w, axis=0), axis=1) > 1e-3):
+            return Curve(w)
+
+
+def _ball_at(rng, c, at_start):
+    """An open ball around one end: small, through a waypoint, tangent to a segment, or huge."""
+    w = c.waypoints if at_start else c.waypoints[::-1]
+    kind = rng.random()
+    if kind < 0.35:
+        return Ball(w[0] + rng.uniform(-0.05, 0.05, size=len(w[0])),
+                    float(rng.uniform(0.1, 0.8)), closed=False)
+    if kind < 0.6:  # the sphere runs through a waypoint: through the far end for some
+        k = len(w) - 1 if rng.random() < 0.4 else int(rng.integers(1, len(w)))
+        return Ball(w[0], float(np.linalg.norm(w[k] - w[0])), closed=False)
+    if kind < 0.85:  # the sphere touches a segment at its middle
+        k = int(rng.integers(0, len(w) - 1))
+        u = w[k + 1] - w[k]
+        normal = np.cross(u, rng.normal(size=3)) if len(u) == 3 else np.array([-u[1], u[0]])
+        r = float(rng.uniform(0.2, 0.6))
+        return Ball(0.5 * (w[k] + w[k + 1]) + r * normal / np.linalg.norm(normal), r,
+                    closed=False)
+    return Ball(w[0], 5.0, closed=False)  # never left: the walk raises
+
+
+def _ends_on_sphere(rng, dim):
+    """A curve inside an open ball except for its end, which lies on the sphere."""
+    center = rng.uniform(-0.5, 0.5, size=dim)
+    r = float(rng.uniform(0.5, 1.0))
+    u = rng.normal(size=dim)
+    inner = center + rng.uniform(-0.3, 0.3, size=(int(rng.integers(1, 3)), dim)) * r
+    c = Curve(np.vstack([inner, center + r * u / np.linalg.norm(u)]))
+    ball = Ball(center, r, closed=False)
+    return (c, ball) if rng.random() < 0.5 else (Curve(c.waypoints[::-1].copy()), ball)
+
+
+def _assert_same_curve(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.waypoints.shape == want.waypoints.shape
+    assert got.waypoints.tobytes() == want.waypoints.tobytes()
+    assert got._cum.tobytes() == want._cum.tobytes()
+
+
+def _same_outcome(kernel, reference, seen):
+    """Both raise the same message, or both return the same curves; records which."""
+    try:
+        want = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            kernel()
+        assert str(info.value) == str(exc)
+        seen.add(str(exc))
+        return
+    got = kernel()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for piece, ref in zip(g, w):
+            if isinstance(ref, Curve) or ref is None:
+                _assert_same_curve(piece, ref)
+            else:
+                assert piece == ref
+    seen.add("ok")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_curve_cuts_match_scalar_reference(dim):
+    rng = np.random.default_rng(600 + dim)
+    seen = set()
+    assert dcmp.split_curves([], [], []) == []
+    for _ in range(40):
+        curves = [_polyline(rng, dim) for _ in range(int(rng.integers(1, 9)))]
+        starts = [BallRegion.union_of([_ball_at(rng, c, True)]) for c in curves]
+        ends = [BallRegion.union_of([_ball_at(rng, c, False)]) for c in curves]
+        # one multi-ball open union for the whole family, as a sphere-gathered side uses
+        union = BallRegion.union_of(
+            [Ball(c.start(), float(rng.uniform(0.1, 0.7)), closed=False)
+             for c in curves[:int(rng.integers(1, 4))]])
+        shared = [union] * len(curves)
+        for c, start, end in zip(curves, starts, ends):
+            for region in (start, end, union):
+                for forward, kernel, ref in ((True, dcmp.first_exit, _ref_first_exit),
+                                             (False, dcmp.last_entry, _ref_last_entry)):
+                    got, want = kernel(c, region), ref(c, region)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for start, end in ((starts, None), (None, ends), (starts, ends), (shared, None),
+                           (None, shared), (shared, ends)):
+            _same_outcome(lambda: dcmp.split_curves(curves, start, end),
+                          lambda: [_ref_split_curve(c, None if start is None else start[k],
+                                                    None if end is None else end[k])
+                                   for k, c in enumerate(curves)], seen)
+        lo, hi = np.sort(rng.uniform(-0.2, 3.0, size=2)).tolist()
+        for c in curves:
+            a = float(rng.uniform(0.0, c.length()))
+            b = a + WEIGHT_TOL
+            windows = [(lo, hi)]
+            for _ in range(4):  # just wider than WEIGHT_TOL: the dedup may leave one point
+                b = float(np.nextafter(b, math.inf))
+                windows.append((a, b))
+            for s, e in windows:
+                want = _ref_restrict_curve(c, s, e)
+                _assert_same_curve(dcmp.restrict_curve(c, s, e), want)
+                if want is None and e - s > WEIGHT_TOL:
+                    seen.add("deduplicated to a point")
+        for c, ball in (_ends_on_sphere(rng, dim) for _ in range(2)):
+            region = BallRegion.union_of([ball])
+            _same_outcome(lambda: dcmp.split_curves([c], [region], [region]),
+                          lambda: [_ref_split_curve(c, region, region)], seen)
+        # an ordered cover of overlapping balls around the curves' ends, open or
+        # closed, one sphere through an end; an end left uncovered in some families
+        centers = [c.start() if rng.random() < 0.5 else c.end() for c in curves]
+        balls = [Ball(p + rng.uniform(-0.1, 0.1, size=dim), float(rng.uniform(0.15, 0.9)),
+                      closed=bool(rng.random() < 0.5)) for p in centers]
+        if rng.random() < 0.3:
+            balls[0] = Ball(balls[0].center, float(np.linalg.norm(curves[0].end()
+                                                                  - balls[0].center)))
+        cells = dcmp.cells_of_cover(balls[:len(balls) - int(rng.random() < 0.2)])
+        pts = [p for c in curves for p in (c.start(), c.end())]
+        assert dcmp.cell_indices(cells, pts).tolist() == [
+            -1 if k is None else k for k in (_ref_cell_index(cells, p) for p in pts)]
+        pi = PathMeasure(tuple((c, float(rng.uniform(0.1, 1.0))) for c in curves))
+        for mode in ("from-start", "from-end"):
+            _same_outcome(lambda: dcmp.cut_curves(pi, cells, mode),
+                          lambda: _ref_cut_curves(pi, cells, mode), seen)
+    assert dcmp.cut_curves(PathMeasure(()), cells, "from-start") == []
+    assert seen == {"ok", "deduplicated to a point", "curve never leaves its start region",
+                    "curve piece collapsed to a point at a cut",
+                    "window start exceeds window end", "curve endpoint not in any cell"}

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficpaths import currents, geometry
-from trafficpaths.currents import AtomicMeasure, AffineMap, BallProjection, Config
+from trafficpaths.currents import AtomicMeasure, Config
 from trafficpaths.geometry import Ball, BallRegion
 
-from conftest import random_acyclic_path
+from conftest import AffineMap, BallProjection, random_acyclic_path
 
 
 def seg(ax, ay, bx, by, th):

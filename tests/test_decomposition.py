@@ -220,6 +220,34 @@ def test_cut_curves_rejects_curve_that_never_leaves():
         dcmp.cut_curves(pi, cells, mode="from-start")
 
 
+def test_cut_curves_puts_an_end_inside_two_overlapping_balls_in_the_first_cell():
+    pi = PathMeasure(((curve((0, 0), (4, 0)), 1.0),))
+    cells = dcmp.cells_of_cover([Ball(np.array([0.5, 0.0]), 1.0),
+                                 Ball(np.array([-0.5, 0.0]), 1.0)])
+    (head, _, idx), = dcmp.cut_curves(pi, cells, mode="from-start")
+    assert idx == 0
+    assert np.allclose(head.end(), [1.5, 0.0])  # cut against the first ball
+
+
+def test_cut_curves_prefers_an_earlier_open_ball_to_a_later_closed_sphere():
+    # the end lies inside the open first ball and on the closed second ball's sphere
+    pi = PathMeasure(((curve((-4, 0), (0, 0)), 1.0),))
+    cells = dcmp.cells_of_cover([Ball(np.array([0.2, 0.0]), 0.5, closed=False),
+                                 Ball(np.array([-1.0, 0.0]), 1.0)])
+    assert cells[1].ball.on_sphere(np.zeros(2))
+    (tail, _, idx), = dcmp.cut_curves(pi, cells, mode="from-end")
+    assert idx == 0
+    assert np.allclose(tail.start(), [-0.3, 0.0])
+
+
+def test_cut_curves_rejects_an_uncovered_endpoint():
+    covered = (curve((0, 0), (4, 0)), 1.0)
+    pi = PathMeasure((covered, (curve((3, 3), (4, 0)), 1.0)))
+    cells = dcmp.cells_of_cover([Ball(np.array([0.0, 0.0]), 1.0)])
+    with pytest.raises(ValueError, match="curve endpoint not in any cell"):
+        dcmp.cut_curves(pi, cells, mode="from-start")
+
+
 def test_split_curve_three_pieces():
     c = curve((0, 0), (4, 0), (4, 3))
     start = BallRegion.union_of([Ball(np.array([0.0, 0.0]), 1.0, closed=False)])
