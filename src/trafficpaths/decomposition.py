@@ -267,9 +267,10 @@ def _curves(rows: np.ndarray, offsets: np.ndarray) -> list[Curve]:
     cum = np.zeros((len(counts), int(counts.max(initial=0))))
     cum[owner[later], col[later]] = steps
     out = [object.__new__(Curve) for _ in counts]
-    for c, w, arclengths in zip(out, np.split(rows, offsets[1:-1]), np.cumsum(cum, axis=1)):
-        object.__setattr__(c, "waypoints", w)
-        object.__setattr__(c, "_cum", arclengths[:len(w)])
+    for c, lo, hi, arclengths in zip(out, offsets[:-1].tolist(), offsets[1:].tolist(),
+                                     np.cumsum(cum, axis=1)):
+        object.__setattr__(c, "waypoints", rows[lo:hi])
+        object.__setattr__(c, "_cum", arclengths[:hi - lo])
     return out
 
 
@@ -329,9 +330,10 @@ def _walk(rows, cum, offsets, regions: Sequence[BallRegion], forward: bool) -> n
         k, t = k[hit[first]], near[hit[first]]
         out[live[found]] = cum[k] + t * (cum[k + 1] - cum[k])
     rest = np.flatnonzero(np.isnan(out))
-    end = offsets[rest + 1] - 1 if forward else offsets[rest]
-    outside = ~_contains(distinct, group[rest], rows[end])
-    out[rest[outside]] = cum[end[outside]]
+    if rest.size:
+        end = offsets[rest + 1] - 1 if forward else offsets[rest]
+        outside = ~_contains(distinct, group[rest], rows[end])
+        out[rest[outside]] = cum[end[outside]]
     return out
 
 
@@ -352,23 +354,22 @@ def _clip(rows, cum, offsets, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
     win = np.repeat(np.arange(m), n_rows)
     row = np.repeat(offsets[idx] - np.cumsum(n_rows) + n_rows, n_rows) + np.arange(len(win))
 
-    def point_at(s):  # s lies in [0, length], where point_at's clamp leaves it
-        k = offsets[idx] + np.minimum(np.bincount(win[cum[row] <= s[win]], minlength=m) - 1,
-                                      n_rows - 2)
-        return rows[k] + ((s - cum[k]) / (cum[k + 1] - cum[k]))[:, None] * (rows[k + 1] - rows[k])
-
-    ends = point_at(a), point_at(b)
+    # point_at of both ends; they lie in [0, length], where its clamp leaves them
+    ends = np.array((a, b)).T
+    below = np.add.reduceat(cum[row][:, None] <= ends[win], np.cumsum(n_rows) - n_rows, dtype=int)
+    k = offsets[idx][:, None] + np.minimum(below - 1, n_rows[:, None] - 2)
+    ends = rows[k] + ((ends - cum[k]) / (cum[k + 1] - cum[k]))[:, :, None] * (rows[k + 1] - rows[k])
     inner = (a[win] + WEIGHT_TOL < cum[row]) & (cum[row] < b[win] - WEIGHT_TOL)
     row, win = row[inner], win[inner]
     size = np.bincount(win, minlength=m) + 2
     start = np.concatenate(([0], np.cumsum(size)))
     pts = np.empty((start[-1], rows.shape[1]))
-    pts[start[:-1]], pts[start[1:] - 1] = ends
+    pts[start[:-1]], pts[start[1:] - 1] = ends[:, 0], ends[:, 1]
     pts[np.arange(len(row)) + 2 * win + 1] = rows[row]
     kept = np.ones(len(pts), dtype=bool)
     close = row_norms(pts[1:] - pts[:-1]) <= WEIGHT_TOL
     close[start[1:-1] - 1] = False
-    for w in np.unique(np.searchsorted(start, np.flatnonzero(close), side="right") - 1).tolist():
+    for w in sorted(set((np.searchsorted(start, np.flatnonzero(close), side="right") - 1).tolist())):
         prev = start[w]
         for q in range(start[w] + 1, start[w + 1]):
             kept[q] = float(np.linalg.norm(pts[q] - pts[prev])) > WEIGHT_TOL
@@ -399,7 +400,7 @@ def split_curves(curves: Sequence[Curve], start: Sequence[BallRegion] | None = N
     length = cum[offsets[1:] - 1]
     s = np.zeros(n) if start is None else _walk(rows, cum, offsets, start, True)
     e = length if end is None else _walk(rows, cum, offsets, end, False)
-    left, s, e = ~np.isnan(s), np.nan_to_num(s), np.nan_to_num(e)
+    left, s, e = ~np.isnan(s), np.where(np.isnan(s), 0.0, s), np.where(np.isnan(e), 0.0, e)
     windows = ((start is not None, np.zeros(n), s),
                (start is not None and end is not None, s, e),
                (end is not None, e, length))
