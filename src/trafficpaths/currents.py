@@ -311,10 +311,10 @@ def empty_path(dim: int) -> TrafficPath:
     return TrafficPath(np.zeros((0, dim)), ())
 
 
-def from_segments(segs, dim: int | None = None, merge_tol: float = MERGE_TOL) -> TrafficPath:
+def from_segments(segs, dim: int | None = None) -> TrafficPath:
     """Normalize a raw segment soup without collinear overlay.
 
-    Deduplicates vertices at merge_tol, nets out parallel and antiparallel
+    Deduplicates vertices at MERGE_TOL, nets out parallel and antiparallel
     edges between identical vertex pairs, drops zero-length edges and
     multiplicities below 1e-12.  Use ``overlay`` when segments of distinct
     inputs may partially cover each other.
@@ -325,7 +325,7 @@ def from_segments(segs, dim: int | None = None, merge_tol: float = MERGE_TOL) ->
             raise ValueError("empty path needs an explicit dimension")
         return empty_path(dim)
     rows = _rows(_as_points([p for a, b, _ in segs for p in (a, b)]))
-    return _from_rows(rows, [float(th) for _, _, th in segs], len(rows[0]), merge_tol)
+    return _from_rows(rows, [float(th) for _, _, th in segs], len(rows[0]), MERGE_TOL)
 
 
 def _from_rows(rows: list[tuple[float, ...]], thetas: list[float], d: int,

@@ -94,15 +94,6 @@ class PathMeasure:
     def total_weight(self) -> float:
         return sum(w for _, w in self.entries)
 
-    def start_measure(self) -> currents.AtomicMeasure:
-        dim = self.entries[0][0].dim if self.entries else 2
-        return currents.AtomicMeasure.from_atoms(
-            [(c.start(), w) for c, w in self.entries], dim=dim)
-
-    def end_measure(self) -> currents.AtomicMeasure:
-        dim = self.entries[0][0].dim if self.entries else 2
-        return currents.AtomicMeasure.from_atoms(
-            [(c.end(), w) for c, w in self.entries], dim=dim)
 
 
 def _find_cycle(n_vertices: int, adjacency: dict[int, list[int]]) -> list[int] | None:

@@ -191,16 +191,6 @@ def sphere_params(a: np.ndarray, b: np.ndarray, balls: Sequence[Ball]) -> list[l
     return [sorted(set(ts)) if len(ts) > 1 else ts for ts in out]
 
 
-def project_to_ball(p, ball: Ball) -> np.ndarray:
-    """Nearest-point projection onto the closed ball.  1-Lipschitz, identity inside."""
-    q = as_point(p)
-    v = q - ball.center
-    d = float(np.linalg.norm(v))
-    if d <= ball.radius:
-        return q.copy()
-    return ball.center + v * (ball.radius / d)
-
-
 def cover_compact(points: Sequence, r: float, ambient_radius: float) -> list[Ball]:
     """Greedy ball cover of a finite point set at mesh ``r``.
 

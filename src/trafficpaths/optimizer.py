@@ -12,11 +12,14 @@ problem with its own terminals and a group id naming its instance: the
 oracle solves every topology of every instance with the same atom count in
 one batch, one group per instance (a stability trial's limit and all its
 levels share one), and each insertion or regraft scan of local search is a
-batch of one group.  The oracle builds its batch from arrays cached per atom
-count k (every tree's edges, key and leaf-stripping order), replays the
-stripping on whole columns of masses for the flows, and builds a Topology
-only for each instance's winner.  In every problem the free vertices move
-jointly by damped Newton steps on the smoothed objective
+batch of one group.  Both solvers hand the kernel arrays through
+``_solve_trees``: the oracle takes every tree's edges, key and
+leaf-stripping order from arrays cached per atom count k, local search
+stacks the candidates of a scan, and the flows come from replaying the
+stripping orders on whole columns of masses.  A Topology is built only for
+the tree a solver returns; a tree left uncertified is logged and kept at
+its last iterate, scored at its true cost.  In every problem the free
+vertices move jointly by damped Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
 a tenth of the radius R of the terminals; each iteration takes one
 batched step for every live problem.  After each of its stages a problem's
@@ -56,7 +59,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -115,29 +118,27 @@ class Topology:
             return np.vstack([self.terminal_points, self.steiner_points])
         return self.terminal_points.copy()
 
-    def with_steiner(self, pts: np.ndarray) -> "Topology":
-        return Topology(self.terminal_points, self.terminal_masses,
-                        np.asarray(pts, dtype=float).reshape(-1, self.dim), self.edges)
-
     def flows(self) -> list[float]:
         """Signed flow per edge (positive in the a -> b direction), forced by balance."""
-        ib = [float(m) for m in self.terminal_masses] + [0.0] * len(self.steiner_points)
-        flows = [0.0] * len(self.edges)
-        for v, u, e, head in _strip_order(self.edges, len(ib)):
-            flows[e] = ib[v] if head else -ib[v]
-            ib[u] += ib[v]
-        return flows
+        n = self.n_terminals + len(self.steiner_points)
+        order = np.array(_strip_order(self.edges, n), dtype=int).reshape(1, -1, 4)
+        masses = np.asarray(self.terminal_masses, dtype=float)[None]
+        return _tree_flows(order, masses, n)[0, 0].tolist()
 
     def cost(self, alpha: float) -> float:
-        pos = self.positions()
-        total = 0.0
-        for (a, b), f in zip(self.edges, self.flows()):
-            th = abs(f)
-            if th <= FLOW_TOL:
-                continue
-            w = 1.0 if alpha == 0.0 else th ** alpha
-            total += w * float(np.linalg.norm(pos[a] - pos[b]))
-        return total
+        return _tree_cost(self.positions(), self.edges, self.flows(), alpha)
+
+
+def _tree_cost(pos: np.ndarray, edges, flows: list, alpha: float) -> float:
+    """Weighted length of a tree at positions pos: sum_e |f_e|^alpha |x_a - x_b|."""
+    total = 0.0
+    for (a, b), f in zip(edges, flows):
+        th = abs(f)
+        if th <= FLOW_TOL:
+            continue
+        w = 1.0 if alpha == 0.0 else th ** alpha
+        total += w * float(np.linalg.norm(pos[a] - pos[b]))
+    return total
 
 
 def _strip_order(edges, n: int) -> list[tuple]:
@@ -214,16 +215,17 @@ def _trees(k: int) -> _Trees:
     return _Trees(edges, tuple(map(_tree_key, trees)), order)
 
 
-def _tree_flows(k: int, masses: np.ndarray) -> np.ndarray:
-    """Signed edge flows (G, T, 2k-3) of every tree on k terminals, per row of masses (G, k).
+def _tree_flows(order: np.ndarray, masses: np.ndarray, n: int) -> np.ndarray:
+    """Signed edge flows (G, T, E) of T trees on vertices 0..n-1, per mass row (G, k).
 
-    Replays each tree's stripping order on whole columns: the same additions
-    in the same order as ``Topology.flows``, so the same bits.
+    The first k vertices are the terminals and order (T, E, 4) holds each
+    tree's ``_strip_order`` steps.  They are replayed on whole columns:
+    every flow is the balance its tree's stripping accumulates, added in
+    its order, however many trees or rows are stacked.
     """
-    order = _trees(k).order
     T, n_edges = order.shape[:2]
-    ib = np.zeros((len(masses), T, 2 * k - 2))
-    ib[:, :, :k] = masses[:, None]
+    ib = np.zeros((len(masses), T, n))
+    ib[:, :, :masses.shape[1]] = masses[:, None]
     flows = np.empty((len(masses), T, n_edges))
     rows = np.arange(T)
     for v, u, e, head in order.transpose(1, 2, 0):
@@ -494,39 +496,37 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a gap no certificate can meet: a negative one, or one that is not finite."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
+
+
 def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
     """Cost weight |f|^alpha of every edge flow, 1 at alpha = 0, and 0 without flow."""
     th = np.abs(flows)
     return np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
 
 
-def _solve_topologies(topologies: list, alpha: float, tol: float, max_iters: int = 10000,
-                      cutoff: float = math.inf, decide: bool = False) -> list:
-    """Position stage of same-shape topologies of one instance through one
-    ``_minimize_length`` batch.
+def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, alpha: float,
+                 tol: float, groups: np.ndarray, cutoff: float = math.inf,
+                 decide: bool = False) -> list:
+    """Position stage of stacked trees of the same shape, one ``_minimize_length`` batch.
 
-    Edges without flow get weight 0, so every full tree on k terminals has
-    the same shape; each topology's terminals are its anchors.  Entries are
-    (topology, cost), None for a pruned topology, or an OptimizeError
-    carrying the last iterate as a Topology.  With decide, the one
-    topology left once all others are pruned is returned uncertified
-    (see ``_minimize_length``).
+    pos (T, n, d) starts every tree with its k terminals first, edges
+    (T, E, 2) and signed flows (T, E) give its weights, and groups (T,)
+    name its instance.  Entries are (positions, cost), or None for a
+    pruned tree.  A tree left uncertified logs a warning and is kept at its
+    last iterate, scored at its true cost.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    k = topologies[0].n_terminals
-    pos = np.stack([t.positions() for t in topologies])
-    w = _edge_weights(np.array([t.flows() for t in topologies], dtype=float), alpha)
-    edges = np.array([t.edges for t in topologies], dtype=int)
-    out = []
-    for topo, res in zip(topologies, _minimize_length(pos, edges, w, pos[:, :k], tol, max_iters,
-                                                      cutoff, groups=np.zeros(len(pos), int),
-                                                      decide=decide)):
+    out = _minimize_length(pos, edges, _edge_weights(flows, alpha), pos[:, :k], tol, 10000,
+                           cutoff, groups=groups, decide=decide)
+    for i, res in enumerate(out):
         if isinstance(res, OptimizeError):
-            res = OptimizeError(str(res), topo.with_steiner(res.best[k:]))
-        elif res is not None:
-            res = topo.with_steiner(res[0][k:]), res[1]
-        out.append(res)
+            tree = edges[i].tolist()
+            _log.warning("instance %d topology %s not certified: %s", groups[i], _tree_key(tree),
+                         res)
+            out[i] = res.best, _tree_cost(res.best, tree, flows[i].tolist(), alpha)
     return out
 
 
@@ -538,10 +538,16 @@ def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
     iterate attached) if the certified relative gap is not within tol after
     max_iters Newton steps.
     """
-    (res,) = _solve_topologies([topology], alpha, tol, max_iters)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    _check_tol(tol)
+    k, pos = topology.n_terminals, topology.positions()[None]
+    w = _edge_weights(np.array([topology.flows()], dtype=float), alpha)
+    (res,) = _minimize_length(pos, np.array([topology.edges], dtype=int), w, pos[:, :k], tol,
+                              max_iters, groups=np.zeros(1, int))
     if isinstance(res, OptimizeError):
-        raise res
-    return res
+        raise OptimizeError(str(res), replace(topology, steiner_points=res.best[k:]))
+    return replace(topology, steiner_points=res[0][k:]), res[1]
 
 
 def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float):
@@ -556,18 +562,6 @@ def _merged_terminals(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: fl
 
 def _tree_key(edges) -> tuple:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
-
-
-def _solve_logged(topologies: list, alpha: float, tol: float, cutoff: float = math.inf,
-                  decide: bool = False) -> list:
-    """``_solve_topologies``; an uncertified solve is logged and its last iterate kept."""
-    out = []
-    for res in _solve_topologies(topologies, alpha, tol, cutoff=cutoff, decide=decide):
-        if isinstance(res, OptimizeError):
-            _log.warning("instance 0 topology %s not certified: %s", _tree_key(res.best.edges), res)
-            res = res.best, res.best.cost(alpha)
-        out.append(res)
-    return out
 
 
 def _collision_representatives(pos: np.ndarray) -> np.ndarray:
@@ -614,6 +608,7 @@ def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
     solved; the trees of all instances with the same merged atom count go
     to one position batch, one group per instance.
     """
+    _check_tol(tol)
     nets = [_merged_terminals(mm, mp, alpha) for mm, mp in instances]
     if any(len(net.masses) > ORACLE_MAX_ATOMS for net in nets):
         raise OracleRangeError(
@@ -635,7 +630,7 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
     one spread around their net's mean, which breaks their coincidence.  The
     trees of all nets with the same atom count and dimension form one batch,
     one group per net, built from the arrays of ``_trees(k)``; a Topology is
-    built only for each net's winner and for trees left uncertified.
+    built only for each net's winner.
     """
     batches: dict = {}
     for i, net in enumerate(nets):
@@ -649,18 +644,11 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
         starts = np.stack([np.vstack([nets[i].points, np.mean(nets[i].points, axis=0) + spread])
                            for i in members])
         pos = np.repeat(starts, T, axis=0)
-        flows = _tree_flows(k, np.stack([nets[i].masses for i in members]))
-        solved = _minimize_length(pos, np.tile(trees.edges, (len(members), 1, 1)),
-                                  _edge_weights(flows.reshape(len(pos), -1), alpha), pos[:, :k],
-                                  tol, max_iters=10000, groups=np.repeat(members, T))
+        flows = _tree_flows(trees.order, np.stack([nets[i].masses for i in members]), 2 * k - 2)
+        solved = _solve_trees(pos, np.tile(trees.edges, (len(members), 1, 1)),
+                              flows.reshape(len(pos), -1), k, alpha, tol, np.repeat(members, T))
         for j, i in enumerate(members):
             group = solved[j * T:(j + 1) * T]
-            for t, res in enumerate(group):
-                if isinstance(res, OptimizeError):
-                    _log.warning("instance %d topology %s not certified: %s", i, trees.keys[t],
-                                 res)
-                    topo = _tree_topology(nets[i], trees.edges[t], res.best)
-                    group[t] = res.best, topo.cost(alpha)
             t = min((t for t, res in enumerate(group) if res is not None),
                     key=lambda t: (group[t][1], trees.keys[t]))
             best[i] = _tree_topology(nets[i], trees.edges[t], group[t][0]), group[t][1]
@@ -725,20 +713,20 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     least; until the last one is in, terminal 0 carries the mass of the
     terminals still missing.  An insertion before the last ends its scan as
     soon as bounds have dropped every candidate but one, and keeps that
-    one's iterate uncertified; the last insertion is certified.  Then, cyclically over the terminals, one at a
-    time is detached with its branch point and re-inserted into every other
-    edge, each candidate certified; the best of these moves is kept when it
-    lowers the cost by more than the solve tolerance.  The search stops
-    after a full cycle over the terminals without one, or, once a move has
-    been kept, after the k - 1 scans of the other terminals: the moved
-    terminal's own rescan cannot improve, as its candidates were dropped
-    or certified no cheaper in the scan that moved it, and its old edge
-    costs more.  Each scan, insertion or regraft, is one batched position
-    solve, screened against the cost to beat; an uncertified solve logs a
-    warning and keeps its last iterate.  The result
-    is contracted like the oracle's, so its boundary is exact.  No
-    optimality promise: the tests compare it against the exhaustive
-    optimum on oracle-range instances.
+    one's iterate uncertified; the last insertion is certified.  Then,
+    cyclically over the terminals, one at a time is detached with its
+    branch point and re-inserted into every other edge, each candidate
+    certified; the best of these moves is kept when it lowers the cost by
+    more than the solve tolerance.  The search stops after a full cycle
+    over the terminals without one, or, once a move has been kept, after
+    the k - 1 scans of the other terminals: the moved terminal's own rescan
+    cannot improve, as its candidates were dropped or certified no cheaper
+    in the scan that moved it, and its old edge costs more.  Each scan,
+    insertion or regraft, is one batched position solve of the candidates'
+    arrays, screened against the cost to beat; an uncertified solve logs a
+    warning and keeps its last iterate.  The result is contracted like the
+    oracle's, so its boundary is exact.  No optimality promise: the tests
+    compare it against the exhaustive optimum on oracle-range instances.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
     k = len(net.masses)
@@ -747,37 +735,39 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     order = np.argsort(-np.abs(net.masses), kind="stable")
     points, masses = net.points[order], net.masses[order]
 
-    def scan(edges, pos, t, s, last, cutoff, skip=None, decide=False):
+    def scan(tree, pos, t, s, last, cutoff, skip=None, decide=False):
         # t hung from s on every edge but skip, s started at the centroid; the
         # terminals after last are not in the tree yet: terminal 0 carries them
         m = masses.copy()
         m[0] += m[last + 1:].sum()
         m[last + 1:] = 0.0
-        cands = []
-        for e_idx, (a, b) in enumerate(edges):
-            if e_idx != skip:
-                steiner = pos[k:].copy()
-                steiner[s - k] = (pos[a] + pos[b] + pos[t]) / 3.0
-                cands.append(Topology(points, m, steiner, _insert(edges, e_idx, t, s)))
-        solved = [s for s in _solve_logged(cands, alpha, LOCAL_TOL, cutoff, decide)
-                  if s is not None]
-        return min(solved, key=lambda s: s[1]) if solved else None
+        hosts = [e for e in range(len(tree)) if e != skip]
+        cands = [_insert(tree, e, t, s) for e in hosts]
+        ends = np.array(tree)[hosts]
+        starts = np.repeat(pos[None], len(hosts), axis=0)
+        starts[:, s] = (pos[ends[:, 0]] + pos[ends[:, 1]] + pos[t]) / 3.0
+        order = np.array([_strip_order(c, len(pos)) for c in cands])
+        flows = _tree_flows(order, m[None], len(pos))[0]
+        solved = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL,
+                              np.zeros(len(cands), int), cutoff, decide)
+        kept = [(*res, c) for res, c in zip(solved, cands) if res is not None]
+        return min(kept, key=lambda s: s[1]) if kept else None
 
-    topo = Topology(points, masses, np.zeros((max(k - 2, 0), net.dim)), ((0, 1),))
+    # the search state: positions, cost and edges of the current tree
+    pos, tree = np.vstack([points, np.zeros((k - 2, net.dim))]), ((0, 1),)
     for t in range(2, k):
         # only the last insertion's cost is compared later: the others need
         # their best tree, not a certified cost
-        topo, cost = scan(topo.edges, topo.positions(), t, k + t - 2, t, math.inf,
-                          decide=t < k - 1)
+        pos, cost, tree = scan(tree, pos, t, k + t - 2, t, math.inf, decide=t < k - 1)
     stale = 0  # terminals in a row whose regrafts found no improvement
     settled = k  # stale scans that end the search
     t = 0
     while k > 3 and stale < settled:
-        edges, s = _detach(topo.edges, t)
+        edges, s = _detach(tree, t)
         stale += 1
-        solved = scan(edges, topo.positions(), t, s, k - 1, cost, skip=len(edges) - 1)
+        solved = scan(edges, pos, t, s, k - 1, cost, skip=len(edges) - 1)
         if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
             # the moved terminal's own rescan cannot improve (see above)
-            (topo, cost), stale, settled = solved, 0, k - 1
+            (pos, cost, tree), stale, settled = solved, 0, k - 1
         t = (t + 1) % k
-    return dcmp.remove_cycles(_contracted_path(topo))
+    return dcmp.remove_cycles(_contracted_path(Topology(points, masses, pos[k:], tree)))

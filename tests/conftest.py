@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trafficpaths import currents
-from trafficpaths.geometry import Ball, project_to_ball, segment_sphere_params
+from trafficpaths.geometry import Ball, as_point, segment_sphere_params
 
 
 def random_acyclic_path(rng: np.random.Generator, max_edges: int = 40,
@@ -73,11 +73,24 @@ class BallProjection:
         self.lipschitz = 1.0
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        return project_to_ball(p, self.ball)
+        """Nearest point of the closed ball: identity inside."""
+        q = as_point(p)
+        v = q - self.ball.center
+        d = float(np.linalg.norm(v))
+        if d <= self.ball.radius:
+            return q.copy()
+        return self.ball.center + v * (self.ball.radius / d)
 
     def breakpoints(self, a: np.ndarray, b: np.ndarray) -> list[float]:
         # split where the segment meets the sphere so inside parts stay exact
         return segment_sphere_params(a, b, self.ball)
+
+
+def endpoint_measures(pi) -> tuple:
+    """Start and end measures of a path measure: each curve's endpoints carry its weight."""
+    dim = pi.entries[0][0].dim if pi.entries else 2
+    return (currents.AtomicMeasure.from_atoms([(c.start(), w) for c, w in pi.entries], dim=dim),
+            currents.AtomicMeasure.from_atoms([(c.end(), w) for c, w in pi.entries], dim=dim))
 
 
 @pytest.fixture

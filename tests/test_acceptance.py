@@ -18,7 +18,7 @@ from trafficpaths import decomposition as dcmp
 from trafficpaths.currents import AtomicMeasure
 from trafficpaths.geometry import Ball, BallRegion
 
-from conftest import AffineMap, random_acyclic_path
+from conftest import AffineMap, endpoint_measures, random_acyclic_path
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -41,8 +41,9 @@ def test_criterion_1_good_decomposition_equalities():
         t = random_acyclic_path(rng, max_edges=40)
         pi = dcmp.good_decomposition(t)
         bnd = currents.boundary(t)
-        assert (pi.start_measure() - bnd.negative_part()).tv() <= 1e-9
-        assert (pi.end_measure() - bnd.positive_part()).tv() <= 1e-9
+        start, end = endpoint_measures(pi)
+        assert (start - bnd.negative_part()).tv() <= 1e-9
+        assert (end - bnd.positive_part()).tv() <= 1e-9
         assert abs(currents.mass(t) -
                    sum(w * c.length() for c, w in pi.entries)) <= 1e-9
         # edgewise: the decomposition recovers every multiplicity exactly

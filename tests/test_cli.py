@@ -86,6 +86,14 @@ def test_exit_code_2_on_schema_violation(tmp_path):
     assert cli.main(["solve", "--in", str(p)]) == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_exit_code_2_on_a_tol_the_oracle_cannot_certify(tol, tmp_path, capsys):
+    inst = write_instance(tmp_path / "i.json")
+    assert cli.main([f"--tol={tol}", "solve", "--in", str(inst)]) == 2
+    want = f"error: tol must be a finite number >= 0, not {float(tol)!r}\n"
+    assert capsys.readouterr().err == want
+
+
 def test_exit_code_3_on_oracle_range(tmp_path):
     doc = {
         "dimension": 2, "alpha": 0.5,

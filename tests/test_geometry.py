@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from trafficpaths import geometry
 from trafficpaths.geometry import Ball, BallRegion
 
+from conftest import BallProjection
+
 
 def test_ball_membership_open_vs_closed():
     b = Ball(np.array([0.0, 0.0]), 1.0)
@@ -61,8 +63,8 @@ def test_segment_sphere_roots_lie_on_sphere(ax, ay, bx, by, cx, cy, r):
 def test_project_to_ball_identity_inside_and_sphere_outside():
     b = Ball(np.array([1.0, 1.0]), 2.0)
     inside = np.array([1.5, 1.0])
-    assert np.allclose(geometry.project_to_ball(inside, b), inside)
-    out = geometry.project_to_ball(np.array([10.0, 1.0]), b)
+    assert np.allclose(BallProjection(b).apply(inside), inside)
+    out = BallProjection(b).apply(np.array([10.0, 1.0]))
     assert np.allclose(out, [3.0, 1.0])
 
 
@@ -71,7 +73,7 @@ def test_project_to_ball_identity_inside_and_sphere_outside():
 def test_projection_is_1_lipschitz(px, py, qx, qy):
     b = Ball(np.array([0.3, -0.2]), 1.3)
     p, q = np.array([px, py]), np.array([qx, qy])
-    fp, fq = geometry.project_to_ball(p, b), geometry.project_to_ball(q, b)
+    fp, fq = BallProjection(b).apply(p), BallProjection(b).apply(q)
     assert np.linalg.norm(fp - fq) <= np.linalg.norm(p - q) + 1e-12
 
 

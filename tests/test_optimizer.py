@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -163,16 +164,63 @@ def _unit_mass_net():
     return mu_plus - mu_minus
 
 
+def _stripped_flows(edges, masses, n):
+    """Reference flows: ``_strip_order`` replayed one step at a time on Python floats."""
+    ib = [float(m) for m in masses] + [0.0] * (n - len(masses))
+    flows = [0.0] * len(edges)
+    for v, u, e, head in optimizer._strip_order(edges, n):
+        flows[e] = ib[v] if head else -ib[v]
+        ib[u] += ib[v]
+    return flows
+
+
 def test_replayed_flows_equal_topology_flows():
     rng = np.random.default_rng(3)
     cases = [rng.standard_normal((2, k)) for k in range(2, 8)] + [_unit_mass_net().masses[None]]
     for masses in cases:
         k = masses.shape[1]
-        replayed = optimizer._tree_flows(k, masses)
+        replayed = optimizer._tree_flows(optimizer._trees(k).order, masses, 2 * k - 2)
         for g, m in enumerate(masses):
             for t, edges in enumerate(optimizer.enumerate_topologies(k)):
                 topo = optimizer.Topology(np.zeros((k, 2)), m, np.zeros((k - 2, 2)), edges)
                 assert replayed[g, t].tolist() == topo.flows()
+                assert topo.flows() == _stripped_flows(edges, m, 2 * k - 2)
+    # the candidates of insertion scans, stacked as local search stacks them:
+    # the terminals not in the tree yet are isolated and have no mass
+    rng = np.random.default_rng(17)
+    zero_mass = 0
+    for _ in range(12):
+        cands, _ = _insertion_scan(rng)
+        n, masses = len(cands[0].positions()), cands[0].terminal_masses
+        zero_mass += int((masses == 0.0).any())
+        order = np.array([optimizer._strip_order(c.edges, n) for c in cands])
+        replayed = optimizer._tree_flows(order, masses[None], n)[0]
+        for flows, c in zip(replayed, cands):
+            assert flows.tolist() == _stripped_flows(c.edges, masses, n)
+    assert zero_mass >= 6
+
+
+def _solve_batch(topos, alpha, tol, max_iters=10000, decide=False):
+    """Same-shape topologies of one instance as one ``_minimize_length`` batch.
+
+    Entries are (topology, cost), None for a pruned topology, or an
+    OptimizeError carrying the last iterate as a Topology.
+    """
+    k = topos[0].n_terminals
+    pos = np.stack([t.positions() for t in topos])
+    w = optimizer._edge_weights(np.array([t.flows() for t in topos]), alpha)
+    solved = optimizer._minimize_length(pos, np.array([t.edges for t in topos]), w, pos[:, :k],
+                                        tol, max_iters, groups=np.zeros(len(topos), int),
+                                        decide=decide)
+    out = []
+    for topo, res in zip(topos, solved):
+        if isinstance(res, optimizer.OptimizeError):
+            res = optimizer.OptimizeError(
+                str(res), dataclasses.replace(topo, steiner_points=res.best[k:]))
+        elif res is not None:
+            res = dataclasses.replace(topo, steiner_points=res[0][k:]), res[1]
+        out.append(res)
+    return out
 
 
 @pytest.mark.parametrize("k_minus, k_plus, dim", [(2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 4, 3)])
@@ -186,7 +234,7 @@ def test_oracle_winner_matches_its_tree_solved_alone(k_minus, k_plus, dim):
     assert k == k_minus + k_plus
     ((topo, cost),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
     init = net.points.mean(axis=0) + 1e-3 * np.random.default_rng(7).standard_normal((k - 2, dim))
-    ((alone, alone_cost),) = optimizer._solve_topologies(
+    ((alone, alone_cost),) = _solve_batch(
         [optimizer.Topology(net.points.copy(), net.masses.copy(), init, topo.edges)], 0.5, 1e-9)
     assert cost == alone_cost
     assert np.array_equal(topo.steiner_points, alone.steiner_points)
@@ -213,6 +261,7 @@ def test_optimize_positions_equal_mass_junction():
                               ((0, 3), (1, 3), (3, 2)))
     out, cost = optimizer.optimize_positions(topo, alpha=0.5)
     assert cost == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-6)
+    assert out.cost(0.5) == pytest.approx(cost, rel=1e-12)
     assert np.allclose(out.steiner_points[0], [0.0, 1.0], atol=1e-4)
 
 
@@ -260,6 +309,18 @@ def test_optimize_positions_raises_with_best_iterate():
     assert exc.value.best is not None
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+def test_solvers_reject_a_tol_that_is_negative_or_not_finite(tol):
+    mu_minus, mu_plus = balanced_clouds(np.random.default_rng(5), 2, 3)
+    with pytest.raises(ValueError, match="tol"):
+        optimizer.brute_force_optimal(mu_minus, mu_plus, 0.5, tol=tol)
+    for instances in ([(mu_minus, mu_plus)], []):  # checked before anything is solved
+        with pytest.raises(ValueError, match="tol"):
+            optimizer.brute_force_many(instances, 0.5, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        optimizer.optimize_positions(_y_topology([0.1, 0.9]), 0.5, tol=tol)
+
+
 def _y_topology(steiner):
     terminals = np.array([[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
     return optimizer.Topology(terminals, np.array([-1.0, -1.0, 2.0]),
@@ -271,7 +332,7 @@ def test_batch_keeps_certifying_beside_a_stuck_problem(caplog):
     # one needs 11: it stops with its iterate and the batch goes on
     topos = [_y_topology(s) for s in ([0.0, 1.0], [0.1, 0.9], [30.0, -40.0])]
     with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
-        near, nearby, far = optimizer._solve_topologies(topos, 0.5, 1e-10, max_iters=8)
+        near, nearby, far = _solve_batch(topos, 0.5, 1e-10, max_iters=8)
     for solved, topo in ((near, topos[0]), (nearby, topos[1])):
         alone = optimizer.optimize_positions(topo, 0.5, tol=1e-10, max_iters=8)
         assert solved[1] == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-10)
@@ -674,8 +735,8 @@ def test_decided_scan_picks_the_certified_scans_tree(caplog):
     with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
         for _ in range(16):
             cands, alpha = _insertion_scan(rng)
-            certified = optimizer._solve_topologies(cands, alpha, tol)
-            decided = optimizer._solve_topologies(cands, alpha, tol, decide=True)
+            certified = _solve_batch(cands, alpha, tol)
+            decided = _solve_batch(cands, alpha, tol, decide=True)
             assert [res is None for res in decided] == [res is None for res in certified]
             (cost, key), (decided_cost, decided_key) = (
                 min((res[1], optimizer._tree_key(res[0].edges)) for res in solved if res)
