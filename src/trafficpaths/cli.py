@@ -22,6 +22,7 @@ from . import currents, metrics, optimizer, stability
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, TrafficPath
 from .geometry import Ball
+from .stability import read_point, read_value
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +89,8 @@ def measure_from_json(raw, field: str, dim: int) -> AtomicMeasure:
     for k, a in enumerate(raw):
         if not isinstance(a, dict) or "point" not in a or "mass" not in a:
             raise ValueError(f"field '{field}[{k}]' needs 'point' and 'mass'")
-        p = a["point"]
-        if len(p) != dim:
-            raise ValueError(f"field '{field}[{k}].point' has wrong dimension")
-        atoms.append((tuple(float(x) for x in p), float(a["mass"])))
+        atoms.append((read_point(a["point"], f"{field}[{k}].point", dim),
+                      read_value(float, a["mass"], f"{field}[{k}].mass")))
     return AtomicMeasure.from_atoms(atoms, dim=dim)
 
 
@@ -105,19 +104,17 @@ def path_to_json(t: TrafficPath) -> dict:
 def path_from_json(raw, dim: int) -> TrafficPath:
     if not isinstance(raw, dict) or "vertices" not in raw or "edges" not in raw:
         raise ValueError("field 'path' needs 'vertices' and 'edges'")
-    verts = raw["vertices"]
-    for k, v in enumerate(verts):
-        if len(v) != dim:
-            raise ValueError(f"field 'path.vertices[{k}]' has wrong dimension")
+    verts = [read_point(v, f"path.vertices[{k}]", dim)
+             for k, v in enumerate(read_value(list, raw["vertices"], "path.vertices"))]
     segs = []
-    for k, e in enumerate(raw["edges"]):
-        if len(e) != 3:
+    for k, e in enumerate(read_value(list, raw["edges"], "path.edges")):
+        if not isinstance(e, list) or len(e) != 3:
             raise ValueError(f"field 'path.edges[{k}]' must be [tail, head, theta]")
-        i, j, th = int(e[0]), int(e[1]), float(e[2])
+        i, j, th = read_value(lambda e: (int(e[0]), int(e[1]), float(e[2])), e,
+                              f"path.edges[{k}]")
         if not (0 <= i < len(verts) and 0 <= j < len(verts)):
             raise ValueError(f"field 'path.edges[{k}]' references a missing vertex")
-        segs.append((np.asarray(verts[i], dtype=float),
-                     np.asarray(verts[j], dtype=float), th))
+        segs.append((verts[i], verts[j], th))
     return currents.from_segments(segs, dim=dim)
 
 
@@ -151,10 +148,10 @@ def instance_from_dict(d: dict) -> Instance:
     for key in ("dimension", "alpha", "mu_minus", "mu_plus"):
         if key not in d:
             raise ValueError(f"missing field: {key}")
-    dim = int(d["dimension"])
+    dim = read_value(int, d["dimension"], "dimension")
     if dim not in (2, 3):
         raise ValueError("field 'dimension' must be 2 or 3")
-    alpha = float(d["alpha"])
+    alpha = read_value(float, d["alpha"], "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("field 'alpha' must lie in [0, 1]")
     mu_minus = measure_from_json(d["mu_minus"], "mu_minus", dim)
@@ -164,7 +161,7 @@ def instance_from_dict(d: dict) -> Instance:
     if abs(mu_minus.total() - mu_plus.total()) > 1e-9:
         raise ValueError("field 'mu_plus' does not balance 'mu_minus' within 1e-9")
     path = path_from_json(d["path"], dim) if "path" in d else None
-    return Instance(dim, alpha, float(d.get("ambient_radius", 4.0)),
+    return Instance(dim, alpha, read_value(float, d.get("ambient_radius", 4.0), "ambient_radius"),
                     mu_minus, mu_plus, path)
 
 
@@ -338,8 +335,9 @@ def cmd_competitor(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     cc = stability.CompetitorConfig.from_dict(raw)
+    radius = raw.get("cover_radius")
     covers = _auto_covers(opt_inst.path, cc, inst.dimension,
-                          raw.get("cover_radius"))
+                          None if radius is None else read_value(float, radius, "cover_radius"))
     pi_n = dcmp.good_decomposition(inst.path)
     pi_opt = dcmp.good_decomposition(opt_inst.path)
     alpha = args.alpha if args.alpha is not None else inst.alpha

@@ -17,11 +17,11 @@ competitor assembly) funnels through this overlay, so its tolerances
 are the global ones: vertices merge at 1e-9, multiplicities below 1e-12
 are dropped, collinearity is decided at 1e-9 angular tolerance.  Vertex
 merging, line grouping and atom merging share one rule, the order-
-dependent first-match merge of ``_PointIndex``, applied to whole lists
-of rows by ``_merge_rows``: exact repeats meet in one dict, a sort per
-axis shows which distinct rows have a neighbour within tolerance, and
-only those few rows are replayed through a ``_PointIndex``.  Canonical
-lines, interval parameters, sphere crossings and region membership are
+dependent first-match merge of ``_merge_rows``, applied to whole lists
+of rows: exact repeats meet in one dict, a sort per axis cuts the
+distinct rows into runs of possible neighbours, and a row is matched
+only against the representatives of its own run.  Canonical lines,
+interval parameters, sphere crossings and region membership are
 computed for all segments at once with ``geometry.row_dots``, whose
 entries equal the 1-d dot products, so every answer is bit-identical
 to a segment-by-segment evaluation.
@@ -36,7 +36,6 @@ push-forwards; the tests pin all three.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,99 +49,56 @@ from .geometry import (BallRegion, as_point, row_dots, row_norms,  # noqa: F401
 MERGE_TOL = 1e-9
 THETA_TOL = 1e-12
 LINE_TOL = 1e-9
+MERGE_GRID = 1e-6  # orders the representatives a row may join
 
 
-class _PointIndex:
-    """Incremental point registry with tolerance merging, on float tuples.
-
-    Points are bucketed on a grid of side max(1e-6, 4 tol), so a point
-    within ``tol`` (Chebyshev) of a query lies in a bucket whose index on
-    each axis runs from floor((x - 2 tol)/grid) to floor((x + 2 tol)/grid):
-    one bucket unless x lies within 2 tol of a bucket face.  ``find``
-    probes only those buckets; the 2 tol margin absorbs the rounding of
-    x +- tol.  They are visited in lexicographic key order and each
-    bucket's points in insertion order, the order of a full scan of the
-    3^dim neighbour buckets, so the first match -- the representative a
-    point merges into -- is the one that scan would return.
-    """
-
-    def __init__(self, tol: float = MERGE_TOL):
-        self.tol = tol
-        self.grid = max(1e-6, 4.0 * tol)
-        self.points: list[tuple[float, ...]] = []
-        self._buckets: dict[tuple[int, ...], list[int]] = {}
-
-    def find(self, p: tuple[float, ...]) -> int:
-        tol, grid, reach = self.tol, self.grid, 2.0 * self.tol
-        axes = [range(math.floor((x - reach) / grid), math.floor((x + reach) / grid) + 1)
-                for x in p]
-        for key in itertools.product(*axes):
-            for idx in self._buckets.get(key, ()):
-                if all(abs(a - b) <= tol for a, b in zip(self.points[idx], p)):
-                    return idx
-        return -1
-
-    def insert(self, p: tuple[float, ...]) -> int:
-        idx = self.find(p)
-        if idx >= 0:
-            return idx
-        self.points.append(p)
-        idx = len(self.points) - 1
-        key = tuple(math.floor(x / self.grid) for x in p)
-        self._buckets.setdefault(key, []).append(idx)
-        return idx
-
-
-def _crowded(rows: list[tuple[float, ...]], reach: float) -> list[int]:
-    """Indices of the rows that may have another row within ``reach`` on every axis.
+def _crowded(rows: list[tuple[float, ...]], reach: float) -> list[list[tuple[float, ...]]]:
+    """Runs of the rows: two rows within ``reach`` on every axis share a run.
 
     The rows are sorted along each axis in turn, inside the runs of the
     previous axis, and cut into runs wherever neighbours lie more than
-    ``reach`` apart; a row alone in its run leaves.  Two rows within
-    ``reach`` on every axis always share a run, so both are returned;
-    rows farther apart may be returned too.
+    ``reach`` apart; a row alone in its run leaves.  Rows of one run may
+    lie farther apart.
     """
-    runs = [range(len(rows))]
-    for axis in range(len(rows[0])):
+    runs = [rows]
+    for axis in range(len(rows[0]) if rows else 0):
         split = []
         for run in runs:
-            order = sorted(run, key=lambda i: rows[i][axis])
+            order = sorted(run, key=lambda r: r[axis])
             start = 0
             for k in range(1, len(order) + 1):
-                if k == len(order) or rows[order[k]][axis] - rows[order[k - 1]][axis] > reach:
+                if k == len(order) or order[k][axis] - order[k - 1][axis] > reach:
                     if k - start > 1:
                         split.append(order[start:k])
                     start = k
         runs = split
-    return [i for run in runs for i in run]
+    return runs
 
 
 def _merge_rows(rows: list[tuple[float, ...]], tol: float) -> list[int]:
-    """For each row, the row that sequential ``_PointIndex(tol)`` insertion merges it into.
+    """For each row, the position of the first row of its merge class.
 
-    Entry k is the position of the first row of row k's merge class, the
-    one insertion keeps as the representative.  Exact repeats meet in one
-    dict (-0.0 == 0.0 there, as in ``_PointIndex``).  A distinct row that
-    ``_crowded`` leaves out has no other row within tol, so it and its
-    repeats form a class of their own.  The other rows, repeats included,
-    are replayed through a fresh ``_PointIndex`` in their original order;
-    ``find`` matches only within tol, so the rows left out could not have
-    changed their answers and the replay gives the global one.
+    The rule is an order-dependent first match.  Rows are taken in input
+    order, repeats included; a row joins the first representative within
+    ``tol`` (Chebyshev), ordered by the representative's cell on a grid of
+    side ``MERGE_GRID`` and then by its position, and a row with no match
+    becomes a representative.  Exact repeats meet in one dict (-0.0 ==
+    0.0 there).  A representative within tol of a row shares its run of
+    ``_crowded``, so a distinct row in no run forms a class with its
+    repeats and the other rows are matched only inside their own run.
     """
     first: dict[tuple[float, ...], int] = {}
     merged = [first.setdefault(r, k) for k, r in enumerate(rows)]
-    if len(first) > 1:
-        distinct = list(first)
-        keys = {distinct[i] for i in _crowded(distinct, 2.0 * tol)}
-        if keys:
-            index = _PointIndex(tol)
-            owner: list[int] = []
-            for k, r in enumerate(rows):
-                if r in keys:
-                    i = index.insert(r)
-                    if i == len(owner):
-                        owner.append(k)
-                    merged[k] = owner[i]
+    run_of = {r: g for g, run in enumerate(_crowded(list(first), 2.0 * tol)) for r in run}
+    reps: dict[int, list] = {}  # run -> (cell, position, row) of its representatives
+    for k, r in enumerate(rows):
+        if r in run_of:
+            run = reps.setdefault(run_of[r], [])
+            near = [(cell, j) for cell, j, q in run
+                    if all(abs(a - b) <= tol for a, b in zip(q, r))]
+            merged[k] = min(near)[1] if near else k
+            if not near:
+                run.append((tuple(math.floor(x / MERGE_GRID) for x in r), k, r))
     return merged
 
 
@@ -208,22 +164,21 @@ class AtomicMeasure:
     masses: np.ndarray
 
     @staticmethod
-    def from_atoms(atoms, dim: int | None = None, tol: float = MERGE_TOL) -> "AtomicMeasure":
+    def from_atoms(atoms, dim: int | None = None) -> "AtomicMeasure":
         atoms = list(atoms)
         if not atoms:
             if dim is None:
                 raise ValueError("empty measure needs an explicit dimension")
             return AtomicMeasure(np.zeros((0, dim)), np.zeros(0))
         return AtomicMeasure._merged(_as_points([p for p, _ in atoms]),
-                                     [float(m) for _, m in atoms], tol)
+                                     [float(m) for _, m in atoms])
 
     @staticmethod
-    def _merged(points: np.ndarray, masses: list[float], tol: float = MERGE_TOL
-                ) -> "AtomicMeasure":
+    def _merged(points: np.ndarray, masses: list[float]) -> "AtomicMeasure":
         """``from_atoms`` of the atoms (points[k], masses[k]) of an (n, d) array."""
         rows = _rows(np.asarray(points, dtype=float))
         net: dict[int, float] = {}
-        for i, m in zip(_merge_rows(rows, tol), masses):
+        for i, m in zip(_merge_rows(rows, MERGE_TOL), masses):
             net[i] = net.get(i, 0.0) + m
         pts, ms = [], []
         for i, m in net.items():
@@ -282,8 +237,9 @@ class AtomicMeasure:
         return 0.0
 
     def restrict(self, region: BallRegion) -> "AtomicMeasure":
-        kept = [(p, m) for p, m in self.atoms() if region.contains(p)]
-        return AtomicMeasure.from_atoms(kept, dim=self.dim)
+        # a subset of merged, nonzero, sorted atoms is all three already
+        keep = region.contains_rows(self.points)
+        return AtomicMeasure(self.points[keep], self.masses[keep])
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.masses >= -THETA_TOL)) if len(self.masses) else True

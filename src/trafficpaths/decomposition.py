@@ -48,11 +48,8 @@ class Curve:
         w = np.asarray(self.waypoints, dtype=float)
         if w.ndim != 2 or w.shape[0] < 2:
             raise ValueError("curve needs at least two waypoints")
-        steps = np.linalg.norm(np.diff(w, axis=0), axis=1)
-        if np.any(steps <= WEIGHT_TOL):
-            raise ValueError("curve has a zero-length step")
+        object.__setattr__(self, "_cum", _arclengths(w, np.array([0, len(w)]))[0])
         object.__setattr__(self, "waypoints", w)
-        object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(steps))))
 
     @property
     def dim(self) -> int:
@@ -240,13 +237,12 @@ def reconstruct(pi: PathMeasure, dim: int = 2) -> currents.TrafficPath:
     return currents.overlay(segs, dim=pi.entries[0][0].dim if pi.entries else dim)
 
 
-def _curves(rows: np.ndarray, offsets: np.ndarray) -> list[Curve]:
-    """The curves over rows[offsets[i]:offsets[i + 1]], validated once for the family.
+def _arclengths(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Arclengths of the polylines rows[offsets[i]:offsets[i + 1]], one zero-padded row each.
 
-    Every curve must have at least two waypoints.  The steps come from one
-    np.linalg.norm along axis 1 and the arclengths from a row-wise cumsum
-    over zero-padded step rows, both equal to Curve.__post_init__'s bit
-    for bit.
+    Raises on a step of length WEIGHT_TOL or less.  The steps come from
+    one np.linalg.norm along axis 1 and the arclengths from a row-wise
+    cumsum, so a curve's values do not depend on the family around it.
     """
     counts = np.diff(offsets)
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -257,9 +253,17 @@ def _curves(rows: np.ndarray, offsets: np.ndarray) -> list[Curve]:
         raise ValueError("curve has a zero-length step")
     cum = np.zeros((len(counts), int(counts.max(initial=0))))
     cum[owner[later], col[later]] = steps
-    out = [object.__new__(Curve) for _ in counts]
+    return np.cumsum(cum, axis=1)
+
+
+def _curves(rows: np.ndarray, offsets: np.ndarray) -> list[Curve]:
+    """The curves over rows[offsets[i]:offsets[i + 1]], validated once for the family.
+
+    Every curve must have at least two waypoints.
+    """
+    out = [object.__new__(Curve) for _ in range(len(offsets) - 1)]
     for c, lo, hi, arclengths in zip(out, offsets[:-1].tolist(), offsets[1:].tolist(),
-                                     np.cumsum(cum, axis=1)):
+                                     _arclengths(rows, offsets)):
         object.__setattr__(c, "waypoints", rows[lo:hi])
         object.__setattr__(c, "_cum", arclengths[:hi - lo])
     return out

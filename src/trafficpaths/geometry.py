@@ -107,18 +107,14 @@ class BallRegion:
         return replace(self, complement=not self.complement)
 
     def contains(self, p) -> bool:
-        q = as_point(p)
-        if self.kind == "union":
-            inside = any(b.contains(q) for b in self.terms)
-        else:
-            # difference chains always subtract the open interiors
-            inside = self.terms[-1].contains(q) and not any(
-                float(np.linalg.norm(q - b.center)) < b.radius for b in self.terms[:-1]
-            )
-        return inside != self.complement
+        return bool(self.contains_rows(as_point(p)[None])[0])
 
     def contains_rows(self, points: np.ndarray) -> np.ndarray:
-        """``contains`` of each row of an (n, d) array, as a boolean mask."""
+        """Membership of each row of an (n, d) array, as a boolean mask.
+
+        A cell subtracts the open interiors of its earlier balls whatever
+        their ``closed`` flag.
+        """
         def within(ball: Ball, closed: bool) -> np.ndarray:
             dist = row_norms(points - ball.center)
             return dist <= ball.radius if closed else dist < ball.radius

@@ -125,9 +125,6 @@ class Topology:
         masses = np.asarray(self.terminal_masses, dtype=float)[None]
         return _tree_flows(order, masses, n)[0, 0].tolist()
 
-    def cost(self, alpha: float) -> float:
-        return _tree_cost(self.positions(), self.edges, self.flows(), alpha)
-
 
 def _tree_cost(pos: np.ndarray, edges, flows: list, alpha: float) -> float:
     """Weighted length of a tree at positions pos: sum_e |f_e|^alpha |x_a - x_b|."""

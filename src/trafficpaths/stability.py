@@ -27,7 +27,7 @@ from . import constructors, currents, metrics, optimizer
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, Config, TrafficPath
 from .decomposition import Curve, PathMeasure
-from .geometry import BallRegion
+from .geometry import BallRegion, as_point
 
 GOLDEN = 0.6180339887498949
 BOUNDARY_TOL = 1e-9
@@ -107,6 +107,22 @@ def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
     raise ValueError(f"unknown target kind: {spec.kind}")
 
 
+def read_value(convert, raw, field: str):
+    """convert(raw) for a JSON field; a value of the wrong type raises ValueError naming it."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field '{field}' has a value of the wrong type or shape") from None
+
+
+def read_point(raw, field: str, dim: int | None = None) -> tuple:
+    """A JSON point (2 or 3 numbers, dim of them if given) as a tuple of floats."""
+    p = tuple(read_value(as_point, raw, field).tolist())
+    if dim is not None and len(p) != dim:
+        raise ValueError(f"field '{field}' has wrong dimension")
+    return p
+
+
 def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
     if not isinstance(d, dict):
         raise ValueError("target spec must be an object")
@@ -116,17 +132,19 @@ def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
         if not isinstance(raw, list) or not raw:
             raise ValueError("target spec field 'atoms' must be a nonempty list")
         atoms = []
-        for a in raw:
-            if "point" not in a or "mass" not in a:
+        for k, a in enumerate(raw):
+            if not isinstance(a, dict) or "point" not in a or "mass" not in a:
                 raise ValueError("atom entries need 'point' and 'mass' fields")
-            atoms.append((tuple(float(x) for x in a["point"]), float(a["mass"])))
+            atoms.append((read_point(a["point"], f"atoms[{k}].point"),
+                          read_value(float, a["mass"], f"atoms[{k}].mass")))
         return TargetSpec(kind="points", atoms=tuple(atoms),
-                          perturbation=float(d.get("perturbation", 0.0)), seed=seed)
+                          perturbation=read_value(float, d.get("perturbation", 0.0),
+                                                  "perturbation"), seed=seed)
     if kind == "cantor":
-        return TargetSpec(kind="cantor", origin=tuple(d.get("origin", (0.0, 0.0))),
-                          length=float(d.get("length", 1.0)),
-                          mass=float(d.get("mass", 1.0)),
-                          axis=tuple(d["axis"]) if "axis" in d else None, seed=seed)
+        return TargetSpec(kind="cantor", origin=read_point(d.get("origin", (0.0, 0.0)), "origin"),
+                          length=read_value(float, d.get("length", 1.0), "length"),
+                          mass=read_value(float, d.get("mass", 1.0), "mass"),
+                          axis=read_point(d["axis"], "axis") if "axis" in d else None, seed=seed)
     raise ValueError(f"unknown target kind: {kind}")
 
 
@@ -162,21 +180,28 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     for key in ("alpha", "dimension", "mu_minus", "mu_plus", "schedule"):
         if key not in d:
             raise ValueError(f"missing field: {key}")
-    cfg = Config(alpha=float(d["alpha"]), dimension=int(d["dimension"]),
-                 ambient_radius=float(d.get("ambient_radius", 4.0)))
-    seed = int(d.get("seed", 0))
-    schedule = tuple(int(n) for n in d["schedule"])
-    if any(n < 0 for n in schedule):
-        raise ValueError("field 'schedule' must contain nonnegative integers")
+    cfg = Config(alpha=read_value(float, d["alpha"], "alpha"),
+                 dimension=read_value(int, d["dimension"], "dimension"),
+                 ambient_radius=read_value(float, d.get("ambient_radius", 4.0), "ambient_radius"))
+    seed = read_value(int, d.get("seed", 0), "seed")
+    schedule = d["schedule"]
+    if not isinstance(schedule, list) or not all(isinstance(n, int) and n >= 0 for n in schedule):
+        raise ValueError("field 'schedule' must be a list of nonnegative integers")
+    minus = target_from_dict(d["mu_minus"], seed=seed)
+    plus = target_from_dict(d["mu_plus"], seed=seed + 1)
+    for name, spec in (("mu_minus", minus), ("mu_plus", plus)):
+        if spec.dim() != cfg.dimension:
+            raise ValueError(f"field '{name}' is {spec.dim()}-d "
+                             f"but 'dimension' is {cfg.dimension}")
     return ExperimentConfig(
         config=cfg,
-        minus=target_from_dict(d["mu_minus"], seed=seed),
-        plus=target_from_dict(d["mu_plus"], seed=seed + 1),
-        schedule=schedule,
+        minus=minus,
+        plus=plus,
+        schedule=tuple(schedule),
         seed=seed,
-        optimality_tol=float(d.get("optimality_tol", 1e-4)),
-        convergence_tol=float(d.get("convergence_tol", 5e-2)),
-        grid_step=float(d.get("grid_step", 0.25)),
+        optimality_tol=read_value(float, d.get("optimality_tol", 1e-4), "optimality_tol"),
+        convergence_tol=read_value(float, d.get("convergence_tol", 5e-2), "convergence_tol"),
+        grid_step=read_value(float, d.get("grid_step", 0.25), "grid_step"),
     )
 
 
@@ -365,12 +390,12 @@ class CompetitorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompetitorConfig":
-        for key in ("Delta", "eps1", "eps2", "delta", "N_minus", "N_plus"):
+        kinds = {"Delta": float, "eps1": float, "eps2": float, "delta": float,
+                 "N_minus": int, "N_plus": int}
+        for key in kinds:
             if key not in d:
                 raise ValueError(f"missing field: {key}")
-        return cls(Delta=float(d["Delta"]), eps1=float(d["eps1"]),
-                   eps2=float(d["eps2"]), delta=float(d["delta"]),
-                   N_minus=int(d["N_minus"]), N_plus=int(d["N_plus"]))
+        return cls(**{key: read_value(kind, d[key], key) for key, kind in kinds.items()})
 
 
 def cover_radius_budget(Delta: float, dim: int) -> float:
@@ -404,7 +429,7 @@ def _sign_covers(covers: dict) -> tuple:
 
 
 def _cell_mass(measure: AtomicMeasure, cell) -> float:
-    return sum(m for p, m in measure.atoms() if cell.contains(p))
+    return sum(measure.masses[cell.contains_rows(measure.points)].tolist())
 
 
 @dataclass

@@ -1,10 +1,46 @@
-"""Shared builders: random acyclic traffic paths, balanced atom clouds, Lipschitz maps."""
+"""Shared builders: random acyclic traffic paths, balanced atom clouds, Lipschitz maps,
+and the point-merge reference registry."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from trafficpaths import currents
 from trafficpaths.geometry import Ball, as_point, segment_sphere_params
+
+
+class ScanPointIndex:
+    """Merge reference: a registry that scans all 3^dim neighbour buckets of a 1e-6 grid.
+
+    ``insert`` returns the index of the first stored point within ``tol``
+    (Chebyshev) of p, visiting the neighbour buckets in lexicographic key
+    order and each bucket's points in insertion order, and stores p as a
+    new point when there is none.  Points are stored as float tuples.
+    ``currents._merge_rows`` must name the same classes.
+    """
+
+    def __init__(self, dim: int, tol: float = currents.MERGE_TOL, grid: float = 1e-6):
+        self.tol = tol
+        self.grid = grid
+        self.points: list[tuple[float, ...]] = []
+        self._buckets: dict[tuple, list[int]] = {}
+        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+
+    def _key(self, p: tuple) -> tuple:
+        return tuple(math.floor(x / self.grid) for x in p)
+
+    def insert(self, p) -> int:
+        p = tuple(float(x) for x in p)
+        k = self._key(p)
+        for off in self._offsets:
+            for idx in self._buckets.get(tuple(a + b for a, b in zip(k, off)), ()):
+                if max(abs(a - b) for a, b in zip(self.points[idx], p)) <= self.tol:
+                    return idx
+        self.points.append(p)
+        self._buckets.setdefault(k, []).append(len(self.points) - 1)
+        return len(self.points) - 1
 
 
 def random_acyclic_path(rng: np.random.Generator, max_edges: int = 40,

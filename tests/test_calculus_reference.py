@@ -6,7 +6,8 @@ parameters, sphere crossings and memberships for all segments at once and
 merge vertices through ``_merge_rows``.  ``split_curves`` walks and clips
 a whole curve family at once, and ``cell_indices`` locates all its
 endpoints.  The scalar versions below are the previous implementations,
-kept as the reference: every answer must be bit-identical to theirs
+kept as the reference, and they merge points through
+``conftest.ScanPointIndex``: every answer must be bit-identical to theirs
 (``np.array_equal`` on vertices and points, ``==`` on edges and masses,
 ``tobytes`` on curve waypoints and arclengths, the same raised message).
 """
@@ -17,11 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from trafficpaths import currents, geometry
+from trafficpaths import currents, geometry, stability
 from trafficpaths import decomposition as dcmp
 from trafficpaths.currents import MERGE_TOL, THETA_TOL, AtomicMeasure, TrafficPath
 from trafficpaths.decomposition import WEIGHT_TOL, Curve, PathMeasure
 from trafficpaths.geometry import Ball, BallRegion
+
+from conftest import ScanPointIndex
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +36,7 @@ def _ref_from_segments(segs, dim, merge_tol=MERGE_TOL):
     if not segs:
         return currents.empty_path(dim)
     d = len(np.asarray(segs[0][0]))
-    index = currents._PointIndex(merge_tol)
+    index = ScanPointIndex(d, merge_tol)
     net = {}
     for a, b, th in segs:
         pa, pb = tuple(np.asarray(a, float).tolist()), tuple(np.asarray(b, float).tolist())
@@ -60,7 +63,7 @@ def _ref_canonical_line(a, b):
 
 
 def _ref_line_groups(segs):
-    index = currents._PointIndex(currents.LINE_TOL)
+    index = ScanPointIndex(2 * len(segs[0][0]), currents.LINE_TOL)
     groups = []
     for k, (a, b, th) in enumerate(segs):
         u, p0 = _ref_canonical_line(a, b)
@@ -162,8 +165,8 @@ def _ref_restrict(t, region):
     return _ref_from_segments(pieces, t.dim, merge_tol=1e-12)
 
 
-def _ref_from_atoms(atoms, dim, tol=MERGE_TOL):
-    index = currents._PointIndex(tol)
+def _ref_from_atoms(atoms, dim):
+    index = ScanPointIndex(dim)
     net = {}
     for p, m in atoms:
         i = index.insert(tuple(np.asarray(p, float).tolist()))
@@ -384,6 +387,13 @@ def test_restrict_matches_scalar_reference(dim):
             pts = np.concatenate([t.vertices, mids])
             assert region.contains_rows(pts).tolist() == [_ref_contains(region, p) for p in pts]
             assert [region.contains(p) for p in pts] == [_ref_contains(region, p) for p in pts]
+            # the measure restriction keeps the merged arrays; cell masses sum in atom order
+            mu = currents.boundary(t)
+            kept = [(p, m) for p, m in mu.atoms() if _ref_contains(region, p)]
+            want = _ref_from_atoms(kept, dim)
+            got = mu.restrict(region)
+            assert np.array_equal(got.points, want[0]) and np.array_equal(got.masses, want[1])
+            assert stability._cell_mass(mu, region) == sum(m for _, m in kept)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -177,8 +177,8 @@ def test_svg_render(tmp_path):
     assert text.count("<line") >= 2
 
 
-def test_stability_cli_deterministic(tmp_path):
-    cfg = {
+def _trial_config() -> dict:
+    return {
         "alpha": 0.6, "dimension": 2, "ambient_radius": 4.0,
         "mu_minus": {"kind": "points",
                      "atoms": [{"point": [0.0, -1.0], "mass": 1.0}],
@@ -189,6 +189,64 @@ def test_stability_cli_deterministic(tmp_path):
                     "perturbation": 1.0},
         "schedule": [1, 2, 4, 8],
     }
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    *keys, last = path
+    inner = doc
+    for key in keys:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+WRONG_TYPE = "has a value of the wrong type or shape"
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("mu_minus", 0, "point"), 1.0, "mu_minus[0].point"),
+    (("dimension",), [2], "dimension"),
+    (("mu_plus", 0, "mass"), [1.0], "mu_plus[0].mass"),
+    (("path",), {"vertices": [1, 2], "edges": [[0, 1, 1.0]]}, "path.vertices[0]"),
+], ids=["point", "dimension", "mass", "vertices"])
+def test_exit_code_2_on_a_wrongly_typed_instance_field(path, value, field, tmp_path, capsys):
+    doc = json.loads(write_instance(tmp_path / "i.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set(doc, path, value)), encoding="utf-8")
+    assert cli.main(["decompose" if path == ("path",) else "solve", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: field '{field}' {WRONG_TYPE}\n"
+
+
+def _atoms_in_3d(cfg: dict) -> dict:
+    for side in ("mu_minus", "mu_plus"):
+        for atom in cfg[side]["atoms"]:
+            atom["point"] = atom["point"] + [0.0]
+    return cfg
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: _set(cfg, ("schedule",), 4),
+     "field 'schedule' must be a list of nonnegative integers"),
+    (lambda cfg: _set(cfg, ("mu_plus", "atoms", 0, "point"), 5),
+     f"field 'atoms[0].point' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "origin": 5}),
+     f"field 'origin' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("optimality_tol",), [1e-4]), f"field 'optimality_tol' {WRONG_TYPE}"),
+    # a 3-D config over 2-D atoms used to run the trial as if it were 3-D
+    (lambda cfg: _set(cfg, ("dimension",), 3), "field 'mu_minus' is 2-d but 'dimension' is 3"),
+    # a 2-D config over 3-D atoms failed with "grid rasterization is planar only"
+    (_atoms_in_3d, "field 'mu_minus' is 3-d but 'dimension' is 2"),
+], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "3d-config-2d-atoms",
+        "2d-config-3d-atoms"])
+def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(edit(_trial_config())), encoding="utf-8")
+    assert cli.main(["--out", str(tmp_path / "r.json"), "stability", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_stability_cli_deterministic(tmp_path):
+    cfg = _trial_config()
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
     outs = []
@@ -202,7 +260,7 @@ def test_stability_cli_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_competitor_cli(tmp_path):
+def _competitor_files(tmp_path, **config):
     tn = {
         "dimension": 2, "alpha": 0.6, "ambient_radius": 4.0,
         "mu_minus": [{"point": [-1.0, 0.0], "mass": 1.0}],
@@ -215,10 +273,24 @@ def test_competitor_cli(tmp_path):
                     "edges": [[0, 1, 1.0]]}
     cc = {"Delta": 0.8, "eps1": 1e-8, "eps2": 1e-5, "delta": 0.01,
           "N_minus": 1, "N_plus": 1, "cover_radius": 5e-4}
+    cc.update(config)
     ptn, ptop, pcc = tmp_path / "tn.json", tmp_path / "topt.json", tmp_path / "cc.json"
     ptn.write_text(json.dumps(tn), encoding="utf-8")
     ptop.write_text(json.dumps(topt), encoding="utf-8")
     pcc.write_text(json.dumps(cc), encoding="utf-8")
+    return ptn, ptop, pcc
+
+
+@pytest.mark.parametrize("field", ["Delta", "N_plus", "cover_radius"])
+def test_exit_code_2_on_a_wrongly_typed_competitor_field(field, tmp_path, capsys):
+    ptn, ptop, pcc = _competitor_files(tmp_path, **{field: [1]})
+    assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
+                     "--opt", str(ptop), "--config", str(pcc)]) == 2
+    assert capsys.readouterr().err == f"error: field '{field}' {WRONG_TYPE}\n"
+
+
+def test_competitor_cli(tmp_path):
+    ptn, ptop, pcc = _competitor_files(tmp_path)
     out = tmp_path / "report.json"
     rc = cli.main(["--out", str(out), "competitor", "--in", str(ptn),
                    "--opt", str(ptop), "--config", str(pcc)])

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -10,47 +9,11 @@ from trafficpaths import currents, geometry
 from trafficpaths.currents import AtomicMeasure, Config
 from trafficpaths.geometry import Ball, BallRegion
 
-from conftest import AffineMap, BallProjection, random_acyclic_path
+from conftest import AffineMap, BallProjection, ScanPointIndex, random_acyclic_path
 
 
 def seg(ax, ay, bx, by, th):
     return (np.array([ax, ay], dtype=float), np.array([bx, by], dtype=float), th)
-
-
-class _ScanPointIndex:
-    """Reference registry: scans all 3^dim neighbour buckets of a 1e-6 grid.
-
-    This was ``currents._PointIndex`` before it probed only the buckets a
-    match can occupy; the pruned registry must return the same indices.
-    """
-
-    def __init__(self, dim: int, tol: float = currents.MERGE_TOL, grid: float = 1e-6):
-        self.tol = tol
-        self.grid = grid
-        self.points: list[np.ndarray] = []
-        self._buckets: dict[tuple, list[int]] = {}
-        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-
-    def _key(self, p: np.ndarray) -> tuple:
-        return tuple(int(v) for v in np.floor(p / self.grid))
-
-    def find(self, p: np.ndarray) -> int:
-        k = self._key(p)
-        for off in self._offsets:
-            kk = tuple(a + b for a, b in zip(k, off))
-            for idx in self._buckets.get(kk, ()):
-                if float(np.max(np.abs(self.points[idx] - p))) <= self.tol:
-                    return idx
-        return -1
-
-    def insert(self, p: np.ndarray) -> int:
-        idx = self.find(p)
-        if idx >= 0:
-            return idx
-        self.points.append(np.array(p, dtype=float))
-        idx = len(self.points) - 1
-        self._buckets.setdefault(self._key(p), []).append(idx)
-        return idx
 
 
 # ---------------------------------------------------------------------------
@@ -64,31 +27,23 @@ def test_measure_merges_close_atoms_and_drops_zeros():
     assert mu.total() == pytest.approx(3.0)
 
 
-def test_measure_merges_atoms_farther_apart_than_the_default_grid():
-    # the bucket grid follows tol, so atoms 5e-4 apart merge at tol 1e-3
-    mu = AtomicMeasure.from_atoms([((0.0, 0.0), 1.0), ((5e-4, 0.0), 1.0)], tol=1e-3)
-    assert len(mu.masses) == 1
-    assert mu.total() == pytest.approx(2.0)
-
-
-# coordinates within 3e-9 of a 1e-6 bucket face, where the probe range
-# widens to two buckets on that axis
-_near_face = st.builds(lambda k, e: k * 1e-6 + e, st.integers(-2, 2),
-                       st.floats(-3e-9, 3e-9))
-
-
 def _flip_zeros(p: tuple) -> tuple:
     """p with the sign of every zero coordinate flipped: 0.0 <-> -0.0."""
     return tuple(-x if x == 0.0 else x for x in p)
 
 
 @settings(max_examples=150, deadline=None)
-@given(dim=st.sampled_from([2, 3, 4, 6]), data=st.data())
-def test_point_index_matches_full_neighbour_scan(dim, data):
-    coord = st.one_of(_near_face, st.just(0.0))
+@given(dim=st.sampled_from([2, 3, 4, 6]), tol=st.sampled_from([currents.MERGE_TOL, 1e-12]),
+       data=st.data())
+def test_point_index_matches_full_neighbour_scan(dim, tol, data):
+    # coordinates within 3 tol of a 1e-6 grid face, so rows within tol of
+    # each other fall in different cells and the cell order decides
+    near_face = st.builds(lambda k, e: k * 1e-6 + e * tol, st.integers(-2, 2),
+                          st.floats(-3.0, 3.0))
+    coord = st.one_of(near_face, st.just(0.0))
     centres = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
-    # jitter up to 1.5e-9 per axis: pairs of one centre fall on both sides of tol
-    jitter = st.one_of(st.floats(-1.5e-9, 1.5e-9), st.just(0.0))
+    # jitter up to 1.5 tol per axis: pairs of one centre fall on both sides of tol
+    jitter = st.one_of(st.builds(lambda e: e * tol, st.floats(-1.5, 1.5)), st.just(0.0))
     point = st.builds(lambda i, e: tuple(c + x for c, x in zip(centres[i], e)),
                       st.integers(0, len(centres) - 1), st.tuples(*[jitter] * dim))
     points = data.draw(st.lists(point, min_size=1, max_size=30))
@@ -97,13 +52,12 @@ def test_point_index_matches_full_neighbour_scan(dim, data):
                                                        st.booleans()), max_size=10)):
         p = points[src % len(points)]
         points.insert(pos % (len(points) + 1), _flip_zeros(p) if flip else p)
-    pruned, scan = currents._PointIndex(), _ScanPointIndex(dim)
-    want = [scan.insert(np.array(p)) for p in points]
-    assert [pruned.insert(p) for p in points] == want
+    scan = ScanPointIndex(dim, tol)
+    want = [scan.insert(p) for p in points]
     # the batch merge names each class by its first row; number them in order
     classes: dict[int, int] = {}
     assert [classes.setdefault(r, len(classes))
-            for r in currents._merge_rows(points, currents.MERGE_TOL)] == want
+            for r in currents._merge_rows(points, tol)] == want
 
 
 @pytest.mark.parametrize("dim", [2, 3])

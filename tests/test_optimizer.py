@@ -261,7 +261,8 @@ def test_optimize_positions_equal_mass_junction():
                               ((0, 3), (1, 3), (3, 2)))
     out, cost = optimizer.optimize_positions(topo, alpha=0.5)
     assert cost == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-6)
-    assert out.cost(0.5) == pytest.approx(cost, rel=1e-12)
+    assert optimizer._tree_cost(out.positions(), out.edges, out.flows(), 0.5) == pytest.approx(
+        cost, rel=1e-12)
     assert np.allclose(out.steiner_points[0], [0.0, 1.0], atol=1e-4)
 
 
