@@ -110,8 +110,8 @@ def path_from_json(raw, dim: int) -> TrafficPath:
     for k, e in enumerate(read_value(list, raw["edges"], "path.edges")):
         if not isinstance(e, list) or len(e) != 3:
             raise ValueError(f"field 'path.edges[{k}]' must be [tail, head, theta]")
-        i, j, th = read_value(lambda e: (int(e[0]), int(e[1]), float(e[2])), e,
-                              f"path.edges[{k}]")
+        i, j, th = (read_value(kind, x, f"path.edges[{k}]")
+                    for kind, x in zip((int, int, float), e))
         if not (0 <= i < len(verts) and 0 <= j < len(verts)):
             raise ValueError(f"field 'path.edges[{k}]' references a missing vertex")
         segs.append((verts[i], verts[j], th))

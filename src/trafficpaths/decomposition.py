@@ -170,9 +170,6 @@ def good_decomposition(t: currents.TrafficPath) -> PathMeasure:
         return PathMeasure(())
     if not is_acyclic(t):
         raise ValueError("not acyclic")
-    bnd = currents.boundary(t)
-    if abs(bnd.total()) > BALANCE_TOL:
-        raise ValueError("unbalanced boundary")
 
     net: dict[int, float] = {}
     for i, j, th in t.edges:

@@ -16,22 +16,25 @@ batch of one group.  Both solvers hand the kernel arrays through
 ``_solve_trees``: the oracle takes every tree's edges, key and
 leaf-stripping order from arrays cached per atom count k, local search
 stacks the candidates of a scan, and the flows come from replaying the
-stripping orders on whole columns of masses.  A Topology is built only for
-the tree a solver returns; a tree left uncertified is logged and kept at
-its last iterate, scored at its true cost.  In every problem the free
-vertices move jointly by damped Newton steps on the smoothed objective
-sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from
-a tenth of the radius R of the terminals; each iteration takes one
-batched step for every live problem.  After each of its stages a problem's
-dual y_e = w_e d_e / r_e gives a rigorous lower bound: on collapsing edges
-y is re-solved as the min-norm balance at the free vertices (one solve with
-the grounded Laplacian of those edges, no SVD) and clipped to
-|y_e| <= w_e, and any remaining imbalance g is charged R |g|, valid
-because an optimum lies in the terminals' convex hull.  A problem is
-finished once its certified relative gap is within tol, and dropped as
-soon as its lower bound exceeds the least cost any problem of its group
-has reached at a stage end, which bounds the group optimum from above
-(branch-and-bound in the spirit of Smith, Algorithmica 1992).  A caller
+stripping orders on whole columns of masses.  Both solvers end on those
+arrays too: the winning tree's positions, edges and replayed flows go
+straight to ``_tree_path``, so no solve builds a Topology (only
+``optimize_positions`` does) or replays a flow twice.  A tree left
+uncertified is logged and kept at its last iterate, scored at its true
+cost.  In every problem the free vertices move jointly by damped Newton
+steps on the smoothed objective sum_e w_e sqrt(|x_a - x_b|^2 + eps^2),
+with eps cut stage by stage from a tenth of the radius R of the
+terminals; each iteration takes one batched step for every live problem.
+After each of its stages a problem's dual y_e = w_e d_e / r_e gives a
+rigorous lower bound: on collapsing edges y is re-solved as the min-norm
+balance at the free vertices (one solve with the grounded Laplacian of
+those edges, no SVD) and clipped to |y_e| <= w_e, and any remaining
+imbalance g is charged R |g|, valid because an optimum lies in the
+terminals' convex hull.  A problem is finished once its certified
+relative gap is within tol, and dropped as soon as its lower bound
+exceeds the least cost any problem of its group has reached at a stage
+end, which bounds the group optimum from above (branch-and-bound in the
+spirit of Smith, Algorithmica 1992).  A caller
 that needs only a group's best tree, not its cost, may have the last
 problem left in a group returned uncertified once all others are dropped.
 Degenerate optima are reached through collisions (branch points
@@ -126,14 +129,10 @@ class Topology:
         return _tree_flows(order, masses, n)[0, 0].tolist()
 
 
-def _tree_cost(pos: np.ndarray, edges, flows: list, alpha: float) -> float:
+def _tree_cost(pos: np.ndarray, edges, flows, alpha: float) -> float:
     """Weighted length of a tree at positions pos: sum_e |f_e|^alpha |x_a - x_b|."""
     total = 0.0
-    for (a, b), f in zip(edges, flows):
-        th = abs(f)
-        if th <= FLOW_TOL:
-            continue
-        w = 1.0 if alpha == 0.0 else th ** alpha
+    for (a, b), w in zip(edges, _edge_weights(flows, alpha).tolist()):
         total += w * float(np.linalg.norm(pos[a] - pos[b]))
     return total
 
@@ -520,10 +519,9 @@ def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, 
                            cutoff, groups=groups, decide=decide)
     for i, res in enumerate(out):
         if isinstance(res, OptimizeError):
-            tree = edges[i].tolist()
-            _log.warning("instance %d topology %s not certified: %s", groups[i], _tree_key(tree),
-                         res)
-            out[i] = res.best, _tree_cost(res.best, tree, flows[i].tolist(), alpha)
+            _log.warning("instance %d topology %s not certified: %s", groups[i],
+                         _tree_key(edges[i].tolist()), res)
+            out[i] = res.best, _tree_cost(res.best, edges[i], flows[i], alpha)
     return out
 
 
@@ -567,24 +565,17 @@ def _collision_representatives(pos: np.ndarray) -> np.ndarray:
     return _reachable(close).argmax(axis=1)
 
 
-def _contracted_path(topology: Topology) -> TrafficPath:
-    """Traffic path of a topology with near-coincident vertices contracted.
+def _tree_path(pos: np.ndarray, edges, flows: np.ndarray) -> TrafficPath:
+    """Acyclic traffic path of a solved tree with near-coincident vertices contracted.
 
-    The terminals come first in the positions, so a cluster holding one is
-    represented by a terminal and the boundary stays exact.
+    pos holds the terminals first, so a cluster holding one is represented
+    by a terminal and the boundary stays exact; edges (E, 2) carry the
+    signed flows (E,) of the tree.
     """
-    pos = topology.positions()
-    rep = _collision_representatives(pos)
-    segs = []
-    for (a, b), f in zip(topology.edges, topology.flows()):
-        ra, rb = rep[a], rep[b]
-        if ra == rb or abs(f) <= FLOW_TOL:
-            continue
-        if f > 0:
-            segs.append((pos[ra], pos[rb], f))
-        else:
-            segs.append((pos[rb], pos[ra], -f))
-    return currents.overlay(segs, dim=topology.dim)
+    ends = _collision_representatives(pos)[np.asarray(edges)]
+    segs = [(pos[a], pos[b], f) if f > 0 else (pos[b], pos[a], -f)
+            for (a, b), f in zip(ends.tolist(), flows.tolist()) if a != b and abs(f) > FLOW_TOL]
+    return dcmp.remove_cycles(currents.overlay(segs, dim=pos.shape[1]))
 
 
 def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
@@ -615,19 +606,19 @@ def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
         if best is None:
             out.append(currents.empty_path(mm.dim if mm.points.size else mp.dim))
         else:
-            out.append(dcmp.remove_cycles(_contracted_path(best[0])))
+            out.append(_tree_path(*best[:3]))
     return out
 
 
 def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
-    """Per net, the (topology, cost) of least (cost, tree key) over every full
-    topology on its atoms; None for a net without atoms.
+    """Per net, the (positions, edges, flows, cost) of least (cost, tree key)
+    over every full topology on its atoms; None for a net without atoms.
 
     Every full topology on k atoms has k - 2 branch points; all start from
     one spread around their net's mean, which breaks their coincidence.  The
     trees of all nets with the same atom count and dimension form one batch,
-    one group per net, built from the arrays of ``_trees(k)``; a Topology is
-    built only for each net's winner.
+    one group per net, built from the arrays of ``_trees(k)``; a winner's
+    flows are its row of the batch's replay.
     """
     batches: dict = {}
     for i, net in enumerate(nets):
@@ -648,14 +639,8 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
             group = solved[j * T:(j + 1) * T]
             t = min((t for t, res in enumerate(group) if res is not None),
                     key=lambda t: (group[t][1], trees.keys[t]))
-            best[i] = _tree_topology(nets[i], trees.edges[t], group[t][0]), group[t][1]
+            best[i] = group[t][0], trees.edges[t], flows[j, t], group[t][1]
     return best
-
-
-def _tree_topology(net: AtomicMeasure, edges: np.ndarray, pos: np.ndarray) -> Topology:
-    """Topology over net's atoms with the tree of an edge array and branch points pos[k:]."""
-    return Topology(net.points.copy(), net.masses.copy(), pos[len(net.masses):],
-                    tuple(map(tuple, edges.tolist())))
 
 
 @dataclass(frozen=True)
@@ -747,15 +732,17 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         flows = _tree_flows(order, m[None], len(pos))[0]
         solved = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL,
                               np.zeros(len(cands), int), cutoff, decide)
-        kept = [(*res, c) for res, c in zip(solved, cands) if res is not None]
+        kept = [(*res, f, c) for res, f, c in zip(solved, flows, cands) if res is not None]
         return min(kept, key=lambda s: s[1]) if kept else None
 
-    # the search state: positions, cost and edges of the current tree
-    pos, tree = np.vstack([points, np.zeros((k - 2, net.dim))]), ((0, 1),)
+    # the search state: positions, cost, edge flows and edges of the current
+    # tree; the last insertion and every regraft scan have all terminals in,
+    # so its flows are final, and the one edge of k = 2 carries terminal 1's mass
+    pos, flows, tree = np.vstack([points, np.zeros((k - 2, net.dim))]), masses[1:], ((0, 1),)
     for t in range(2, k):
         # only the last insertion's cost is compared later: the others need
         # their best tree, not a certified cost
-        pos, cost, tree = scan(tree, pos, t, k + t - 2, t, math.inf, decide=t < k - 1)
+        pos, cost, flows, tree = scan(tree, pos, t, k + t - 2, t, math.inf, decide=t < k - 1)
     stale = 0  # terminals in a row whose regrafts found no improvement
     settled = k  # stale scans that end the search
     t = 0
@@ -765,6 +752,6 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         solved = scan(edges, pos, t, s, k - 1, cost, skip=len(edges) - 1)
         if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
             # the moved terminal's own rescan cannot improve (see above)
-            (pos, cost, tree), stale, settled = solved, 0, k - 1
+            (pos, cost, flows, tree), stale, settled = solved, 0, k - 1
         t = (t + 1) % k
-    return dcmp.remove_cycles(_contracted_path(Topology(points, masses, pos[k:], tree)))
+    return _tree_path(pos, tree, flows)

@@ -108,8 +108,15 @@ def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
 
 
 def read_value(convert, raw, field: str):
-    """convert(raw) for a JSON field; a value of the wrong type raises ValueError naming it."""
+    """convert(raw) for a JSON field; a value of the wrong type raises ValueError naming it.
+
+    A float field takes a JSON number and an int field only a JSON integer:
+    neither takes a string or a boolean, and neither rounds.
+    """
+    number = {int: int, float: (int, float)}.get(convert)
     try:
+        if number and (isinstance(raw, bool) or not isinstance(raw, number)):
+            raise TypeError
         return convert(raw)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field '{field}' has a value of the wrong type or shape") from None
@@ -117,7 +124,8 @@ def read_value(convert, raw, field: str):
 
 def read_point(raw, field: str, dim: int | None = None) -> tuple:
     """A JSON point (2 or 3 numbers, dim of them if given) as a tuple of floats."""
-    p = tuple(read_value(as_point, raw, field).tolist())
+    coords = [read_value(float, x, field) for x in read_value(list, raw, field)]
+    p = tuple(read_value(as_point, coords, field).tolist())
     if dim is not None and len(p) != dim:
         raise ValueError(f"field '{field}' has wrong dimension")
     return p

@@ -208,7 +208,16 @@ WRONG_TYPE = "has a value of the wrong type or shape"
     (("dimension",), [2], "dimension"),
     (("mu_plus", 0, "mass"), [1.0], "mu_plus[0].mass"),
     (("path",), {"vertices": [1, 2], "edges": [[0, 1, 1.0]]}, "path.vertices[0]"),
-], ids=["point", "dimension", "mass", "vertices"])
+    # a JSON number is never rounded, and a string or a boolean is no number
+    (("dimension",), 2.9, "dimension"),
+    (("alpha",), "0.5", "alpha"),
+    (("mu_minus", 0, "mass"), True, "mu_minus[0].mass"),
+    (("mu_minus", 0, "mass"), "1.0", "mu_minus[0].mass"),
+    (("mu_plus", 0, "point"), ["0", True], "mu_plus[0].point"),
+    (("path",), {"vertices": [[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]], "edges": [[0.9, 1.7, 1.0]]},
+     "path.edges[0]"),
+], ids=["point", "dimension", "mass", "vertices", "dimension-float", "alpha-string",
+        "mass-bool", "mass-string", "point-string-bool", "edge-float-ends"])
 def test_exit_code_2_on_a_wrongly_typed_instance_field(path, value, field, tmp_path, capsys):
     doc = json.loads(write_instance(tmp_path / "i.json").read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"
@@ -232,12 +241,17 @@ def _atoms_in_3d(cfg: dict) -> dict:
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "origin": 5}),
      f"field 'origin' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("optimality_tol",), [1e-4]), f"field 'optimality_tol' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("dimension",), 2.9), f"field 'dimension' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("seed",), 1.5), f"field 'seed' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("alpha",), "0.6"), f"field 'alpha' {WRONG_TYPE}"),
+    (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "mass"), True),
+     f"field 'atoms[0].mass' {WRONG_TYPE}"),
     # a 3-D config over 2-D atoms used to run the trial as if it were 3-D
     (lambda cfg: _set(cfg, ("dimension",), 3), "field 'mu_minus' is 2-d but 'dimension' is 3"),
     # a 2-D config over 3-D atoms failed with "grid rasterization is planar only"
     (_atoms_in_3d, "field 'mu_minus' is 3-d but 'dimension' is 2"),
-], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "3d-config-2d-atoms",
-        "2d-config-3d-atoms"])
+], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
+        "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms"])
 def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(edit(_trial_config())), encoding="utf-8")
@@ -281,9 +295,12 @@ def _competitor_files(tmp_path, **config):
     return ptn, ptop, pcc
 
 
-@pytest.mark.parametrize("field", ["Delta", "N_plus", "cover_radius"])
-def test_exit_code_2_on_a_wrongly_typed_competitor_field(field, tmp_path, capsys):
-    ptn, ptop, pcc = _competitor_files(tmp_path, **{field: [1]})
+@pytest.mark.parametrize("field, value", [
+    ("Delta", [1]), ("N_plus", [1]), ("cover_radius", [1]),
+    ("N_minus", 1.7), ("N_plus", True), ("Delta", "0.8"),
+], ids=["Delta", "N_plus", "cover_radius", "N_minus-float", "N_plus-bool", "Delta-string"])
+def test_exit_code_2_on_a_wrongly_typed_competitor_field(field, value, tmp_path, capsys):
+    ptn, ptop, pcc = _competitor_files(tmp_path, **{field: value})
     assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
                      "--opt", str(ptop), "--config", str(pcc)]) == 2
     assert capsys.readouterr().err == f"error: field '{field}' {WRONG_TYPE}\n"

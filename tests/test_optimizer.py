@@ -232,12 +232,13 @@ def test_oracle_winner_matches_its_tree_solved_alone(k_minus, k_plus, dim):
     net = mu_plus - mu_minus
     k = len(net.masses)
     assert k == k_minus + k_plus
-    ((topo, cost),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
+    ((pos, edges, flows, cost),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
     init = net.points.mean(axis=0) + 1e-3 * np.random.default_rng(7).standard_normal((k - 2, dim))
     ((alone, alone_cost),) = _solve_batch(
-        [optimizer.Topology(net.points.copy(), net.masses.copy(), init, topo.edges)], 0.5, 1e-9)
+        [optimizer.Topology(net.points.copy(), net.masses.copy(), init,
+                            tuple(map(tuple, edges.tolist())))], 0.5, 1e-9)
     assert cost == alone_cost
-    assert np.array_equal(topo.steiner_points, alone.steiner_points)
+    assert np.array_equal(pos[k:], alone.steiner_points)
 
 
 def test_flows_from_leaf_stripping():
@@ -423,13 +424,13 @@ def _reference_oracle(net, alpha, tol):
 
 
 def _assert_oracle_matches_reference(net, alpha, tol=1e-9):
-    ((topo, cost),) = optimizer._oracle_topologies([net], alpha, tol)
+    ((_, edges, _, cost),) = optimizer._oracle_topologies([net], alpha, tol)
     ranked = _reference_oracle(net, alpha, tol)
     best, key = ranked[0]
     # no other tree ties within the certified gaps, so the best one is well defined
     assert all(c > best * (1.0 + 2.0 * tol) for c, _ in ranked[1:])
     assert abs(cost - best) <= tol * best
-    assert optimizer._tree_key(topo.edges) == key
+    assert optimizer._tree_key(edges) == key
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8, 1.0])
@@ -467,12 +468,46 @@ def test_grouped_oracle_prunes_each_instance_by_its_own_incumbent(monkeypatch):
     monkeypatch.setattr(optimizer, "_minimize_length", counted)
     grouped = optimizer._oracle_topologies([small, large], 0.6, 1e-9)
     assert calls == [2]
-    for net, (topo, cost) in zip((small, large), grouped):
-        ((alone, alone_cost),) = optimizer._oracle_topologies([net], 0.6, 1e-9)
+    for net, (pos, edges, _, cost) in zip((small, large), grouped):
+        ((alone, alone_edges, _, alone_cost),) = optimizer._oracle_topologies([net], 0.6, 1e-9)
+        k = len(net.masses)
         assert cost == alone_cost
-        assert optimizer._tree_key(topo.edges) == optimizer._tree_key(alone.edges)
-        assert np.array_equal(topo.steiner_points, alone.steiner_points)
-    assert grouped[1][1] > 50.0 * grouped[0][1]
+        assert optimizer._tree_key(edges) == optimizer._tree_key(alone_edges)
+        assert np.array_equal(pos[k:], alone[k:])
+    assert grouped[1][3] > 50.0 * grouped[0][3]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_oracle_hands_on_its_winners_own_flows(alpha):
+    # the path is built from the winner's row of the batch's flow replay,
+    # which must be the tree's own flows, bit for bit
+    rng = np.random.default_rng(int(10 * alpha) + 61)
+    nets = []
+    for dim in (2, 3):
+        for k in range(2, 7):
+            k_minus = int(rng.integers(1, k))
+            mu_minus, mu_plus = balanced_clouds(rng, k_minus, k - k_minus, dim=dim)
+            nets.append(mu_plus - mu_minus)
+    for net, (pos, edges, flows, _) in zip(nets, optimizer._oracle_topologies(nets, alpha, 1e-9)):
+        k = len(net.masses)
+        topo = optimizer.Topology(net.points, net.masses, pos[k:],
+                                  tuple(map(tuple, edges.tolist())))
+        assert np.array_equal(flows, topo.flows())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_local_search_on_two_atoms_is_one_segment_of_their_mass(dim):
+    # with two terminals there is no scan: the one edge starts with the
+    # flow of terminal 1, which is the mass itself
+    rng = np.random.default_rng(dim)
+    for alpha in (0.0, 0.5, 1.0):
+        p, q = rng.uniform(-2.0, 2.0, size=(2, dim))
+        m = float(rng.uniform(0.1, 3.0))
+        t = optimizer.local_search(AtomicMeasure.from_atoms([(p, m)], dim=dim),
+                                   AtomicMeasure.from_atoms([(q, m)], dim=dim), alpha)
+        ((a, b, th),) = t.segments()
+        assert th == m
+        assert np.array_equal(a, p) and np.array_equal(b, q)
 
 
 # ---------------------------------------------------------------------------
