@@ -267,6 +267,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_flatnorm(args) -> int:
+    h = metrics.GridComplex.check_step(args.grid_step, "--grid-step")
     a = load_instance(args.infile)
     b = load_instance(args.against)
     if a.dimension != b.dimension:
@@ -275,7 +276,6 @@ def cmd_flatnorm(args) -> int:
         if a.dimension != 2:
             raise ValueError("grid flat distance is planar only")
         r = max(a.ambient_radius, b.ambient_radius)
-        h = args.grid_step
         grid = metrics.GridComplex.from_box(-r, -r, r, r, h)
         value, err = metrics.flat_distance_1(a.path, b.path, grid)
         doc = {"kind": "grid-flat-1", "value": value, "error_bound": err,

@@ -9,14 +9,19 @@ successive shortest paths on Python floats, with no LP.
 
 For 1-currents in the plane the flat distance is relaxed onto a square
 grid complex: both paths are rasterized to 1-chains (snapped staircase
-walks), and the norm min M(t - d s) + M(s) over 2-chains s is an LP in
-the face variables.  HiGHS solves that LP, through ``scipy.optimize.milp``
-with no integer variable, on the smallest sub-grid whose vertex box
-holds the support of the chain: clamping vertex indices to the box maps
-every 2-chain s to one no worse, so a minimizer lives there (the grid
-form of "flat-norm minimizers lie in the convex hull").  The
-rasterization error is reported alongside the value: each segment of
-multiplicity theta contributes at most theta * (2h * length + sqrt(2) * h).
+walks), and the norm min M(t - d s) + M(s) over 2-chains s is an LP.
+It is solved as its dual: maximise t . phi over edge values phi with
+|phi| <= h on every edge and |d^T phi| <= h^2 on every face; by LP
+duality the two optima agree.  HiGHS solves it, through
+``scipy.optimize.milp`` with no integer variable, on the smallest
+sub-grid whose vertex box holds the support of the chain: clamping
+vertex indices to the box maps every 2-chain s to one no worse, so a
+minimizer lives there (the grid form of "flat-norm minimizers lie in the
+convex hull").  Several chains go into one call, their boxes stacked
+block-diagonally, so a stability trial makes one LP call for all its
+levels.  The rasterization error is reported alongside the value: each
+segment of multiplicity theta contributes at most
+theta * (2h * length + sqrt(2) * h).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import currents
 from .currents import AtomicMeasure, TrafficPath
@@ -160,9 +165,15 @@ class GridComplex:
     h: float
 
     @staticmethod
+    def check_step(h: float, name: str = "grid spacing") -> float:
+        """h if it can space a grid (finite and > 0); a ValueError naming `name` otherwise."""
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, not {h!r}")
+        return h
+
+    @staticmethod
     def from_box(xmin: float, ymin: float, xmax: float, ymax: float, h: float) -> "GridComplex":
-        if not h > 0:
-            raise ValueError("grid spacing must be positive")
+        GridComplex.check_step(h)
         nx = max(1, int(math.ceil((xmax - xmin) / h - 1e-9)))
         ny = max(1, int(math.ceil((ymax - ymin) / h - 1e-9)))
         return GridComplex(float(xmin), float(ymin), nx, ny, float(h))
@@ -259,16 +270,15 @@ def rasterize(grid: GridComplex, t: TrafficPath) -> tuple[np.ndarray, float]:
     return chain, err
 
 
-def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
-    """min over 2-chains s of M(t - d s) + M(s) on the grid complex (an LP).
+def _chain_box(grid: GridComplex, t_chain: np.ndarray) -> tuple[GridComplex, np.ndarray] | None:
+    """The smallest sub-grid holding the chain's support and the chain on it; None if t = 0.
 
-    The LP is solved on the smallest vertex box [i0, i1] x [j0, j1] that
-    holds the support of t (grown to one cell in a direction where it is
-    flat), not on the whole grid.  This is exact: the map p that clamps
-    every vertex index to the box is cellular, so p# commutes with d,
-    sends each cell to a cell of the same size or to 0 (M(p# x) <= M(x))
-    and fixes t; hence M(t - d p#s) + M(p#s) <= M(t - d s) + M(s) for
-    every 2-chain s, and some minimizer lives in the box.
+    The box is the vertex box [i0, i1] x [j0, j1] of the support, grown to
+    one cell in a direction where it is flat.  Solving the flat LP there is
+    exact: the map p that clamps every vertex index to the box is cellular,
+    so p# commutes with d, sends each cell to a cell of the same size or
+    to 0 (M(p# x) <= M(x)) and fixes t; hence M(t - d p#s) + M(p#s) <=
+    M(t - d s) + M(s) for every 2-chain s, and some minimizer lives in the box.
     """
     t = np.asarray(t_chain, dtype=float)
     hor = t[:grid.n_hedges].reshape(grid.ny + 1, grid.nx)
@@ -279,7 +289,7 @@ def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
     ii = np.concatenate([hi, hi + 1, vi])
     jj = np.concatenate([hj, vj, vj + 1])
     if ii.size == 0:
-        return 0.0
+        return None
     i0, i1, j0, j1 = int(ii.min()), int(ii.max()), int(jj.min()), int(jj.max())
     if i1 == i0:
         i0, i1 = (i0, i0 + 1) if i0 < grid.nx else (i0 - 1, i0)
@@ -287,21 +297,42 @@ def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
         j0, j1 = (j0, j0 + 1) if j0 < grid.ny else (j0 - 1, j0)
     box = GridComplex(grid.x0 + i0 * grid.h, grid.y0 + j0 * grid.h,
                       i1 - i0, j1 - j0, grid.h)
-    chain = np.concatenate([hor[j0:j1 + 1, i0:i1].ravel(),
-                            ver[j0:j1, i0:i1 + 1].ravel()])
-    ne, nf = box.n_edges, box.n_faces
-    B = box.boundary_matrix()
-    # variables: u+ u- (edge residual split), v+ v- (face split), all >= 0
-    c = np.concatenate([np.full(ne, box.h), np.full(ne, box.h),
-                        np.full(nf, box.h ** 2), np.full(nf, box.h ** 2)])
-    eye = sparse.identity(ne, format="csr")
-    a_eq = sparse.hstack([eye, -eye, B, -B], format="csr")
-    # milp with no integer variable is this LP on HiGHS, without linprog's wrapper;
-    # its variables are >= 0 by default
-    res = milp(c, constraints=LinearConstraint(a_eq, chain, chain))
+    return box, np.concatenate([hor[j0:j1 + 1, i0:i1].ravel(), ver[j0:j1, i0:i1 + 1].ravel()])
+
+
+def flat_chain_norms(grid: GridComplex, chains) -> list[float]:
+    """min over 2-chains s of M(t - d s) + M(s) on the grid complex, for each chain t.
+
+    Every non-zero chain is cut to its box (`_chain_box`), and all boxes
+    go into one dual LP, stacked block-diagonally: maximise the sum of
+    t_b . phi_b subject to -h <= phi <= h (variable bounds) and
+    -h^2 <= d^T phi <= h^2 (one row per face).  The blocks share no
+    variable or row, so each block's phi_b is optimal for its own box,
+    and t_b . phi_b is chain b's norm by LP duality.  A zero chain is 0.0
+    without an LP; a batch of zero chains makes no call.
+    """
+    boxes = [_chain_box(grid, t) for t in chains]
+    live = [b for b in boxes if b is not None]
+    if not live:
+        return [0.0] * len(boxes)
+    h = grid.h
+    faces = sparse.block_diag([box.boundary_matrix().T for box, _ in live], format="csr")
+    t = np.concatenate([chain for _, chain in live])
+    # milp with no integer variable is this LP on HiGHS, without linprog's wrapper
+    res = milp(-t, constraints=LinearConstraint(faces, -h * h, h * h), bounds=Bounds(-h, h))
     if not res.success:
         raise RuntimeError("flat norm LP failed: " + str(res.message))
-    return float(res.fun)
+    phis = np.split(res.x, np.cumsum([chain.size for _, chain in live])[:-1])
+    values = (float(chain @ phi) for (_, chain), phi in zip(live, phis))
+    return [0.0 if b is None else next(values) for b in boxes]
+
+
+def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
+    """min over 2-chains s of M(t - d s) + M(s) on the grid complex: one chain's dual LP.
+
+    The one-chain call of `flat_chain_norms`, which describes the box and the LP.
+    """
+    return flat_chain_norms(grid, [t_chain])[0]
 
 
 def flat_distance_1(t1: TrafficPath, t2: TrafficPath, grid: GridComplex

@@ -193,7 +193,8 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
                  ambient_radius=read_value(float, d.get("ambient_radius", 4.0), "ambient_radius"))
     seed = read_value(int, d.get("seed", 0), "seed")
     schedule = d["schedule"]
-    if not isinstance(schedule, list) or not all(isinstance(n, int) and n >= 0 for n in schedule):
+    # type(n) is int: a JSON boolean is no integer
+    if not isinstance(schedule, list) or not all(type(n) is int and n >= 0 for n in schedule):
         raise ValueError("field 'schedule' must be a list of nonnegative integers")
     minus = target_from_dict(d["mu_minus"], seed=seed)
     plus = target_from_dict(d["mu_plus"], seed=seed + 1)
@@ -209,7 +210,8 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         seed=seed,
         optimality_tol=read_value(float, d.get("optimality_tol", 1e-4), "optimality_tol"),
         convergence_tol=read_value(float, d.get("convergence_tol", 5e-2), "convergence_tol"),
-        grid_step=read_value(float, d.get("grid_step", 0.25), "grid_step"),
+        grid_step=metrics.GridComplex.check_step(
+            read_value(float, d.get("grid_step", 0.25), "grid_step"), "field 'grid_step'"),
     )
 
 
@@ -282,28 +284,26 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     t_limit, *level_paths = optimizer.brute_force_many(instances, alpha)
     limit_cost = currents.alpha_mass(t_limit, alpha)
 
-    grid = None
     if d == 2:
         r = cfg.config.ambient_radius
         grid = metrics.GridComplex.from_box(-r, -r, r, r, cfg.grid_step)
-        # the limit's chain is the same at every level: rasterize it once
+        # flat_distance_1(t_n, t_limit, grid), term for term, with the limit
+        # rasterized once and one LP for all levels
         limit_chain, limit_err = metrics.rasterize(grid, t_limit)
+        chains, errs = zip(*(metrics.rasterize(grid, t_n) for t_n in level_paths))
+        values = metrics.flat_chain_norms(grid, [chain_n - limit_chain for chain_n in chains])
+        flat_gaps = [v + (err_n + limit_err) for v, err_n in zip(values, errs)]
         flat_kind = "grid-flat-upper"
     else:
+        flat_gaps = [currents.mass(currents.subtract(t_n, t_limit)) for t_n in level_paths]
         flat_kind = "mass-surrogate"
         notes.append("dimension 3: path convergence witnessed only by the "
                      "mass surrogate, not a true flat distance")
 
     rows = []
-    for n, marginals, t_n in zip(cfg.schedule, instances[1:], level_paths):
+    for n, marginals, t_n, fg in zip(cfg.schedule, instances[1:], level_paths, flat_gaps):
         cost_n = currents.alpha_mass(t_n, alpha)
         gm, gp = (metrics.weak_star_gap(m, lim) for m, lim in zip(marginals, limits))
-        if grid is not None:
-            # flat_distance_1(t_n, t_limit, grid), term for term
-            chain_n, err_n = metrics.rasterize(grid, t_n)
-            fg = metrics.flat_chain_norm(grid, chain_n - limit_chain) + (err_n + limit_err)
-        else:
-            fg = currents.mass(currents.subtract(t_n, t_limit))
         rows.append(TrialRow(n=n, cost=cost_n, gap_minus=gm, gap_plus=gp,
                              flat_gap=fg, atoms_minus=len(marginals[0].masses),
                              atoms_plus=len(marginals[1].masses)))

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from trafficpaths import cli
+from trafficpaths import cli, optimizer
 
 
 def write_instance(path, **overrides):
@@ -152,17 +153,28 @@ def test_flatnorm_measure_mode_output_is_pinned(tmp_path):
 
 
 def test_flatnorm_path_mode(tmp_path):
+    # the two alphas give different paths, so the grid LP runs; bytes
+    # recorded with the primal filling LP, before the batched dual replaced it
     a = write_instance(tmp_path / "a.json")
-    b = write_instance(tmp_path / "b.json")
+    b = write_instance(tmp_path / "b.json", alpha=0.8)
     sa, sb = tmp_path / "sa.json", tmp_path / "sb.json"
     cli.main(["--out", str(sa), "solve", "--in", str(a)])
     cli.main(["--out", str(sb), "solve", "--in", str(b)])
     out = tmp_path / "f.json"
     assert cli.main(["--out", str(out), "flatnorm", "--in", str(sa),
                      "--against", str(sb), "--grid-step", "0.5"]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["kind"] == "grid-flat-1"
-    assert doc["value"] <= doc["error_bound"] + 1e-9
+    assert out.read_bytes() == (b'{\n  "error_bound": 15.0114141468,\n  "grid_step": 0.5,\n'
+                                b'  "kind": "grid-flat-1",\n  "value": 1.5\n}\n')
+
+
+@pytest.mark.parametrize("step", ["inf", "nan", "0", "-0.5"])
+def test_exit_code_2_on_a_grid_step_that_spaces_no_grid(step, tmp_path, capsys):
+    # checked before either file is read, so measure mode rejects it too
+    a = write_instance(tmp_path / "a.json")
+    assert cli.main(["flatnorm", "--in", str(a), "--against", str(a),
+                     "--grid-step", step]) == 2
+    want = f"error: --grid-step must be a finite number > 0, not {float(step)!r}\n"
+    assert capsys.readouterr().err == want
 
 
 def test_svg_render(tmp_path):
@@ -250,9 +262,25 @@ def _atoms_in_3d(cfg: dict) -> dict:
     (lambda cfg: _set(cfg, ("dimension",), 3), "field 'mu_minus' is 2-d but 'dimension' is 3"),
     # a 2-D config over 3-D atoms failed with "grid rasterization is planar only"
     (_atoms_in_3d, "field 'mu_minus' is 3-d but 'dimension' is 2"),
+    # a boolean is no integer: this trial used to run and report "n": true
+    (lambda cfg: _set(cfg, ("schedule",), [True, 2]),
+     "field 'schedule' must be a list of nonnegative integers"),
+    # an infinite step used to run the whole trial and fail on its output,
+    # the others only once the grid was built
+    (lambda cfg: _set(cfg, ("grid_step",), math.inf),
+     "field 'grid_step' must be a finite number > 0, not inf"),
+    (lambda cfg: _set(cfg, ("grid_step",), math.nan),
+     "field 'grid_step' must be a finite number > 0, not nan"),
+    (lambda cfg: _set(cfg, ("grid_step",), 0),
+     "field 'grid_step' must be a finite number > 0, not 0.0"),
+    (lambda cfg: _set(cfg, ("grid_step",), -0.5),
+     "field 'grid_step' must be a finite number > 0, not -0.5"),
 ], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
-        "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms"])
-def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys):
+        "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms",
+        "schedule-bool", "grid-step-inf", "grid-step-nan", "grid-step-zero", "grid-step-negative"])
+def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys, monkeypatch):
+    # every field is checked when the config is read, before any solve
+    monkeypatch.setattr(optimizer, "brute_force_many", None)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(edit(_trial_config())), encoding="utf-8")
     assert cli.main(["--out", str(tmp_path / "r.json"), "stability", "--config", str(p)]) == 2

@@ -304,23 +304,52 @@ def test_flat_chain_norm_box_matches_full_grid(seed):
         _assert_box_lp_matches(g, chain)
 
 
+def _counting_milp(monkeypatch):
+    """Patch metrics.milp to record its calls; returns the list they land in."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "milp", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_flat_chain_norm_equals_linprog_of_its_box_lp(seed, monkeypatch):
-    # milp with no integer variable must return linprog's HiGHS optimum to the bit
-    lps = []
-
-    def recording_milp(c, constraints):
-        lps.append((c, constraints))
-        return milp(c, constraints=constraints)
-
-    monkeypatch.setattr(metrics, "milp", recording_milp)
+    # one batched dual LP gives each chain the one-chain call's value to the
+    # bit, and the primal LP on the chain's box (by linprog) to rel 1e-12
     g, chains = _box_chains(seed)
-    for chain in chains:
-        got = metrics.flat_chain_norm(g, chain)
-        c, con = lps[-1]
-        assert np.array_equal(con.lb, con.ub)
-        ref = linprog(c, A_eq=con.A, b_eq=con.lb, bounds=(0, None), method="highs")
-        assert ref.success and got == ref.fun
+    calls = _counting_milp(monkeypatch)
+    got = metrics.flat_chain_norms(g, chains)
+    assert len(calls) == 1
+    for chain, value in zip(chains, got):
+        assert value == metrics.flat_chain_norm(g, chain)
+        box, box_chain = metrics._chain_box(g, chain)
+        ref = _full_grid_flat_chain_norm(box, box_chain)
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def test_flat_chain_norms_put_zero_chains_at_exactly_zero(monkeypatch):
+    g, chains = _box_chains(0)
+    zero = np.zeros(g.n_edges)
+    batch = [zero, chains[0], zero, chains[1], -0.0 * chains[2], chains[3], zero]
+    calls = _counting_milp(monkeypatch)
+    got = metrics.flat_chain_norms(g, batch)
+    assert len(calls) == 1
+    assert [got[k] for k in (0, 2, 4, 6)] == [0.0] * 4
+    alone = metrics.flat_chain_norms(g, [chains[k] for k in (0, 1, 3)])
+    assert [got[k] for k in (1, 3, 5)] == alone
+    assert all(v > 0.0 for v in got[1::2])
+
+
+def test_flat_chain_norms_of_zero_chains_make_no_lp(monkeypatch):
+    g = metrics.GridComplex.from_box(0.0, 0.0, 1.0, 1.0, 0.25)
+    calls = _counting_milp(monkeypatch)
+    assert metrics.flat_chain_norms(g, [np.zeros(g.n_edges)] * 3) == [0.0] * 3
+    assert metrics.flat_chain_norms(g, []) == []
+    assert calls == []
 
 
 def test_flat_chain_norm_box_matches_full_grid_on_cancelling_difference():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficpaths import currents, optimizer
+from trafficpaths import currents, metrics, optimizer
 from trafficpaths.currents import AtomicMeasure
 
 from conftest import balanced_clouds
@@ -526,6 +526,32 @@ def test_oracle_v_shape_at_alpha_one():
     mu_plus = atoms2(((0.0, 1.0), 2.0))
     t = optimizer.brute_force_optimal(mu_minus, mu_plus, alpha=1.0)
     assert currents.alpha_mass(t, 1.0) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
+
+
+def _w1_instances():
+    """20 balanced instances, k = 3-6 atoms, 2-D and 3-D alternating, k // 3 sources."""
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        k, dim = 3 + i % 4, 2 + i % 2
+        n_src = max(1, k // 3)
+        pts = rng.uniform(-1.0, 1.0, size=(k, dim))
+        w = rng.uniform(0.5, 1.5, size=k)
+        w[n_src:] *= w[:n_src].sum() / w[n_src:].sum()
+        yield (AtomicMeasure.from_atoms([(pts[j], float(w[j])) for j in range(n_src)], dim=dim),
+               AtomicMeasure.from_atoms([(pts[j], float(w[j])) for j in range(n_src, k)],
+                                        dim=dim))
+
+
+def test_oracle_at_alpha_one_costs_the_w1_transport():
+    # at alpha = 1 an optimal path is a straight-line W1 plan, and the exact
+    # transport solve of metrics shares no code with the oracle: the oracle
+    # never beats W1 and stays within its certified gap of it
+    for mu_minus, mu_plus in _w1_instances():
+        cost = optimizer.path_cost(optimizer.brute_force_optimal(mu_minus, mu_plus, 1.0), 1.0)
+        dist = np.linalg.norm(mu_minus.points[:, None, :] - mu_plus.points[None, :, :], axis=-1)
+        w1 = metrics._transport(mu_minus.masses.tolist(), mu_plus.masses.tolist(), dist.tolist())
+        assert w1 <= cost * (1.0 + 1e-12)
+        assert cost - w1 <= 1e-9 * cost
 
 
 def test_oracle_y_shape_at_alpha_half():

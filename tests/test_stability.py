@@ -250,6 +250,34 @@ def test_trial_rasterizes_the_limit_once(monkeypatch):
         assert row.flat_gap == value + err
 
 
+def _unperturbed(**overrides):
+    d = _experiment_dict(**overrides)
+    d["mu_plus"]["perturbation"] = 0.0
+    return d
+
+
+@pytest.mark.parametrize("make, lps", [(_experiment_dict, 1), (_unperturbed, 0),
+                                       (_experiment_dict_3d, 0)],
+                         ids=["2d", "2d-levels-at-limit", "3d"])
+def test_trial_makes_one_flat_lp_for_all_levels(make, lps, monkeypatch):
+    # 2-D: one dual LP for every level, none when each level's chain is the
+    # limit's; 3-D reports the mass surrogate and makes none
+    cfg = stability.experiment_from_dict(make(alpha=0.6, schedule=[1, 2, 4]))
+    real, calls = metrics.milp, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "milp", counted)
+    report = stability.run_stability_trial(cfg)
+    assert len(calls) == lps
+    if make is _unperturbed:
+        limit_chain, limit_err = metrics.rasterize(
+            metrics.GridComplex.from_box(-4.0, -4.0, 4.0, 4.0, cfg.grid_step), report.limit_path)
+        assert [r.flat_gap for r in report.rows] == [2.0 * limit_err] * 3
+
+
 def test_report_csv_shape():
     cfg = stability.experiment_from_dict(_experiment_dict(schedule=[1, 2]))
     report = stability.run_stability_trial(cfg)
