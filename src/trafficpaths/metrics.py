@@ -328,9 +328,11 @@ def flat_chain_norms(grid: GridComplex, chains) -> list[float]:
 
 
 def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
-    """min over 2-chains s of M(t - d s) + M(s) on the grid complex: one chain's dual LP.
+    """min over 2-chains s of M(t - d s) + M(s) on the grid complex, by its dual LP.
 
-    The one-chain call of `flat_chain_norms`, which describes the box and the LP.
+    The one-chain call of `flat_chain_norms`: by LP duality the value is
+    max t . phi over |phi| <= h on edges and |d^T phi| <= h^2 on faces,
+    solved on the chain's box in one HiGHS call (none when t = 0).
     """
     return flat_chain_norms(grid, [t_chain])[0]
 
