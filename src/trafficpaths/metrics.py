@@ -12,7 +12,7 @@ grid complex: both paths are rasterized to 1-chains (snapped staircase
 walks), and the norm min M(t - d s) + M(s) over 2-chains s is an LP.
 It is solved as its dual: maximise t . phi over edge values phi with
 |phi| <= h on every edge and |d^T phi| <= h^2 on every face; by LP
-duality the two optima agree.  HiGHS solves it, through
+duality the two optima agree.  HiGHS's primal simplex solves it, through
 ``scipy.optimize.milp`` with no integer variable, on the smallest
 sub-grid whose vertex box holds the support of the chain: clamping
 vertex indices to the box maps every 2-chain s to one no worse, so a
@@ -27,6 +27,7 @@ theta * (2h * length + sqrt(2) * h).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ from .currents import AtomicMeasure, TrafficPath
 
 # how far outside its box a point may lie and still count as on the grid
 GRID_SLACK = 1e-9
+# HiGHS's value of its simplex_strategy option that picks the primal simplex
+HIGHS_PRIMAL_SIMPLEX = 4
 # supply or demand left at or below this share of the total mass counts as met
 TRANSPORT_TOL = 1e-13
 # a transport solve gives up after this many rounds per source and sink
@@ -306,7 +309,8 @@ def flat_chain_norms(grid: GridComplex, chains) -> list[float]:
     Every non-zero chain is cut to its box (`_chain_box`), and all boxes
     go into one dual LP, stacked block-diagonally: maximise the sum of
     t_b . phi_b subject to -h <= phi <= h (variable bounds) and
-    -h^2 <= d^T phi <= h^2 (one row per face).  The blocks share no
+    -h^2 <= d^T phi <= h^2 (one row per face), by HiGHS's primal
+    simplex.  The blocks share no
     variable or row, so each block's phi_b is optimal for its own box,
     and t_b . phi_b is chain b's norm by LP duality.  A zero chain is 0.0
     without an LP; a batch of zero chains makes no call.
@@ -318,8 +322,14 @@ def flat_chain_norms(grid: GridComplex, chains) -> list[float]:
     h = grid.h
     faces = sparse.block_diag([box.boundary_matrix().T for box, _ in live], format="csr")
     t = np.concatenate([chain for _, chain in live])
-    # milp with no integer variable is this LP on HiGHS, without linprog's wrapper
-    res = milp(-t, constraints=LinearConstraint(faces, -h * h, h * h), bounds=Bounds(-h, h))
+    # milp with no integer variable is this LP on HiGHS, without linprog's wrapper.
+    # On a large box HiGHS's primal simplex solves it several times faster
+    # than its default dual simplex, and faster than the dual simplex solves
+    # the primal LP; milp hands the option on to HiGHS with a warning.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(-t, constraints=LinearConstraint(faces, -h * h, h * h),
+                   bounds=Bounds(-h, h), options={"simplex_strategy": HIGHS_PRIMAL_SIMPLEX})
     if not res.success:
         raise RuntimeError("flat norm LP failed: " + str(res.message))
     phis = np.split(res.x, np.cumsum([chain.size for _, chain in live])[:-1])

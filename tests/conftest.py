@@ -1,5 +1,5 @@
 """Shared builders: random acyclic traffic paths, balanced atom clouds, Lipschitz maps,
-and the point-merge reference registry."""
+the point-merge reference registry and a counter of flat-norm LP calls."""
 
 import itertools
 import math
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficpaths import currents
+from trafficpaths import currents, metrics
 from trafficpaths.geometry import Ball, as_point, segment_sphere_params
 
 
@@ -127,6 +127,19 @@ def endpoint_measures(pi) -> tuple:
     dim = pi.entries[0][0].dim if pi.entries else 2
     return (currents.AtomicMeasure.from_atoms([(c.start(), w) for c, w in pi.entries], dim=dim),
             currents.AtomicMeasure.from_atoms([(c.end(), w) for c, w in pi.entries], dim=dim))
+
+
+def counting_milp(monkeypatch) -> list:
+    """Patch metrics.milp to record each call's (args, kwargs); returns the list they land in."""
+    calls = []
+    real = metrics.milp
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "milp", counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog, milp
+from scipy.optimize import linprog
 
 from trafficpaths import currents, metrics
 from trafficpaths.currents import AtomicMeasure
+
+from conftest import counting_milp
 
 
 def seg(ax, ay, bx, by, th):
@@ -304,24 +308,12 @@ def test_flat_chain_norm_box_matches_full_grid(seed):
         _assert_box_lp_matches(g, chain)
 
 
-def _counting_milp(monkeypatch):
-    """Patch metrics.milp to record its calls; returns the list they land in."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return milp(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "milp", counted)
-    return calls
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_flat_chain_norm_equals_linprog_of_its_box_lp(seed, monkeypatch):
     # one batched dual LP gives each chain the one-chain call's value to the
     # bit, and the primal LP on the chain's box (by linprog) to rel 1e-12
     g, chains = _box_chains(seed)
-    calls = _counting_milp(monkeypatch)
+    calls = counting_milp(monkeypatch)
     got = metrics.flat_chain_norms(g, chains)
     assert len(calls) == 1
     for chain, value in zip(chains, got):
@@ -335,7 +327,7 @@ def test_flat_chain_norms_put_zero_chains_at_exactly_zero(monkeypatch):
     g, chains = _box_chains(0)
     zero = np.zeros(g.n_edges)
     batch = [zero, chains[0], zero, chains[1], -0.0 * chains[2], chains[3], zero]
-    calls = _counting_milp(monkeypatch)
+    calls = counting_milp(monkeypatch)
     got = metrics.flat_chain_norms(g, batch)
     assert len(calls) == 1
     assert [got[k] for k in (0, 2, 4, 6)] == [0.0] * 4
@@ -344,9 +336,20 @@ def test_flat_chain_norms_put_zero_chains_at_exactly_zero(monkeypatch):
     assert all(v > 0.0 for v in got[1::2])
 
 
+def test_flat_chain_norms_pick_the_primal_simplex_without_a_warning(monkeypatch):
+    # the simplex_strategy option goes to HiGHS through milp, which warns about
+    # it; that warning stays inside flat_chain_norms
+    g, chains = _box_chains(1)
+    calls = counting_milp(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics.flat_chain_norms(g, chains)
+    assert calls[0][1]["options"] == {"simplex_strategy": metrics.HIGHS_PRIMAL_SIMPLEX}
+
+
 def test_flat_chain_norms_of_zero_chains_make_no_lp(monkeypatch):
     g = metrics.GridComplex.from_box(0.0, 0.0, 1.0, 1.0, 0.25)
-    calls = _counting_milp(monkeypatch)
+    calls = counting_milp(monkeypatch)
     assert metrics.flat_chain_norms(g, [np.zeros(g.n_edges)] * 3) == [0.0] * 3
     assert metrics.flat_chain_norms(g, []) == []
     assert calls == []

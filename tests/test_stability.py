@@ -13,7 +13,7 @@ from trafficpaths.cli import canonical_json
 from trafficpaths.currents import AtomicMeasure, Config
 from trafficpaths.geometry import Ball, BallRegion
 
-from conftest import balanced_clouds
+from conftest import balanced_clouds, counting_milp
 
 
 def atoms2(*entries):
@@ -263,13 +263,7 @@ def test_trial_makes_one_flat_lp_for_all_levels(make, lps, monkeypatch):
     # 2-D: one dual LP for every level, none when each level's chain is the
     # limit's; 3-D reports the mass surrogate and makes none
     cfg = stability.experiment_from_dict(make(alpha=0.6, schedule=[1, 2, 4]))
-    real, calls = metrics.milp, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "milp", counted)
+    calls = counting_milp(monkeypatch)
     report = stability.run_stability_trial(cfg)
     assert len(calls) == lps
     if make is _unperturbed:
