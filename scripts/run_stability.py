@@ -2,10 +2,13 @@
 
 Usage: python scripts/run_stability.py [config.json ...]
 With no arguments every file in configs/ is run.  Each experiment
-produces results/<name>.json and results/<name>.csv plus one verdict
-line per check on stdout.
+produces results/<name>.json and results/<name>.csv and prints two lines
+on stdout: the limit's certificate check (the trees checked, the certified
+bound and the path cost, from the trafficpaths.stability DEBUG log) and
+its verdicts.
 """
 
+import logging
 import pathlib
 import sys
 
@@ -21,6 +24,9 @@ def main(argv) -> int:
     paths = [pathlib.Path(p) for p in argv] or sorted((ROOT / "configs").glob("*.json"))
     out_dir = ROOT / "results"
     out_dir.mkdir(exist_ok=True)
+    log = logging.getLogger("trafficpaths.stability")
+    log.setLevel(logging.DEBUG)
+    log.addHandler(logging.StreamHandler(sys.stdout))
     failures = 0
     for path in paths:
         cfg = stability.load_experiment(str(path))

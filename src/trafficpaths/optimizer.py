@@ -37,6 +37,12 @@ end, which bounds the group optimum from above (branch-and-bound in the
 spirit of Smith, Algorithmica 1992).  A caller
 that needs only a group's best tree, not its cost, may have the last
 problem left in a group returned uncertified once all others are dropped.
+The duals are kept: for every certified or pruned problem the kernel
+returns the y of its best bound (an uncertified or decided one has none),
+and the oracle hands them on with every tree's edges as its answer's
+Certificate, which ``certificate.checked_lower_bound``, sharing no code
+with the kernel, turns into a bound on the optimum; ``is_optimal`` and the
+stability trials judge optimality by that checked bound.
 Degenerate optima are reached through collisions (branch points
 landing on terminals or each other are contracted at 1e-7) and through
 zero-flow edges, which cost nothing and realize disconnected optima
@@ -67,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import currents, decomposition as dcmp
+from . import certificate, currents, decomposition as dcmp
 from .currents import AtomicMeasure, TrafficPath
 
 COLLISION_TOL = 1e-7
@@ -281,17 +287,22 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     the problems it fails).  Each problem keeps its own smoothing eps and
     ends its stages on its own.
 
-    Returns one entry per problem: (positions, cost) once cost - lower
-    bound <= tol * cost; None once its lower bound exceeds the smaller of
-    cutoff and the least cost any problem of its group reached at a stage
-    end (every such cost bounds the group optimum from above, so the best
-    problem of a group is never dropped); or an OptimizeError carrying the
-    last positions when max_iters Newton steps do not certify the gap, or
-    when steps at the smallest smoothing stop making progress.  With
-    decide, a problem is also returned as (positions, cost), its true cost
-    at its current iterate with no certificate, as soon as every other
-    problem of its group has been dropped: each of those has its optimum
-    above a cost its group reached, so it holds the group's optimum.
+    Returns one entry per problem, and the duals (T, E, d).  An entry is
+    (positions, cost) once cost - lower bound <= tol * cost; None once its
+    lower bound exceeds the smaller of cutoff and the least cost any
+    problem of its group reached at a stage end (every such cost bounds the
+    group optimum from above, so the best problem of a group is never
+    dropped); or an OptimizeError carrying the last positions when
+    max_iters Newton steps do not certify the gap, or when steps at the
+    smallest smoothing stop making progress.  With decide, a problem is
+    also returned as (positions, cost), its true cost at its current
+    iterate with no certificate, as soon as every other problem of its
+    group has been dropped: each of those has its optimum above a cost its
+    group reached, so it holds the group's optimum.  The duals of a
+    certified or pruned problem are the y, |y_e| <= w_e, of its best lower
+    bound sum_e y_e . D0c_e - R sum_v |g_v| (written at each stage end that
+    raised it; y_e = w_e d_e / |d_e| for a problem solved as it stands);
+    an uncertified or decided problem has no certificate, and NaN duals.
     """
     T, n, dim = pos.shape
     k, n_edges = anchors.shape[1], edges.shape[1]
@@ -312,8 +323,11 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     # a problem whose free vertices all do so is solved as it stands
     touched = np.einsum("tef,te->tf", np.abs(B), (w > 0).astype(float)) > 0
     out: list = [None] * T
+    duals = np.full((T, n_edges, dim), np.nan)
     for i in np.flatnonzero(~touched.any(axis=1)):
-        out[i] = pos[i].copy(), float(w[i] @ np.linalg.norm(D0[i], axis=1))
+        norm = np.linalg.norm(D0[i], axis=1)
+        out[i] = pos[i].copy(), float(w[i] @ norm)
+        duals[i] = np.divide(w[i], norm, out=np.zeros(n_edges), where=norm > 0)[:, None] * D0[i]
     live = np.flatnonzero(touched.any(axis=1))
     counts = {"certified": T - len(live), "pruned": 0, "uncertified": 0, "decided": 0}
     eye = np.eye(dim)
@@ -352,7 +366,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         return (y * D0c[sel]).sum(axis=(1, 2)) - R[sel] * np.linalg.norm(g, axis=2).sum(axis=1)
 
     def bounds(sel):
-        """Costs of problems sel and lower bounds on their optima, from y_e = w_e d_e / r_e."""
+        """Costs of problems sel, lower bounds on their optima and the duals y
+        that give them, from y_e = w_e d_e / r_e."""
         d = B[sel] @ X[sel] + D0[sel]
         norm = np.linalg.norm(d, axis=2)
         y = (w[sel] / np.sqrt(norm * norm + (eps[sel] * eps[sel])[:, None]))[..., None] * d
@@ -363,14 +378,17 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             # on edges that are collapsing d/r is rounding noise: take their y
             # as the min-norm solution of the balance at the free vertices,
             # clipped back into the balls |y_e| <= w_e
-            s, short, y = sel[has], short[has], y[has]
-            rhs = -(Bt[s] @ np.where(short[..., None], 0.0, y))
+            s, short, y_has = sel[has], short[has], y[has]
+            rhs = -(Bt[s] @ np.where(short[..., None], 0.0, y_has))
             y_short = _min_norm_duals(Bt[s] * short[:, None, :], rhs)
             excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[s], 1.0)
             y_short /= np.maximum(excess, 1.0)[..., None]
-            y = np.where(short[..., None], y_short, y)
-            lower[has] = np.maximum(lower[has], lower_bound(s, y))
-        return np.einsum("te,te->t", w[sel], norm), lower
+            y_has = np.where(short[..., None], y_short, y_has)
+            lower_has = lower_bound(s, y_has)
+            up = lower_has > lower[has]
+            rows = has[up]
+            lower[rows], y[rows] = lower_has[up], y_has[up]
+        return np.einsum("te,te->t", w[sel], norm), lower, y
 
     def line_search(g, t, P, dP, lam2):
         """Armijo test of the steps t * P of the live problems g (indices, or
@@ -422,9 +440,12 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         se = np.flatnonzero(ended)
         if len(se):
-            cost, lower = bounds(se)
+            cost, lower, y = bounds(se)
             np.minimum.at(incumbent, grp[se], cost)
-            lower_best[se] = np.maximum(lower_best[se], lower)
+            up = lower > lower_best[se]
+            rows = se[up]
+            lower_best[rows] = lower[up]
+            duals[live[rows]] = y[up]
             certified = cost - lower <= tol * cost
             for i, c, lo in zip(se[certified], cost[certified], lower[certified]):
                 if lo <= cutoff:
@@ -448,6 +469,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                                       np.linalg.norm(B[won] @ X[won] + D0[won], axis=2))
                     for i, c in zip(won, c_won):
                         out[live[i]] = positions(live[i], X[i]), float(c)
+                    duals[live[won]] = np.nan
                     done[won] = True
                     counts["decided"] += len(won)
             rest = ~(done | pruned)[se]
@@ -476,6 +498,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         for i in np.flatnonzero(stuck & ~(done | pruned)):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
                                          positions(live[i], X[i]))
+            duals[live[i]] = np.nan
             counts["uncertified"] += 1
             done[i] = True
         keep = ~(done | pruned)
@@ -489,7 +512,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, %d decided, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
                counts["uncertified"], counts["decided"], iterations, len(set(groups.tolist())))
-    return out
+    return out, duals
 
 
 def _check_tol(tol: float) -> None:
@@ -511,18 +534,19 @@ def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, 
 
     pos (T, n, d) starts every tree with its k terminals first, edges
     (T, E, 2) and signed flows (T, E) give its weights, and groups (T,)
-    name its instance.  Entries are (positions, cost), or None for a
-    pruned tree.  A tree left uncertified logs a warning and is kept at its
-    last iterate, scored at its true cost.
+    name its instance.  Returns the entries, (positions, cost) or None for
+    a pruned tree, and the kernel's duals (T, E, d).  A tree left
+    uncertified logs a warning and is kept at its last iterate, scored at
+    its true cost; its duals are NaN.
     """
-    out = _minimize_length(pos, edges, _edge_weights(flows, alpha), pos[:, :k], tol, 10000,
-                           cutoff, groups=groups, decide=decide)
+    out, duals = _minimize_length(pos, edges, _edge_weights(flows, alpha), pos[:, :k], tol,
+                                  10000, cutoff, groups=groups, decide=decide)
     for i, res in enumerate(out):
         if isinstance(res, OptimizeError):
             _log.warning("instance %d topology %s not certified: %s", groups[i],
                          _tree_key(edges[i].tolist()), res)
             out[i] = res.best, _tree_cost(res.best, edges[i], flows[i], alpha)
-    return out
+    return out, duals
 
 
 def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
@@ -538,8 +562,8 @@ def optimize_positions(topology: Topology, alpha: float, tol: float = 1e-10,
     _check_tol(tol)
     k, pos = topology.n_terminals, topology.positions()[None]
     w = _edge_weights(np.array([topology.flows()], dtype=float), alpha)
-    (res,) = _minimize_length(pos, np.array([topology.edges], dtype=int), w, pos[:, :k], tol,
-                              max_iters, groups=np.zeros(1, int))
+    (res,), _ = _minimize_length(pos, np.array([topology.edges], dtype=int), w, pos[:, :k],
+                                 tol, max_iters, groups=np.zeros(1, int))
     if isinstance(res, OptimizeError):
         raise OptimizeError(str(res), replace(topology, steiner_points=res.best[k:]))
     return replace(topology, steiner_points=res[0][k:]), res[1]
@@ -585,12 +609,25 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     Every topology not pruned by its lower bound is solved to a certified
     relative gap of tol; larger instances raise OracleRangeError.
     """
-    (t,) = brute_force_many([(mu_minus, mu_plus)], alpha, tol)
+    ((t, _),) = brute_force_many([(mu_minus, mu_plus)], alpha, tol)
     return t
 
 
+class Certificate(NamedTuple):
+    """Dual certificate of one oracle answer: the merged atoms it solved,
+    every full tree on them and each tree's duals y (``_minimize_length``);
+    ``certificate.checked_lower_bound`` turns it into a bound on the optimum."""
+
+    points: np.ndarray  # (k, d) terminal i of every tree is atom i
+    masses: np.ndarray  # (k,) signed, sinks positive
+    edges: np.ndarray  # (T, 2k-3, 2)
+    duals: np.ndarray  # (T, 2k-3, d), NaN for a tree left uncertified
+
+
 def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
-    """``brute_force_optimal`` of every (mu_minus, mu_plus) pair of instances.
+    """``brute_force_optimal`` of every (mu_minus, mu_plus) pair of instances,
+    with its answer's Certificate: (path, certificate) per instance, the
+    certificate None for an instance without atoms.
 
     Every instance is checked against the oracle range before any is
     solved; the trees of all instances with the same merged atom count go
@@ -604,21 +641,23 @@ def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
     out = []
     for (mm, mp), best in zip(instances, _oracle_topologies(nets, alpha, tol)):
         if best is None:
-            out.append(currents.empty_path(mm.dim if mm.points.size else mp.dim))
+            out.append((currents.empty_path(mm.dim if mm.points.size else mp.dim), None))
         else:
-            out.append(_tree_path(*best[:3]))
+            out.append((_tree_path(*best[:3]), best[4]))
     return out
 
 
 def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
     """Per net, the (positions, edges, flows, cost) of least (cost, tree key)
-    over every full topology on its atoms; None for a net without atoms.
+    over every full topology on its atoms and the net's Certificate; None
+    for a net without atoms.
 
     Every full topology on k atoms has k - 2 branch points; all start from
     one spread around their net's mean, which breaks their coincidence.  The
     trees of all nets with the same atom count and dimension form one batch,
     one group per net, built from the arrays of ``_trees(k)``; a winner's
-    flows are its row of the batch's replay.
+    flows are its row of the batch's replay, and a net's certificate holds
+    its rows of the batch's duals.
     """
     batches: dict = {}
     for i, net in enumerate(nets):
@@ -633,22 +672,26 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
                            for i in members])
         pos = np.repeat(starts, T, axis=0)
         flows = _tree_flows(trees.order, np.stack([nets[i].masses for i in members]), 2 * k - 2)
-        solved = _solve_trees(pos, np.tile(trees.edges, (len(members), 1, 1)),
-                              flows.reshape(len(pos), -1), k, alpha, tol, np.repeat(members, T))
+        solved, duals = _solve_trees(pos, np.tile(trees.edges, (len(members), 1, 1)),
+                                     flows.reshape(len(pos), -1), k, alpha, tol,
+                                     np.repeat(members, T))
         for j, i in enumerate(members):
             group = solved[j * T:(j + 1) * T]
             t = min((t for t, res in enumerate(group) if res is not None),
                     key=lambda t: (group[t][1], trees.keys[t]))
-            best[i] = group[t][0], trees.edges[t], flows[j, t], group[t][1]
+            cert = Certificate(nets[i].points, nets[i].masses, trees.edges,
+                               duals[j * T:(j + 1) * T])
+            best[i] = group[t][0], trees.edges[t], flows[j, t], group[t][1], cert
     return best
 
 
 @dataclass(frozen=True)
 class OptimalityReport:
     optimal: bool
-    gap: float
+    gap: float  # path_cost - lower_bound
     path_cost: float
     oracle_cost: float
+    lower_bound: float  # checked dual bound on the optimum; -inf when it fails to check
 
     def __bool__(self) -> bool:
         return self.optimal
@@ -657,14 +700,23 @@ class OptimalityReport:
 def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityReport:
     """Compare a path against the oracle on its own boundary.
 
-    tol bounds the cost gap of the verdict only; the oracle itself always
-    runs at its default certified gap.
+    The oracle's certificate on that boundary goes to
+    ``certificate.checked_lower_bound``; the path is optimal when its cost
+    exceeds that checked bound by at most tol.  A certificate that does not
+    check (an uncertified tree) is logged and gives the bound -inf.  tol
+    bounds the gap of the verdict only; the oracle itself always runs at
+    its default certified gap.
     """
     bnd = currents.boundary(t)
-    opt = brute_force_optimal(bnd.negative_part(), bnd.positive_part(), alpha)
+    ((opt, cert),) = brute_force_many([(bnd.negative_part(), bnd.positive_part())], alpha)
     cost, oracle_cost = path_cost(t, alpha), path_cost(opt, alpha)
-    gap = cost - oracle_cost
-    return OptimalityReport(gap <= tol, gap, cost, oracle_cost)
+    try:
+        lower = 0.0 if cert is None else certificate.checked_lower_bound(cert, alpha)
+    except certificate.CertificateError as exc:
+        _log.warning("oracle certificate rejected: %s", exc)
+        lower = -math.inf
+    gap = cost - lower
+    return OptimalityReport(gap <= tol, gap, cost, oracle_cost, lower)
 
 
 def _steiner_cost(t: TrafficPath) -> float:
@@ -730,8 +782,8 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         starts[:, s] = (pos[ends[:, 0]] + pos[ends[:, 1]] + pos[t]) / 3.0
         order = np.array([_strip_order(c, len(pos)) for c in cands])
         flows = _tree_flows(order, m[None], len(pos))[0]
-        solved = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL,
-                              np.zeros(len(cands), int), cutoff, decide)
+        solved, _ = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL,
+                                 np.zeros(len(cands), int), cutoff, decide)
         kept = [(*res, f, c) for res, f, c in zip(solved, flows, cands) if res is not None]
         return min(kept, key=lambda s: s[1]) if kept else None
 

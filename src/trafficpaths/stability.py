@@ -18,12 +18,13 @@ inputs.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constructors, currents, metrics, optimizer
+from . import certificate, constructors, currents, metrics, optimizer
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, Config, TrafficPath
 from .decomposition import Curve, PathMeasure
@@ -31,6 +32,8 @@ from .geometry import BallRegion, as_point
 
 GOLDEN = 0.6180339887498949
 BOUNDARY_TOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ class TrialReport:
     rows: tuple
     limit_cost: float
     limit_path: TrafficPath
-    optimal_gap: float
+    optimal_gap: float | None  # limit cost minus its checked bound; None if uncertified
     flat_gap_kind: str
     truncation_error: float
     verdicts: dict
@@ -263,7 +266,13 @@ def _limit_side(spec: TargetSpec, schedule) -> tuple[int, AtomicMeasure, float]:
 
 
 def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
-    """Solve every scheduled instance and compare against the limit instance."""
+    """Solve every scheduled instance and compare against the limit instance.
+
+    The limit is optimal when its cost exceeds the least dual bound over
+    every full tree on its atoms, as ``certificate.checked_lower_bound``
+    checks it from the oracle's certificate, by at most optimality_tol
+    plus the truncation error; a limit without a certificate is not.
+    """
     alpha = cfg.config.alpha
     d = cfg.config.dimension
     notes = []
@@ -281,8 +290,19 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     for (mm, mp), n in zip(instances, [max(levels), *cfg.schedule]):
         if len(mm.masses) + len(mp.masses) > optimizer.ORACLE_MAX_ATOMS:
             raise optimizer.OracleRangeError(f"oracle range exceeded at n={n}")
-    t_limit, *level_paths = optimizer.brute_force_many(instances, alpha)
+    (t_limit, cert), *levels = optimizer.brute_force_many(instances, alpha)
+    level_paths = [t_n for t_n, _ in levels]
     limit_cost = currents.alpha_mass(t_limit, alpha)
+    try:
+        bound = certificate.checked_lower_bound(cert, alpha)
+    except certificate.CertificateError as exc:
+        optimal_gap = None
+        notes.append(f"limit not certified: {exc}")
+        _log.debug("alpha %g limit: not certified (%s), path cost %.12g", alpha, exc, limit_cost)
+    else:
+        optimal_gap = limit_cost - bound
+        _log.debug("alpha %g limit: %d trees checked, certified bound %.12g, path cost %.12g",
+                   alpha, len(cert.edges), bound, limit_cost)
 
     if d == 2:
         r = cfg.config.ambient_radius
@@ -314,21 +334,21 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     gaps_monotone = all(
         b.gap_minus <= a.gap_minus + 1e-12 and b.gap_plus <= a.gap_plus + 1e-12
         for a, b in zip(tail, tail[1:]))
-    opt = optimizer.is_optimal(t_limit, alpha, tol=cfg.optimality_tol + truncation)
+    limit_optimal = optimal_gap is not None and optimal_gap <= cfg.optimality_tol + truncation
     tol = cfg.convergence_tol + truncation
     liminf_ok = min(costs[-2:]) >= limit_cost - tol
     converged = abs(costs[-1] - limit_cost) <= tol
     verdicts = {
         "costs_bounded": bool(costs_bounded),
         "gaps_monotone": bool(gaps_monotone),
-        "limit_optimal": bool(opt.optimal),
+        "limit_optimal": limit_optimal,
         "liminf_ok": bool(liminf_ok),
         "converged": bool(converged),
     }
     verdicts["optimal"] = all(verdicts.values())
     return TrialReport(alpha=alpha, dimension=d, rows=tuple(rows),
                        limit_cost=limit_cost, limit_path=t_limit,
-                       optimal_gap=opt.gap, flat_gap_kind=flat_kind,
+                       optimal_gap=optimal_gap, flat_gap_kind=flat_kind,
                        truncation_error=truncation, verdicts=verdicts,
                        notes=tuple(notes))
 

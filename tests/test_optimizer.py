@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trafficpaths import currents, metrics, optimizer
+from trafficpaths.certificate import checked_lower_bound
 from trafficpaths.currents import AtomicMeasure
 
 from conftest import balanced_clouds
@@ -209,9 +210,9 @@ def _solve_batch(topos, alpha, tol, max_iters=10000, decide=False):
     k = topos[0].n_terminals
     pos = np.stack([t.positions() for t in topos])
     w = optimizer._edge_weights(np.array([t.flows() for t in topos]), alpha)
-    solved = optimizer._minimize_length(pos, np.array([t.edges for t in topos]), w, pos[:, :k],
-                                        tol, max_iters, groups=np.zeros(len(topos), int),
-                                        decide=decide)
+    solved, _ = optimizer._minimize_length(pos, np.array([t.edges for t in topos]), w,
+                                           pos[:, :k], tol, max_iters,
+                                           groups=np.zeros(len(topos), int), decide=decide)
     out = []
     for topo, res in zip(topos, solved):
         if isinstance(res, optimizer.OptimizeError):
@@ -232,7 +233,7 @@ def test_oracle_winner_matches_its_tree_solved_alone(k_minus, k_plus, dim):
     net = mu_plus - mu_minus
     k = len(net.masses)
     assert k == k_minus + k_plus
-    ((pos, edges, flows, cost),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
+    ((pos, edges, flows, cost, _),) = optimizer._oracle_topologies([net], 0.5, 1e-9)
     init = net.points.mean(axis=0) + 1e-3 * np.random.default_rng(7).standard_normal((k - 2, dim))
     ((alone, alone_cost),) = _solve_batch(
         [optimizer.Topology(net.points.copy(), net.masses.copy(), init,
@@ -348,6 +349,54 @@ def test_batch_keeps_certifying_beside_a_stuck_problem(caplog):
                for r in caplog.records)
 
 
+def test_kernel_keeps_the_duals_of_certified_and_pruned_problems():
+    # the batch above: near and nearby certify and keep duals within their
+    # weights that bound their cost to the gap; far stops uncertified and
+    # keeps none.  With a cutoff below every bound all are pruned at their
+    # first stage end, each with the duals of the bound that pruned it.
+    topos = [_y_topology(s) for s in ([0.0, 1.0], [0.1, 0.9], [30.0, -40.0])]
+    pos, edges = np.stack([t.positions() for t in topos]), np.array([t.edges for t in topos])
+    w = optimizer._edge_weights(np.array([t.flows() for t in topos]), 0.5)
+
+    def bound(i, duals):
+        cert = optimizer.Certificate(pos[i, :3], topos[i].terminal_masses, edges[i:i + 1],
+                                     duals[i:i + 1])
+        return checked_lower_bound(cert, 0.5)
+
+    out, duals = optimizer._minimize_length(pos, edges, w, pos[:, :3], 1e-10, 8,
+                                            groups=np.zeros(3, int))
+    assert isinstance(out[2], optimizer.OptimizeError) and np.isnan(duals[2]).all()
+    for i in (0, 1):
+        assert (np.linalg.norm(duals[i], axis=1) <= w[i] * (1.0 + 1e-12)).all()
+        assert out[i][1] * (1.0 - 1e-10) <= bound(i, duals) <= 3.0 * math.sqrt(2.0)
+    out, duals = optimizer._minimize_length(pos, edges, w, pos[:, :3], 1e-10, 8, cutoff=1.0,
+                                            groups=np.zeros(3, int))
+    assert out == [None] * 3
+    assert all(1.0 < bound(i, duals) <= 3.0 * math.sqrt(2.0) for i in range(3))
+
+
+def test_decided_problems_keep_no_duals(caplog):
+    # a decided return is not certified, so it must not carry a certificate
+    rng = np.random.default_rng(16)
+    nan_rows = 0
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        for _ in range(16):
+            cands, alpha = _insertion_scan(rng)
+            k = cands[0].n_terminals
+            pos = np.stack([t.positions() for t in cands])
+            w = optimizer._edge_weights(np.array([t.flows() for t in cands]), alpha)
+            out, duals = optimizer._minimize_length(
+                pos, np.array([t.edges for t in cands]), w, pos[:, :k], optimizer.LOCAL_TOL,
+                10000, groups=np.zeros(len(cands), int), decide=True)
+            kept = np.isfinite(duals).all(axis=(1, 2))
+            assert (kept | np.isnan(duals).all(axis=(1, 2))).all()
+            assert all(kept[i] for i, res in enumerate(out) if res is None)
+            nan_rows += int((~kept).sum())
+    decided = [int(r.getMessage().split(" decided")[0].rsplit(" ", 1)[1])
+               for r in caplog.records if "position batch" in r.getMessage()]
+    assert nan_rows == sum(decided) >= 8
+
+
 def _pinv_duals(M, rhs):
     """The SVD repair that ``_min_norm_duals`` replaced, kept as its reference."""
     return np.linalg.pinv(M, rcond=np.finfo(float).eps * max(M.shape[1:])) @ rhs
@@ -424,7 +473,7 @@ def _reference_oracle(net, alpha, tol):
 
 
 def _assert_oracle_matches_reference(net, alpha, tol=1e-9):
-    ((_, edges, _, cost),) = optimizer._oracle_topologies([net], alpha, tol)
+    ((_, edges, _, cost, _),) = optimizer._oracle_topologies([net], alpha, tol)
     ranked = _reference_oracle(net, alpha, tol)
     best, key = ranked[0]
     # no other tree ties within the certified gaps, so the best one is well defined
@@ -468,8 +517,9 @@ def test_grouped_oracle_prunes_each_instance_by_its_own_incumbent(monkeypatch):
     monkeypatch.setattr(optimizer, "_minimize_length", counted)
     grouped = optimizer._oracle_topologies([small, large], 0.6, 1e-9)
     assert calls == [2]
-    for net, (pos, edges, _, cost) in zip((small, large), grouped):
-        ((alone, alone_edges, _, alone_cost),) = optimizer._oracle_topologies([net], 0.6, 1e-9)
+    for net, (pos, edges, _, cost, _) in zip((small, large), grouped):
+        ((alone, alone_edges, _, alone_cost, _),) = optimizer._oracle_topologies([net], 0.6,
+                                                                                 1e-9)
         k = len(net.masses)
         assert cost == alone_cost
         assert optimizer._tree_key(edges) == optimizer._tree_key(alone_edges)
@@ -488,7 +538,8 @@ def test_oracle_hands_on_its_winners_own_flows(alpha):
             k_minus = int(rng.integers(1, k))
             mu_minus, mu_plus = balanced_clouds(rng, k_minus, k - k_minus, dim=dim)
             nets.append(mu_plus - mu_minus)
-    for net, (pos, edges, flows, _) in zip(nets, optimizer._oracle_topologies(nets, alpha, 1e-9)):
+    for net, (pos, edges, flows, *_) in zip(nets, optimizer._oracle_topologies(nets, alpha,
+                                                                               1e-9)):
         k = len(net.masses)
         topo = optimizer.Topology(net.points, net.masses, pos[k:],
                                   tuple(map(tuple, edges.tolist())))
@@ -667,6 +718,30 @@ def test_is_optimal_accepts_oracle_output():
     assert bool(report)
 
 
+def test_is_optimal_reports_the_checked_bound():
+    # Gilbert's Y at alpha = 1/2 costs 3 sqrt(2); the bound is checked from
+    # the oracle's certificate and the verdict compares the cost against it
+    mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
+    mu_plus = atoms2(((0.0, 0.0), 2.0))
+    report = optimizer.is_optimal(optimizer.brute_force_optimal(mu_minus, mu_plus, 0.5), 0.5)
+    assert report.lower_bound == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-9)
+    assert report.lower_bound <= 3.0 * math.sqrt(2.0) * (1.0 + 1e-15)
+    assert report.gap == report.path_cost - report.lower_bound
+    assert report.optimal
+
+
+def test_is_optimal_without_a_certificate_is_not_optimal(caplog, monkeypatch):
+    monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
+    mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
+    t = currents.from_segments([(p, np.zeros(2), 1.0) for p, _ in mu_minus.atoms()])
+    with caplog.at_level(logging.WARNING, logger="trafficpaths.optimizer"):
+        report = optimizer.is_optimal(t, 0.5)
+    assert report.lower_bound == -math.inf and report.gap == math.inf
+    assert not report.optimal
+    assert any("oracle certificate rejected: tree 0 has no duals" in r.getMessage()
+               for r in caplog.records)
+
+
 def test_is_optimal_rejects_detour():
     t = currents.from_segments([
         (np.array([-1.0, 0.0]), np.array([0.0, 1.0]), 1.0),
@@ -819,9 +894,9 @@ def test_regrafts_skip_the_moved_terminals_rescan(index, moved, monkeypatch):
     kernel, best = optimizer._minimize_length, []
 
     def counted(*args, **kwargs):
-        out = kernel(*args, **kwargs)
+        out, duals = kernel(*args, **kwargs)
         best.append(min((res[1] for res in out if isinstance(res, tuple)), default=math.inf))
-        return out
+        return out, duals
 
     monkeypatch.setattr(optimizer, "_minimize_length", counted)
     optimizer.local_search(mu_minus, mu_plus, alpha)
@@ -833,9 +908,10 @@ def test_regrafts_skip_the_moved_terminals_rescan(index, moved, monkeypatch):
     assert len(best) - (k - 2) - (last_move + 1) == (k - 1 if moved else k)
 
 
-def _stalled(pos, *args, **kwargs):
+def _stalled(pos, edges, *args, **kwargs):
     """A position kernel that certifies nothing: every problem keeps its start."""
-    return [optimizer.OptimizeError("position stage did not certify its gap", p) for p in pos]
+    return ([optimizer.OptimizeError("position stage did not certify its gap", p) for p in pos],
+            np.full(edges.shape[:2] + pos.shape[2:], np.nan))
 
 
 def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):

@@ -200,16 +200,65 @@ def _position_batches(monkeypatch) -> list:
 
 def test_trial_solves_limit_and_levels_in_one_batch(monkeypatch, caplog):
     # every level of a shipped config has the limit's five atoms: one batch
-    # holds the limit and the seven levels, then is_optimal re-solves the limit
+    # holds the limit and the seven levels
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
     calls = _position_batches(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
         stability.run_stability_trial(cfg)
-    assert calls == [1 + len(cfg.schedule), 1]
+    assert calls == [1 + len(cfg.schedule)]
     batches = [r.getMessage() for r in caplog.records if "position batch" in r.getMessage()]
     assert batches[0].startswith(f"position batch of {15 * (1 + len(cfg.schedule))}: ")
     assert batches[0].endswith(f"Newton iterations, {1 + len(cfg.schedule)} groups")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a trial must not re-solve its limit")
+
+
+@pytest.mark.parametrize("name", ["stability_alpha02", "stability_alpha03", "stability_alpha04",
+                                  "stability_alpha06", "stability_alpha08"])
+def test_trial_certifies_its_limit_from_its_own_batch(name, monkeypatch, caplog):
+    # limit_optimal comes from the checked certificate of the trial's one
+    # oracle batch: no second oracle solve of the limit
+    monkeypatch.setattr(optimizer, "is_optimal", _raise)
+    monkeypatch.setattr(optimizer, "brute_force_optimal", _raise)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = stability.load_experiment(str(root / "configs" / f"{name}.json"))
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.stability"):
+        report = stability.run_stability_trial(cfg)
+    assert report.verdicts["optimal"]
+    assert -1e-12 <= report.optimal_gap <= 1e-8
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "trafficpaths.stability"]
+    bound = report.limit_cost - report.optimal_gap
+    assert line == (f"alpha {cfg.config.alpha:g} limit: 15 trees checked, "
+                    f"certified bound {bound:.12g}, path cost {report.limit_cost:.12g}")
+
+
+def test_trial_with_an_uncertified_limit_tree_is_not_optimal(monkeypatch):
+    # one tree of the limit (group 0) that was certified ends uncertified
+    # instead: it keeps its iterate and its cost, but the limit has no
+    # certificate and no gap
+    kernel, turned = optimizer._minimize_length, []
+
+    def one_uncertified(pos, *args, **kwargs):
+        out, duals = kernel(pos, *args, **kwargs)
+        i = next(i for i, res in enumerate(out) if kwargs["groups"][i] == 0 and res is not None)
+        out[i] = optimizer.OptimizeError("position stage did not certify its gap", out[i][0])
+        duals[i] = np.nan
+        turned.append(i)
+        return out, duals
+
+    monkeypatch.setattr(optimizer, "_minimize_length", one_uncertified)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = stability.load_experiment(str(root / "configs" / "stability_alpha04.json"))
+    report = stability.run_stability_trial(cfg)
+    assert report.verdicts["limit_optimal"] is False
+    assert not report.verdicts["optimal"]
+    assert report.optimal_gap is None
+    assert report.notes == (f"limit not certified: tree {turned[0]} has no duals: "
+                            "its solve was not certified",)
+    assert '"optimal_gap": null' in canonical_json(stability.report_json_dict(report))
 
 
 def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
@@ -225,8 +274,8 @@ def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
     assert merged == {3, 5}
     calls = _position_batches(monkeypatch)
     stability.run_stability_trial(cfg)
-    assert len(calls) == len(merged) + 1
-    assert sum(calls[:-1]) == 1 + len(cfg.schedule)
+    assert len(calls) == len(merged)
+    assert sum(calls) == 1 + len(cfg.schedule)
 
 
 def test_trial_rasterizes_the_limit_once(monkeypatch):
