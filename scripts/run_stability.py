@@ -2,10 +2,12 @@
 
 Usage: python scripts/run_stability.py [config.json ...]
 With no arguments every file in configs/ is run.  Each experiment
-produces results/<name>.json and results/<name>.csv and prints two lines
-on stdout: the limit's certificate check (the trees checked, the certified
-bound and the path cost, from the trafficpaths.stability DEBUG log) and
-its verdicts.
+produces results/<name>.json and results/<name>.csv and prints three
+lines on stdout.  Two come from the trafficpaths.stability DEBUG log: the
+limit's certificate check (the trees checked, the certified bound and the
+path cost) and the flat interval (the levels whose upper bound is the
+homotopy, those where it is the mass, and the last level's [lower, upper]).
+The third gives the verdicts.
 """
 
 import logging

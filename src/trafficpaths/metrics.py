@@ -1,4 +1,4 @@
-"""Flat norms: exact for atomic 0-currents, grid-relaxed for 1-currents.
+"""Flat norms: exact for atomic 0-currents, bounded for 1-currents.
 
 The flat norm of a signed atomic measure is the cheapest way to write
 it as (remainder) + (boundary of a 1-current): moving a unit of mass
@@ -7,21 +7,26 @@ a small transportation problem on the bipartite atom graph, with one
 dummy atom a side to destroy mass, and it is solved exactly by
 successive shortest paths on Python floats, with no LP.
 
-For 1-currents in the plane the flat distance is relaxed onto a square
-grid complex: both paths are rasterized to 1-chains (snapped staircase
-walks), and the norm min M(t - d s) + M(s) over 2-chains s is an LP.
-It is solved as its dual: maximise t . phi over edge values phi with
-|phi| <= h on every edge and |d^T phi| <= h^2 on every face; by LP
+Two paths drawn on the same tree, vertex for vertex, are a straight-line
+homotopy apart (Federer 4.1.9): the area each edge sweeps, weighted by
+its flow, plus the change of flow along each edge and the boundary's
+motion bounds their flat distance from above in any dimension, with no
+mesh (`homotopy_flat_bound`).  With the boundaries' flat norm below it,
+that gives an interval on the flat distance (`flat_interval`).
+
+For 1-currents in the plane the flat distance is also relaxed onto a
+square grid complex: both paths are rasterized to 1-chains (snapped
+staircase walks), and the norm min M(t - d s) + M(s) over 2-chains s is
+an LP.  It is solved as its dual: maximise t . phi over edge values phi
+with |phi| <= h on every edge and |d^T phi| <= h^2 on every face; by LP
 duality the two optima agree.  HiGHS's primal simplex solves it, through
 ``scipy.optimize.milp`` with no integer variable, on the smallest
 sub-grid whose vertex box holds the support of the chain: clamping
 vertex indices to the box maps every 2-chain s to one no worse, so a
 minimizer lives there (the grid form of "flat-norm minimizers lie in the
-convex hull").  Several chains go into one call, their boxes stacked
-block-diagonally, so a stability trial makes one LP call for all its
-levels.  The rasterization error is reported alongside the value: each
-segment of multiplicity theta contributes at most
-theta * (2h * length + sqrt(2) * h).
+convex hull").  One chain makes one LP call.  The rasterization error is
+reported alongside the value: each segment of multiplicity theta
+contributes at most theta * (2h * length + sqrt(2) * h).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -150,6 +156,116 @@ def flat_norm_0(measure: AtomicMeasure) -> float:
 def weak_star_gap(mu_n: AtomicMeasure, mu: AtomicMeasure) -> float:
     """Flat-norm gap between two measures; metrizes weak-* convergence at bounded mass."""
     return flat_norm_0(mu_n - mu)
+
+
+def homotopy_flat_bound(pos: np.ndarray, pos_n: np.ndarray, edges: np.ndarray,
+                        flows: np.ndarray, flows_n: np.ndarray) -> float:
+    """Upper bound on the flat norm of T_n - T for two paths drawn on the same edges.
+
+    T is sum_e flows[e] [pos[a], pos[b]] over the edges (a, b), and T_n the
+    same with pos_n and flows_n; a vertex v of T moves to v' of T_n.  The
+    straight-line homotopy between them (Federer 4.1.9) writes
+    [a', b'] - [a, b] as minus the boundary of the quadrilateral a b b' a'
+    plus the vertex tracks [b, b'] - [a, a'], and at each vertex the tracks
+    add up to its net inflow under flows_n, its boundary mass m_n(v).  So
+
+        F(T_n - T) <= sum_e |flows_n[e]| (|a b b'| + |a b' a'|)
+                      + sum_e |flows_n[e] - flows[e]| |b - a|
+                      + sum_v |m_n(v)| |v' - v|,
+
+    with |x y z| the area of a triangle.  Any dimension up to 3.
+    """
+    a, b = edges[:, 0], edges[:, 1]
+    # the triangles (a, b, b') and (a, b', a') of every edge: their sides
+    # from a, padded to 3-D, and half their cross products' lengths
+    d, start = pos.shape[1], np.concatenate([pos[a], pos[a]])
+    u, w = np.zeros((2, 2 * len(edges), 3))
+    u[:, :d] = np.concatenate([pos[b], pos_n[b]]) - start
+    w[:, :d] = np.concatenate([pos_n[b], pos_n[a]]) - start
+    cross = u[:, [1, 2, 0]] * w[:, [2, 0, 1]] - u[:, [2, 0, 1]] * w[:, [1, 2, 0]]
+    swept = 0.5 * np.linalg.norm(cross, axis=1).reshape(2, -1).sum(axis=0)
+    inflow = np.zeros(len(pos))
+    np.add.at(inflow, b, flows_n)
+    np.subtract.at(inflow, a, flows_n)
+    return float(np.abs(flows_n) @ swept
+                 + np.abs(flows_n - flows) @ np.linalg.norm(pos[b] - pos[a], axis=1)
+                 + np.abs(inflow) @ np.linalg.norm(pos_n - pos, axis=1))
+
+
+class TreePath(NamedTuple):
+    """A traffic path drawn on a tree, as `flat_interval` reads it."""
+
+    boundary: AtomicMeasure  # the path's boundary, mu+ - mu-
+    path: TrafficPath
+    tree: tuple | None  # the optimizer.SolvedTree the path is the current of
+    keys: tuple | None  # a name for each terminal of the tree, the same across paths
+
+
+def _leaf_sides(edges: np.ndarray, keys: tuple) -> list:
+    """Per edge (a, b) of a tree whose first len(keys) vertices are its
+    terminals, the keys of the terminals on b's side of it."""
+    adjacent: dict = {}
+    for a, b in edges.tolist():
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    # the tree hangs from vertex 0; every vertex comes after its parent in order
+    parent, order = {0: None}, [0]
+    for v in order:
+        for w in adjacent[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    below = {v: {keys[v]} if v < len(keys) else set() for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return [frozenset(below[b] if parent[b] == a else below[0] - below[a])
+            for a, b in edges.tolist()]
+
+
+def _matched(t_n: TreePath, t: TreePath) -> tuple[np.ndarray, np.ndarray] | None:
+    """T_n's tree laid on T's vertices and edges: its vertex positions and
+    signed edge flows in T's numbering.
+
+    Two full trees match when they have the same terminal keys and the
+    same leaf split on every edge, which makes them one tree: terminals
+    pair by key and every other vertex through the splits of its edges.
+    None when they do not match, or when either side has no tree or no keys.
+    """
+    if None in (t_n.tree, t_n.keys, t.tree, t.keys) or sorted(t_n.keys) != sorted(t.keys):
+        return None
+    every = frozenset(t.keys)
+    where = {}
+    for e, ((a, b), side) in enumerate(zip(t_n.tree.edges.tolist(),
+                                           _leaf_sides(t_n.tree.edges, t_n.keys))):
+        where[side] = (a, b, t_n.tree.flows[e])
+        where[every - side] = (b, a, -t_n.tree.flows[e])
+    vertex = np.zeros(len(t.tree.positions), dtype=int)
+    flows = np.zeros(len(t.tree.edges))
+    for e, ((a, b), side) in enumerate(zip(t.tree.edges.tolist(),
+                                           _leaf_sides(t.tree.edges, t.keys))):
+        if side not in where:
+            return None
+        vertex[a], vertex[b], flows[e] = where[side]
+    return t_n.tree.positions[vertex], flows
+
+
+def flat_interval(t_n: TreePath, t: TreePath) -> tuple[float, float, str]:
+    """[lower, upper] on the flat norm F(T_n - T) of two paths, and how the
+    upper end was found; no mesh and no LP, in any dimension.
+
+    Lower: the flat norm of the boundaries' difference, since
+    F(d S) <= F(S) and each path's boundary is exact.  Upper: when the two
+    trees match (`_matched`), the straight-line homotopy between them
+    (`homotopy_flat_bound`), kind "homotopy"; otherwise the mass
+    M(T_n - T), kind "mass".
+    """
+    lower = flat_norm_0(t_n.boundary - t.boundary)
+    matched = _matched(t_n, t)
+    if matched is None:
+        return lower, currents.mass(currents.subtract(t_n.path, t.path)), "mass"
+    pos_n, flows_n = matched
+    return lower, homotopy_flat_bound(t.tree.positions, pos_n, t.tree.edges, t.tree.flows,
+                                      flows_n), "homotopy"
 
 
 @dataclass(frozen=True)
@@ -303,48 +419,31 @@ def _chain_box(grid: GridComplex, t_chain: np.ndarray) -> tuple[GridComplex, np.
     return box, np.concatenate([hor[j0:j1 + 1, i0:i1].ravel(), ver[j0:j1, i0:i1 + 1].ravel()])
 
 
-def flat_chain_norms(grid: GridComplex, chains) -> list[float]:
-    """min over 2-chains s of M(t - d s) + M(s) on the grid complex, for each chain t.
+def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
+    """min over 2-chains s of M(t - d s) + M(s) on the grid complex, by its dual LP.
 
-    Every non-zero chain is cut to its box (`_chain_box`), and all boxes
-    go into one dual LP, stacked block-diagonally: maximise the sum of
-    t_b . phi_b subject to -h <= phi <= h (variable bounds) and
-    -h^2 <= d^T phi <= h^2 (one row per face), by HiGHS's primal
-    simplex.  The blocks share no
-    variable or row, so each block's phi_b is optimal for its own box,
-    and t_b . phi_b is chain b's norm by LP duality.  A zero chain is 0.0
-    without an LP; a batch of zero chains makes no call.
+    The chain is cut to its box (`_chain_box`) and the dual maximise
+    t . phi subject to -h <= phi <= h (variable bounds) and
+    -h^2 <= d^T phi <= h^2 (one row per face) is solved there by HiGHS's
+    primal simplex; t . phi is the norm by LP duality.  A zero chain is 0.0
+    without an LP.
     """
-    boxes = [_chain_box(grid, t) for t in chains]
-    live = [b for b in boxes if b is not None]
-    if not live:
-        return [0.0] * len(boxes)
+    cut = _chain_box(grid, t_chain)
+    if cut is None:
+        return 0.0
+    box, t = cut
     h = grid.h
-    faces = sparse.block_diag([box.boundary_matrix().T for box, _ in live], format="csr")
-    t = np.concatenate([chain for _, chain in live])
     # milp with no integer variable is this LP on HiGHS, without linprog's wrapper.
     # On a large box HiGHS's primal simplex solves it several times faster
     # than its default dual simplex, and faster than the dual simplex solves
     # the primal LP; milp hands the option on to HiGHS with a warning.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-        res = milp(-t, constraints=LinearConstraint(faces, -h * h, h * h),
+        res = milp(-t, constraints=LinearConstraint(box.boundary_matrix().T, -h * h, h * h),
                    bounds=Bounds(-h, h), options={"simplex_strategy": HIGHS_PRIMAL_SIMPLEX})
     if not res.success:
         raise RuntimeError("flat norm LP failed: " + str(res.message))
-    phis = np.split(res.x, np.cumsum([chain.size for _, chain in live])[:-1])
-    values = (float(chain @ phi) for (_, chain), phi in zip(live, phis))
-    return [0.0 if b is None else next(values) for b in boxes]
-
-
-def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
-    """min over 2-chains s of M(t - d s) + M(s) on the grid complex, by its dual LP.
-
-    The one-chain call of `flat_chain_norms`: by LP duality the value is
-    max t . phi over |phi| <= h on edges and |d^T phi| <= h^2 on faces,
-    solved on the chain's box in one HiGHS call (none when t = 0).
-    """
-    return flat_chain_norms(grid, [t_chain])[0]
+    return float(t @ res.x)
 
 
 def flat_distance_1(t1: TrafficPath, t2: TrafficPath, grid: GridComplex

@@ -18,8 +18,9 @@ leaf-stripping order from arrays cached per atom count k, local search
 stacks the candidates of a scan, and the flows come from replaying the
 stripping orders on whole columns of masses.  Both solvers end on those
 arrays too: the winning tree's positions, edges and replayed flows go
-straight to ``_tree_path``, so no solve builds a Topology (only
-``optimize_positions`` does) or replays a flow twice.  A tree left
+straight to ``_tree_answer``, so no solve builds a Topology (only
+``optimize_positions`` does) or replays a flow twice; the oracle hands
+that contracted tree back next to its path (``SolvedTree``).  A tree left
 uncertified is logged and kept at its last iterate, scored at its true
 cost.  In every problem the free vertices move jointly by damped Newton
 steps on the smoothed objective sum_e w_e sqrt(|x_a - x_b|^2 + eps^2),
@@ -589,17 +590,32 @@ def _collision_representatives(pos: np.ndarray) -> np.ndarray:
     return _reachable(close).argmax(axis=1)
 
 
-def _tree_path(pos: np.ndarray, edges, flows: np.ndarray) -> TrafficPath:
-    """Acyclic traffic path of a solved tree with near-coincident vertices contracted.
+class SolvedTree(NamedTuple):
+    """The tree an answer path is drawn from: the path is the current
+    sum_e flows[e] [positions[a], positions[b]] over the edges (a, b)."""
+
+    positions: np.ndarray  # (n, d) terminals first, near-coincident vertices contracted
+    edges: np.ndarray  # (E, 2)
+    flows: np.ndarray  # (E,) signed, 0 on an edge the path drops
+
+
+def _tree_answer(pos: np.ndarray, edges, flows: np.ndarray
+                 ) -> tuple[TrafficPath, SolvedTree | None]:
+    """Acyclic traffic path of a solved tree with near-coincident vertices
+    contracted, and the SolvedTree it is the current of; None in place of
+    the tree when cancelling cycles changed that current.
 
     pos holds the terminals first, so a cluster holding one is represented
     by a terminal and the boundary stays exact; edges (E, 2) carry the
     signed flows (E,) of the tree.
     """
-    ends = _collision_representatives(pos)[np.asarray(edges)]
+    rep, edges = _collision_representatives(pos), np.asarray(edges)
+    flows = np.where(np.abs(flows) > FLOW_TOL, flows, 0.0)
     segs = [(pos[a], pos[b], f) if f > 0 else (pos[b], pos[a], -f)
-            for (a, b), f in zip(ends.tolist(), flows.tolist()) if a != b and abs(f) > FLOW_TOL]
-    return dcmp.remove_cycles(currents.overlay(segs, dim=pos.shape[1]))
+            for (a, b), f in zip(rep[edges].tolist(), flows.tolist()) if a != b and f != 0.0]
+    overlaid = currents.overlay(segs, dim=pos.shape[1])
+    tree = SolvedTree(pos[rep], edges, flows) if dcmp.is_acyclic(overlaid) else None
+    return dcmp.remove_cycles(overlaid), tree
 
 
 def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
@@ -609,7 +625,7 @@ def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: 
     Every topology not pruned by its lower bound is solved to a certified
     relative gap of tol; larger instances raise OracleRangeError.
     """
-    ((t, _),) = brute_force_many([(mu_minus, mu_plus)], alpha, tol)
+    ((t, _, _),) = brute_force_many([(mu_minus, mu_plus)], alpha, tol)
     return t
 
 
@@ -626,8 +642,9 @@ class Certificate(NamedTuple):
 
 def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
     """``brute_force_optimal`` of every (mu_minus, mu_plus) pair of instances,
-    with its answer's Certificate: (path, certificate) per instance, the
-    certificate None for an instance without atoms.
+    with its answer's Certificate and SolvedTree: (path, certificate, tree)
+    per instance.  The certificate and the tree are None for an instance
+    without atoms, and the tree is None where ``_tree_answer`` gives none.
 
     Every instance is checked against the oracle range before any is
     solved; the trees of all instances with the same merged atom count go
@@ -641,9 +658,10 @@ def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
     out = []
     for (mm, mp), best in zip(instances, _oracle_topologies(nets, alpha, tol)):
         if best is None:
-            out.append((currents.empty_path(mm.dim if mm.points.size else mp.dim), None))
+            out.append((currents.empty_path(mm.dim if mm.points.size else mp.dim), None, None))
         else:
-            out.append((_tree_path(*best[:3]), best[4]))
+            path, tree = _tree_answer(*best[:3])
+            out.append((path, best[4], tree))
     return out
 
 
@@ -708,7 +726,7 @@ def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityRep
     its default certified gap.
     """
     bnd = currents.boundary(t)
-    ((opt, cert),) = brute_force_many([(bnd.negative_part(), bnd.positive_part())], alpha)
+    ((opt, cert, _),) = brute_force_many([(bnd.negative_part(), bnd.positive_part())], alpha)
     cost, oracle_cost = path_cost(t, alpha), path_cost(opt, alpha)
     try:
         lower = 0.0 if cert is None else certificate.checked_lower_bound(cert, alpha)
@@ -806,4 +824,4 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
             # the moved terminal's own rescan cannot improve (see above)
             (pos, cost, flows, tree), stale, settled = solved, 0, k - 1
         t = (t + 1) % k
-    return _tree_path(pos, tree, flows)
+    return _tree_answer(pos, tree, flows)[0]

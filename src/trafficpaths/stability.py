@@ -4,7 +4,9 @@ Three layers live here.  `quantize` and `run_stability_trial` produce
 sequences of atomic marginals converging to a target, solve every
 instance with the exhaustive optimizer, and report whether the costs
 stay bounded, the boundary gaps shrink monotonically and the limit
-instance is solved optimally.  `build_competitor` performs the cut,
+instance is solved optimally, with each level's flat distance to the
+limit's path bounded from below and above without a mesh
+(``metrics.flat_interval``).  `build_competitor` performs the cut,
 connect, scale and return surgery that assembles a strictly cheaper
 admissible path from a deliberately suboptimal one, with a full energy
 ledger of every budget it has to respect; the source covers and the sink
@@ -78,8 +80,8 @@ def _shift_direction(k: int, seed: int, dim: int) -> np.ndarray:
     return np.array([r * math.cos(ang), r * math.sin(ang), z])
 
 
-def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
-    """Level-n atomic approximation; total mass is preserved exactly."""
+def _quantized_atoms(spec: TargetSpec, n: int) -> list:
+    """The (point, mass) atoms of the level-n approximation, by quantization index."""
     if n < 0:
         raise ValueError("refinement level must be nonnegative")
     if spec.kind == "points":
@@ -90,7 +92,7 @@ def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
             if n > 0 and spec.perturbation != 0.0:
                 q = q + (spec.perturbation / n) * _shift_direction(k, spec.seed, d)
             out.append((q, float(m)))
-        return AtomicMeasure.from_atoms(out, dim=d)
+        return out
     if spec.kind == "cantor":
         d = spec.dim()
         origin = np.asarray(spec.origin, dtype=float)
@@ -105,9 +107,14 @@ def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
             starts = [s for s0 in starts for s in (s0, s0 + 2.0 * ln / 3.0)]
             ln /= 3.0
         w = spec.mass / len(starts)
-        out = [(origin + spec.length * (s + ln / 2.0) * axis, w) for s in starts]
-        return AtomicMeasure.from_atoms(out, dim=d)
+        return [(origin + spec.length * (s + ln / 2.0) * axis, w) for s in starts]
     raise ValueError(f"unknown target kind: {spec.kind}")
+
+
+def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
+    """Level-n atomic approximation; total mass is preserved exactly."""
+    atoms = _quantized_atoms(spec, n)
+    return AtomicMeasure.from_atoms(atoms, dim=spec.dim())
 
 
 def read_value(convert, raw, field: str):
@@ -172,7 +179,6 @@ class ExperimentConfig:
     seed: int = 0
     optimality_tol: float = 1e-4
     convergence_tol: float = 5e-2
-    grid_step: float = 0.25
 
     def __post_init__(self):
         if not self.config.sphere_reduction_ok():
@@ -213,8 +219,6 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         seed=seed,
         optimality_tol=read_value(float, d.get("optimality_tol", 1e-4), "optimality_tol"),
         convergence_tol=read_value(float, d.get("convergence_tol", 5e-2), "convergence_tol"),
-        grid_step=metrics.GridComplex.check_step(
-            read_value(float, d.get("grid_step", 0.25), "grid_step"), "field 'grid_step'"),
     )
 
 
@@ -233,7 +237,9 @@ class TrialRow:
     cost: float
     gap_minus: float
     gap_plus: float
-    flat_gap: float
+    flat_lower: float  # flat_lower <= F(T_n - T) <= flat_upper
+    flat_upper: float
+    flat_kind: str  # how flat_upper was found: "homotopy" or "mass"
     atoms_minus: int
     atoms_plus: int
 
@@ -246,10 +252,23 @@ class TrialReport:
     limit_cost: float
     limit_path: TrafficPath
     optimal_gap: float | None  # limit cost minus its checked bound; None if uncertified
-    flat_gap_kind: str
     truncation_error: float
     verdicts: dict
     notes: tuple
+
+
+def _terminal_keys(specs, levels, points: np.ndarray) -> tuple | None:
+    """(side, index) of the quantized atom at each of an instance's terminal points.
+
+    levels gives each side's quantization level.  None unless every point
+    is exactly one atom, so that a terminal is named by the atom it is.
+    """
+    where: dict = {}
+    for side, (spec, n) in enumerate(zip(specs, levels)):
+        for k, (q, _) in enumerate(_quantized_atoms(spec, n)):
+            where.setdefault(tuple(q.tolist()), []).append((side, k))
+    keys = [where.get(tuple(q), ()) for q in points.tolist()]
+    return tuple(k for (k,) in keys) if all(len(k) == 1 for k in keys) else None
 
 
 def _limit_side(spec: TargetSpec, schedule) -> tuple[int, AtomicMeasure, float]:
@@ -268,7 +287,9 @@ def _limit_side(spec: TargetSpec, schedule) -> tuple[int, AtomicMeasure, float]:
 def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     """Solve every scheduled instance and compare against the limit instance.
 
-    The limit is optimal when its cost exceeds the least dual bound over
+    Each level's row bounds the flat distance of its path to the limit's
+    from both sides (``metrics.flat_interval``), with no mesh and no LP.  The limit
+    is optimal when its cost exceeds the least dual bound over
     every full tree on its atoms, as ``certificate.checked_lower_bound``
     checks it from the oracle's certificate, by at most optimality_tol
     plus the truncation error; a limit without a certificate is not.
@@ -278,7 +299,7 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     notes = []
 
     specs = (cfg.minus, cfg.plus)
-    levels, limits, truncations = zip(*(_limit_side(s, cfg.schedule) for s in specs))
+    limit_levels, limits, truncations = zip(*(_limit_side(s, cfg.schedule) for s in specs))
     truncation = sum(truncations, 0.0)
     if truncation:
         notes.append("limit measures truncated; tolerance widened by the "
@@ -287,11 +308,11 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     # the limit and every level are checked against the oracle range, then
     # solved together: one position batch per distinct merged atom count
     instances = [limits] + [[quantize(s, n) for s in specs] for n in cfg.schedule]
-    for (mm, mp), n in zip(instances, [max(levels), *cfg.schedule]):
+    for (mm, mp), n in zip(instances, [max(limit_levels), *cfg.schedule]):
         if len(mm.masses) + len(mp.masses) > optimizer.ORACLE_MAX_ATOMS:
             raise optimizer.OracleRangeError(f"oracle range exceeded at n={n}")
-    (t_limit, cert), *levels = optimizer.brute_force_many(instances, alpha)
-    level_paths = [t_n for t_n, _ in levels]
+    answers = optimizer.brute_force_many(instances, alpha)
+    t_limit, cert, _ = answers[0]
     limit_cost = currents.alpha_mass(t_limit, alpha)
     try:
         bound = certificate.checked_lower_bound(cert, alpha)
@@ -304,29 +325,25 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
         _log.debug("alpha %g limit: %d trees checked, certified bound %.12g, path cost %.12g",
                    alpha, len(cert.edges), bound, limit_cost)
 
-    if d == 2:
-        r = cfg.config.ambient_radius
-        grid = metrics.GridComplex.from_box(-r, -r, r, r, cfg.grid_step)
-        # flat_distance_1(t_n, t_limit, grid), term for term, with the limit
-        # rasterized once and one LP for all levels
-        limit_chain, limit_err = metrics.rasterize(grid, t_limit)
-        chains, errs = zip(*(metrics.rasterize(grid, t_n) for t_n in level_paths))
-        values = metrics.flat_chain_norms(grid, [chain_n - limit_chain for chain_n in chains])
-        flat_gaps = [v + (err_n + limit_err) for v, err_n in zip(values, errs)]
-        flat_kind = "grid-flat-upper"
-    else:
-        flat_gaps = [currents.mass(currents.subtract(t_n, t_limit)) for t_n in level_paths]
-        flat_kind = "mass-surrogate"
-        notes.append("dimension 3: path convergence witnessed only by the "
-                     "mass surrogate, not a true flat distance")
+    def solved(marginals, sides, answer):
+        path, answer_cert, tree = answer
+        keys = None if answer_cert is None else _terminal_keys(specs, sides, answer_cert.points)
+        return metrics.TreePath(marginals[1] - marginals[0], path, tree, keys)
 
+    limit = solved(limits, limit_levels, answers[0])
     rows = []
-    for n, marginals, t_n, fg in zip(cfg.schedule, instances[1:], level_paths, flat_gaps):
-        cost_n = currents.alpha_mass(t_n, alpha)
+    for n, marginals, answer in zip(cfg.schedule, instances[1:], answers[1:]):
+        lower, upper, kind = metrics.flat_interval(solved(marginals, (n, n), answer), limit)
         gm, gp = (metrics.weak_star_gap(m, lim) for m, lim in zip(marginals, limits))
-        rows.append(TrialRow(n=n, cost=cost_n, gap_minus=gm, gap_plus=gp,
-                             flat_gap=fg, atoms_minus=len(marginals[0].masses),
+        rows.append(TrialRow(n=n, cost=currents.alpha_mass(answer[0], alpha), gap_minus=gm,
+                             gap_plus=gp, flat_lower=lower, flat_upper=upper, flat_kind=kind,
+                             atoms_minus=len(marginals[0].masses),
                              atoms_plus=len(marginals[1].masses)))
+    _log.debug("alpha %g flat interval: homotopy at n = %s, mass at n = %s, "
+               "last level [%.6g, %.6g]", alpha,
+               [r.n for r in rows if r.flat_kind == "homotopy"],
+               [r.n for r in rows if r.flat_kind == "mass"], rows[-1].flat_lower,
+               rows[-1].flat_upper)
 
     costs = [r.cost for r in rows]
     costs_bounded = max(costs) <= 2.0 * (limit_cost + 1.0)
@@ -348,14 +365,13 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     verdicts["optimal"] = all(verdicts.values())
     return TrialReport(alpha=alpha, dimension=d, rows=tuple(rows),
                        limit_cost=limit_cost, limit_path=t_limit,
-                       optimal_gap=optimal_gap, flat_gap_kind=flat_kind,
-                       truncation_error=truncation, verdicts=verdicts,
+                       optimal_gap=optimal_gap, truncation_error=truncation, verdicts=verdicts,
                        notes=tuple(notes))
 
 
 CSV_COLUMNS = ("n", "cost_n", "boundary_gap_minus", "boundary_gap_plus",
-               "flat_gap_T", "costs_bounded", "gaps_monotone", "limit_optimal",
-               "liminf_ok", "converged")
+               "flat_gap_lower", "flat_gap_upper", "flat_gap_kind", "costs_bounded",
+               "gaps_monotone", "limit_optimal", "liminf_ok", "converged")
 
 
 def _fmt(x) -> str:
@@ -372,7 +388,8 @@ def report_csv(report: TrialReport) -> str:
     flags = [v["costs_bounded"], v["gaps_monotone"], v["limit_optimal"],
              v["liminf_ok"], v["converged"]]
     for r in report.rows:
-        cells = [r.n, r.cost, r.gap_minus, r.gap_plus, r.flat_gap] + flags
+        cells = [r.n, r.cost, r.gap_minus, r.gap_plus, r.flat_lower, r.flat_upper,
+                 r.flat_kind] + flags
         lines.append(",".join(_fmt(c) for c in cells))
     return "\n".join(lines) + "\n"
 
@@ -382,12 +399,12 @@ def report_json_dict(report: TrialReport) -> dict:
         "alpha": report.alpha,
         "dimension": report.dimension,
         "rows": [{"n": r.n, "cost_n": r.cost, "boundary_gap_minus": r.gap_minus,
-                  "boundary_gap_plus": r.gap_plus, "flat_gap_T": r.flat_gap,
+                  "boundary_gap_plus": r.gap_plus, "flat_gap_lower": r.flat_lower,
+                  "flat_gap_upper": r.flat_upper, "flat_gap_kind": r.flat_kind,
                   "atoms_minus": r.atoms_minus, "atoms_plus": r.atoms_plus}
                  for r in report.rows],
         "limit_cost": report.limit_cost,
         "optimal_gap": report.optimal_gap,
-        "flat_gap_kind": report.flat_gap_kind,
         "truncation_error": report.truncation_error,
         "verdicts": report.verdicts,
         "notes": list(report.notes),

@@ -20,7 +20,7 @@ def _certified(points, masses, alpha, tol=1e-9):
     pts, m = np.array(points, dtype=float), np.array(masses, dtype=float)
     mu_minus = AtomicMeasure(pts[m < 0], -m[m < 0])
     mu_plus = AtomicMeasure(pts[m > 0], m[m > 0])
-    ((t, cert),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha, tol)
+    ((t, cert, _),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha, tol)
     return t, cert
 
 
@@ -28,7 +28,7 @@ def _limit_certificate():
     """The certificate of the shipped alpha = 0.4 trial's limit: 5 atoms, 15 trees."""
     cfg = stability.load_experiment(str(ROOT / "configs" / "stability_alpha04.json"))
     limits = [stability.quantize(s, 0) for s in (cfg.minus, cfg.plus)]
-    ((t, cert),) = optimizer.brute_force_many([limits], cfg.config.alpha)
+    ((t, cert, _),) = optimizer.brute_force_many([limits], cfg.config.alpha)
     return t, cert, cfg.config.alpha
 
 
@@ -168,7 +168,7 @@ def test_oracle_certificates_bound_their_answers(alpha):
     rng = np.random.default_rng(int(10 * alpha) + 5)
     for k_minus, k_plus, dim in ((1, 2, 2), (2, 2, 3), (2, 3, 2), (3, 3, 3)):
         mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim=dim)
-        ((t, cert),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha)
+        ((t, cert, _),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha)
         cost = optimizer.path_cost(t, alpha)
         assert -1e-12 * cost <= cost - checked_lower_bound(cert, alpha) <= 2e-9 * cost
 

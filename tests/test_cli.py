@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -265,19 +264,9 @@ def _atoms_in_3d(cfg: dict) -> dict:
     # a boolean is no integer: this trial used to run and report "n": true
     (lambda cfg: _set(cfg, ("schedule",), [True, 2]),
      "field 'schedule' must be a list of nonnegative integers"),
-    # an infinite step used to run the whole trial and fail on its output,
-    # the others only once the grid was built
-    (lambda cfg: _set(cfg, ("grid_step",), math.inf),
-     "field 'grid_step' must be a finite number > 0, not inf"),
-    (lambda cfg: _set(cfg, ("grid_step",), math.nan),
-     "field 'grid_step' must be a finite number > 0, not nan"),
-    (lambda cfg: _set(cfg, ("grid_step",), 0),
-     "field 'grid_step' must be a finite number > 0, not 0.0"),
-    (lambda cfg: _set(cfg, ("grid_step",), -0.5),
-     "field 'grid_step' must be a finite number > 0, not -0.5"),
 ], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
         "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms",
-        "schedule-bool", "grid-step-inf", "grid-step-nan", "grid-step-zero", "grid-step-negative"])
+        "schedule-bool"])
 def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys, monkeypatch):
     # every field is checked when the config is read, before any solve
     monkeypatch.setattr(optimizer, "brute_force_many", None)

@@ -128,6 +128,42 @@ def test_weak_star_gap_matches_flat0():
 
 
 # ---------------------------------------------------------------------------
+# straight-line homotopy bound
+
+
+def _loop_homotopy_bound(pos, pos_n, edges, flows, flows_n):
+    """homotopy_flat_bound term by term, with triangle areas by Lagrange's identity."""
+    def area(x, y, z):
+        u, w = y - x, z - x
+        return 0.5 * np.sqrt(max(0.0, (u @ u) * (w @ w) - (u @ w) ** 2))
+
+    total = 0.0
+    inflow = [0.0] * len(pos)
+    for (a, b), f, fn in zip(edges.tolist(), flows.tolist(), flows_n.tolist()):
+        total += abs(fn) * (area(pos[a], pos[b], pos_n[b]) + area(pos[a], pos_n[b], pos_n[a]))
+        total += abs(fn - f) * np.linalg.norm(pos[b] - pos[a])
+        inflow[b] += fn
+        inflow[a] -= fn
+    return total + sum(abs(m) * np.linalg.norm(pos_n[v] - pos[v]) for v, m in enumerate(inflow))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_homotopy_flat_bound_matches_a_loop_over_edges(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        edges = np.array([(int(rng.integers(0, v)), v)[::int(rng.choice([-1, 1]))]
+                          for v in range(1, n)])
+        pos = rng.normal(size=(n, dim))
+        pos_n = pos + 0.2 * rng.normal(size=(n, dim))
+        flows, flows_n = rng.normal(size=n - 1), rng.normal(size=n - 1)
+        got = metrics.homotopy_flat_bound(pos, pos_n, edges, flows, flows_n)
+        assert got == pytest.approx(_loop_homotopy_bound(pos, pos_n, edges, flows, flows_n),
+                                    rel=1e-9)
+        assert metrics.homotopy_flat_bound(pos, pos, edges, flows, flows) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # grid complex and rasterization
 
 
@@ -310,48 +346,45 @@ def test_flat_chain_norm_box_matches_full_grid(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_flat_chain_norm_equals_linprog_of_its_box_lp(seed, monkeypatch):
-    # one batched dual LP gives each chain the one-chain call's value to the
-    # bit, and the primal LP on the chain's box (by linprog) to rel 1e-12
+    # one dual LP call per chain gives the primal LP on the chain's box (by
+    # linprog) to rel 1e-12
     g, chains = _box_chains(seed)
     calls = counting_milp(monkeypatch)
-    got = metrics.flat_chain_norms(g, chains)
-    assert len(calls) == 1
-    for chain, value in zip(chains, got):
-        assert value == metrics.flat_chain_norm(g, chain)
+    for k, chain in enumerate(chains):
+        value = metrics.flat_chain_norm(g, chain)
+        assert len(calls) == k + 1
         box, box_chain = metrics._chain_box(g, chain)
         ref = _full_grid_flat_chain_norm(box, box_chain)
         assert value == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_flat_chain_norms_put_zero_chains_at_exactly_zero(monkeypatch):
+    # a zero chain, a negated zero included, is 0.0 with no LP; any other is > 0
     g, chains = _box_chains(0)
-    zero = np.zeros(g.n_edges)
-    batch = [zero, chains[0], zero, chains[1], -0.0 * chains[2], chains[3], zero]
     calls = counting_milp(monkeypatch)
-    got = metrics.flat_chain_norms(g, batch)
-    assert len(calls) == 1
-    assert [got[k] for k in (0, 2, 4, 6)] == [0.0] * 4
-    alone = metrics.flat_chain_norms(g, [chains[k] for k in (0, 1, 3)])
-    assert [got[k] for k in (1, 3, 5)] == alone
-    assert all(v > 0.0 for v in got[1::2])
+    assert metrics.flat_chain_norm(g, np.zeros(g.n_edges)) == 0.0
+    assert metrics.flat_chain_norm(g, -0.0 * chains[2]) == 0.0
+    assert calls == []
+    assert all(metrics.flat_chain_norm(g, chain) > 0.0 for chain in chains[:4])
 
 
 def test_flat_chain_norms_pick_the_primal_simplex_without_a_warning(monkeypatch):
     # the simplex_strategy option goes to HiGHS through milp, which warns about
-    # it; that warning stays inside flat_chain_norms
+    # it; that warning stays inside flat_chain_norm
     g, chains = _box_chains(1)
     calls = counting_milp(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        metrics.flat_chain_norms(g, chains)
-    assert calls[0][1]["options"] == {"simplex_strategy": metrics.HIGHS_PRIMAL_SIMPLEX}
+        for chain in chains:
+            metrics.flat_chain_norm(g, chain)
+    assert all(kwargs["options"] == {"simplex_strategy": metrics.HIGHS_PRIMAL_SIMPLEX}
+               for _, kwargs in calls)
 
 
 def test_flat_chain_norms_of_zero_chains_make_no_lp(monkeypatch):
     g = metrics.GridComplex.from_box(0.0, 0.0, 1.0, 1.0, 0.25)
     calls = counting_milp(monkeypatch)
-    assert metrics.flat_chain_norms(g, [np.zeros(g.n_edges)] * 3) == [0.0] * 3
-    assert metrics.flat_chain_norms(g, []) == []
+    assert [metrics.flat_chain_norm(g, np.zeros(g.n_edges)) for _ in range(3)] == [0.0] * 3
     assert calls == []
 
 

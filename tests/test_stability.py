@@ -125,6 +125,13 @@ def test_experiment_rejects_overlapping_supports():
         stability.experiment_from_dict(bad)
 
 
+def test_experiment_ignores_a_retired_grid_step():
+    # trials use no grid: a config written when they did still loads, as any
+    # unknown field does
+    cfg = stability.experiment_from_dict(_experiment_dict(grid_step=0.25))
+    assert cfg == stability.experiment_from_dict(_experiment_dict())
+
+
 def test_experiment_rejects_alpha_below_threshold():
     with pytest.raises(ValueError, match="threshold"):
         stability.experiment_from_dict(_experiment_dict_3d(alpha=0.3))
@@ -159,16 +166,17 @@ def test_trial_converges_on_two_sink_split(alpha):
     assert last.gap_plus <= 1.0 / 64.0 + 1e-9
 
 
-def test_trial_in_3d_reports_the_mass_surrogate():
+def test_trial_in_3d_reports_the_flat_interval():
+    # one code path for both dimensions: every level's tree matches the
+    # limit's, so each row has a homotopy upper bound, and both ends halve
     cfg = stability.experiment_from_dict(_experiment_dict_3d(alpha=0.6, schedule=[1, 2, 4]))
     report = stability.run_stability_trial(cfg)
-    assert report.flat_gap_kind == "mass-surrogate"
-    assert report.notes == ("dimension 3: path convergence witnessed only by the "
-                            "mass surrogate, not a true flat distance",)
-    # M(T_n - T) grows along this short schedule, and the last cost is still
-    # farther than convergence_tol from the limit
-    assert [r.flat_gap for r in report.rows] == pytest.approx(
-        [2.53230355252, 2.63247447025, 2.71880681595], rel=1e-9)
+    assert report.notes == ()
+    assert [r.flat_kind for r in report.rows] == ["homotopy"] * 3
+    assert [r.flat_lower for r in report.rows] == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
+    assert [r.flat_upper for r in report.rows] == pytest.approx(
+        [1.43835896181, 0.719179480906, 0.359589740453], rel=1e-9)
+    # the last cost is still farther than convergence_tol from the limit
     assert report.verdicts == {"costs_bounded": True, "gaps_monotone": True,
                                "limit_optimal": True, "liminf_ok": False,
                                "converged": False, "optimal": False}
@@ -229,7 +237,8 @@ def test_trial_certifies_its_limit_from_its_own_batch(name, monkeypatch, caplog)
         report = stability.run_stability_trial(cfg)
     assert report.verdicts["optimal"]
     assert -1e-12 <= report.optimal_gap <= 1e-8
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "trafficpaths.stability"]
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.name == "trafficpaths.stability" and " limit: " in r.getMessage()]
     bound = report.limit_cost - report.optimal_gap
     assert line == (f"alpha {cfg.config.alpha:g} limit: 15 trees checked, "
                     f"certified bound {bound:.12g}, path cost {report.limit_cost:.12g}")
@@ -278,47 +287,122 @@ def test_trial_batches_levels_by_merged_atom_count(monkeypatch):
     assert sum(calls) == 1 + len(cfg.schedule)
 
 
-def test_trial_rasterizes_the_limit_once(monkeypatch):
-    cfg = stability.experiment_from_dict(_experiment_dict(schedule=[1, 2, 4, 8]))
-    seen = []
-    real = metrics.rasterize
-
-    def counted(grid, t):
-        seen.append((grid, t))
-        return real(grid, t)
-
-    monkeypatch.setattr(metrics, "rasterize", counted)
-    report = stability.run_stability_trial(cfg)
-    monkeypatch.undo()
-    grid, limit = seen[0]
-    assert limit is report.limit_path
-    assert len(seen) == 1 + len(cfg.schedule)
-    # each level's gap is still flat_distance_1 to the limit, bit for bit
-    for (_, t_n), row in zip(seen[1:], report.rows):
-        value, err = metrics.flat_distance_1(t_n, limit, grid)
-        assert row.flat_gap == value + err
-
-
 def _unperturbed(**overrides):
     d = _experiment_dict(**overrides)
     d["mu_plus"]["perturbation"] = 0.0
     return d
 
 
-@pytest.mark.parametrize("make, lps", [(_experiment_dict, 1), (_unperturbed, 0),
-                                       (_experiment_dict_3d, 0)],
+@pytest.mark.parametrize("make", [_experiment_dict, _unperturbed, _experiment_dict_3d],
                          ids=["2d", "2d-levels-at-limit", "3d"])
-def test_trial_makes_one_flat_lp_for_all_levels(make, lps, monkeypatch):
-    # 2-D: one dual LP for every level, none when each level's chain is the
-    # limit's; 3-D reports the mass surrogate and makes none
+def test_trial_makes_no_flat_lp_and_no_rasterize(make, monkeypatch):
+    # the flat interval needs no mesh: no grid LP and no rasterized path, in
+    # either dimension; a level equal to the limit has the interval [0, 0]
     cfg = stability.experiment_from_dict(make(alpha=0.6, schedule=[1, 2, 4]))
     calls = counting_milp(monkeypatch)
+    monkeypatch.setattr(metrics, "rasterize", None)
     report = stability.run_stability_trial(cfg)
-    assert len(calls) == lps
+    assert calls == []
     if make is _unperturbed:
-        limit_chain, limit_err = metrics.rasterize(
-            metrics.GridComplex.from_box(-4.0, -4.0, 4.0, 4.0, cfg.grid_step), report.limit_path)
-        assert [r.flat_gap for r in report.rows] == [2.0 * limit_err] * 3
+        assert [(r.flat_lower, r.flat_upper, r.flat_kind) for r in report.rows] == \
+            [(0.0, 0.0, "homotopy")] * 3
+
+
+def _solved(atoms, alpha=0.5, dim=2):
+    """TreePath of the oracle answer on signed atoms (sinks positive), keyed by atom index."""
+    mu_minus = AtomicMeasure.from_atoms([(p, -m) for p, m in atoms if m < 0], dim=dim)
+    mu_plus = AtomicMeasure.from_atoms([(p, m) for p, m in atoms if m > 0], dim=dim)
+    ((path, cert, tree),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha)
+    key = {tuple(map(float, p)): k for k, (p, _) in enumerate(atoms)}
+    keys = tuple(key[tuple(q)] for q in cert.points.tolist())
+    return metrics.TreePath(mu_plus - mu_minus, path, tree, keys)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flat_interval_of_a_translated_segment(dim):
+    # a unit flow on a segment of length L moved by delta across it: the
+    # boundary moves 2 delta in all, and the homotopy sweeps the L x delta
+    # rectangle and moves both ends by delta
+    length, delta = 1.5, 0.125
+    pad = (0.0,) * (dim - 2)
+    shift = (0.0, delta) + pad if dim == 2 else (0.0, 0.0, delta)
+    ends = [((0.0, 0.0) + pad, -1.0), ((length, 0.0) + pad, 1.0)]
+    limit = _solved(ends, dim=dim)
+    level = _solved([(tuple(x + y for x, y in zip(p, shift)), m) for p, m in ends], dim=dim)
+    assert metrics.flat_interval(level, limit) == (2 * delta, length * delta + 2 * delta,
+                                                   "homotopy")
+
+
+def _triangle(x, y, z) -> float:
+    return 0.5 * abs((y[0] - x[0]) * (z[1] - x[1]) - (y[1] - x[1]) * (z[0] - x[0]))
+
+
+def test_flat_interval_follows_a_moving_branch_point():
+    # a Y whose sinks move apart: its branch point moves too, and the upper
+    # end is the swept area of its three edges plus the sinks' motion
+    def y_shape(spread):
+        return _solved([((0.0, 0.0), -1.0), ((2.0, spread), 0.5), ((2.0, -spread), 0.5)])
+
+    limit = y_shape(1.0)
+    bounds = []
+    for delta in (0.1, 0.05):
+        level = y_shape(1.0 + delta)
+        lower, upper, kind = metrics.flat_interval(level, limit)
+        assert kind == "homotopy"
+        (branch,), (branch_n,) = ([v for v in t.vertices if v[0] not in (0.0, 2.0)]
+                                  for t in (limit.path, level.path))
+        assert branch_n[0] != branch[0]
+        swept = _triangle((0.0, 0.0), branch, branch_n)
+        for side in (1.0, -1.0):
+            sink, sink_n = (2.0, side), (2.0, side * (1.0 + delta))
+            swept += 0.5 * (_triangle(branch, sink, sink_n) + _triangle(branch, sink_n, branch_n))
+        assert upper == pytest.approx(swept + delta, rel=1e-12)
+        assert lower == pytest.approx(delta, rel=1e-12)
+        assert upper < currents.mass(currents.subtract(level.path, limit.path))
+        bounds.append(upper)
+    assert 0.45 <= bounds[1] / bounds[0] <= 0.55
+
+
+def test_flat_interval_of_a_different_tree_is_the_mass():
+    # two sources and two sinks far apart in y pair up as two segments; close
+    # together they share a trunk: the trees differ, so the upper end is M(T_n - T)
+    def pairs(h):
+        return _solved([((-1.0, h), -1.0), ((-1.0, -h), -1.0), ((1.0, h), 1.0),
+                        ((1.0, -h), 1.0)])
+
+    limit, level = pairs(3.0), pairs(0.2)
+    assert metrics._matched(level, limit) is None
+    lower, upper, kind = metrics.flat_interval(level, limit)
+    assert kind == "mass"
+    assert upper == currents.mass(currents.subtract(level.path, limit.path))
+    assert 0.0 < lower <= upper
+
+
+@pytest.mark.parametrize("name", ["stability_alpha02", "stability_alpha03", "stability_alpha04",
+                                  "stability_alpha06", "stability_alpha08"])
+def test_shipped_flat_intervals_bracket_and_halve(name):
+    # lower <= upper at every level; from n = 8 on every tree matches the
+    # limit's and the upper end halves with each level, like the lower one
+    root = pathlib.Path(__file__).resolve().parents[1]
+    report = stability.run_stability_trial(
+        stability.load_experiment(str(root / "configs" / f"{name}.json")))
+    assert all(0.0 <= r.flat_lower <= r.flat_upper for r in report.rows)
+    tail = [r for r in report.rows if r.n >= 8]
+    assert [r.flat_kind for r in tail] == ["homotopy"] * len(tail)
+    for a, b in zip(tail, tail[1:]):
+        assert b.n == 2 * a.n
+        assert 0.4 <= b.flat_upper / a.flat_upper <= 0.6
+    assert tail[-1].n == 64 and tail[-1].flat_upper <= 0.05
+
+
+def test_trial_logs_its_flat_interval(caplog):
+    cfg = stability.experiment_from_dict(_experiment_dict(alpha=0.6, schedule=[1, 2, 4]))
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.stability"):
+        report = stability.run_stability_trial(cfg)
+    (line,) = [r.getMessage() for r in caplog.records if "flat interval" in r.getMessage()]
+    last = report.rows[-1]
+    assert line == ("alpha 0.6 flat interval: homotopy at n = [1, 2, 4], mass at n = [], "
+                    f"last level [{last.flat_lower:.6g}, {last.flat_upper:.6g}]")
 
 
 def test_report_csv_shape():
