@@ -8,24 +8,26 @@ forced by mass balance; positions of the auxiliary branch points are then a
 convex sum of weighted Euclidean norms.  An edge without flow gets weight
 0, so every full tree on k terminals has the same shape, and one position
 kernel, ``_minimize_length``, solves a whole stack of them at once, each
-problem with its own terminals and a group id naming its instance: the
-oracle solves every topology of every instance with the same atom count in
-one batch, one group per instance (a stability trial's limit and all its
-levels share one), and each insertion or regraft scan of local search is a
-batch of one group.  Both solvers hand the kernel arrays through
-``_solve_trees``: the oracle takes every tree's edges, key and
-leaf-stripping order from arrays cached per atom count k, local search
-stacks the candidates of a scan, and the flows come from replaying the
-stripping orders on whole columns of masses.  Both solvers end on those
-arrays too: the winning tree's positions, edges and replayed flows go
-straight to ``_tree_answer``, so no solve builds a Topology (only
-``optimize_positions`` does) or replays a flow twice; the oracle hands
-that contracted tree back next to its path (``SolvedTree``).  A tree left
-uncertified is logged and kept at its last iterate, scored at its true
-cost.  In every problem the free vertices move jointly by damped Newton
-steps on the smoothed objective sum_e w_e sqrt(|x_a - x_b|^2 + eps^2),
-with eps cut stage by stage from a tenth of the radius R of the
-terminals; each iteration takes one batched step for every live problem.
+problem with its own terminals and a group id naming the alternatives it
+is one of: the oracle solves every topology of every instance with the
+same atom count in one batch, one group per instance (a stability trial's
+limit and all its levels share one), each insertion scan of local search
+is a batch of one group, and its regraft scans go in windows, one batch
+of consecutive scans with one group per scan.  Both solvers hand the
+kernel arrays through ``_solve_trees``: the oracle takes every tree's
+edges, key and leaf-stripping order from arrays cached per atom count k,
+local search stacks the candidates of a scan or a window, and the flows
+come from replaying the stripping orders on whole columns of masses.
+Both solvers end on those arrays too: the winning tree's positions, edges
+and replayed flows go straight to ``_tree_answer``, so no solve builds a
+Topology (only ``optimize_positions`` does) or replays a flow twice; the
+oracle hands that contracted tree back next to its path (``SolvedTree``).
+A tree left uncertified is logged and kept at its last iterate, scored at
+its true cost.  In every problem the free vertices move jointly by damped
+Newton steps on the smoothed objective
+sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from a
+tenth of the radius R of the terminals; each iteration takes one batched
+step for every live problem.
 After each of its stages a problem's dual y_e = w_e d_e / r_e gives a
 rigorous lower bound: on collapsing edges y is re-solved as the min-norm
 balance at the free vertices (one solve with the grounded Laplacian of
@@ -56,7 +58,11 @@ greedily, heaviest first, each into the edge that solves cheapest, and the
 tree is then improved by terminal regrafts, each taking the best of its
 scan.  An insertion before the last needs only its best tree: its scan
 stops once bounds have dropped every other candidate.  The last insertion
-and every regraft candidate are scored by the certified solve.
+and every regraft candidate are scored by the certified solve.  Regraft
+scans are solved speculatively in windows of consecutive terminals, which
+double in width while no scan improves; a window's scans are taken in
+order and those after an accepted move are discarded, so every decision,
+and every bit of the answer, is the one-scan-at-a-time search's.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
@@ -65,6 +71,7 @@ nonzero flow gets unit weight, which is the Fermat-point regime, and
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import logging
@@ -83,6 +90,9 @@ ORACLE_MAX_ATOMS = 6
 # certified relative gap of every local search solve, and the least relative
 # gain that counts as an improving move
 LOCAL_TOL = 1e-10
+# most candidate trees in one window of local search's regraft scans: at k =
+# 12 a scan has 18, and the kernel's transients stay near one scan's memory
+REGRAFT_WINDOW_PROBLEMS = 40
 # smoothing continuation of the position stage: eps runs from SMOOTH_START to
 # SMOOTH_FLOOR terminal radii R, cut by SMOOTH_FACTOR per stage; a stage ends
 # when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R
@@ -270,7 +280,8 @@ def _min_norm_duals(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
                      tol: float, max_iters: int, cutoff: float = math.inf, *,
-                     groups: np.ndarray, decide: bool = False) -> list:
+                     groups: np.ndarray, decide: bool = False,
+                     tally: collections.Counter | None = None) -> list:
     """Stacked smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on certified gaps.
 
     Solves T problems of one shape together: positions (T, n, d), edges
@@ -284,9 +295,10 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     Each iteration runs one batched Newton step for every live problem: the
     stacked Hessians go to one ``np.linalg.solve``, and the Armijo line
     search takes, per problem, the first of t = 1, 1/2, ..., 2^-19 that
-    passes (the full step is tried for all, the shorter ones at once for
-    the problems it fails).  Each problem keeps its own smoothing eps and
-    ends its stages on its own.
+    passes (the full step is tried for all, t = 1/2 ... 1/16 at once for
+    the problems it fails, and the shorter ones at once for those that
+    fail these too).  Each problem keeps its own smoothing eps and ends its
+    stages on its own.
 
     Returns one entry per problem, and the duals (T, E, d).  An entry is
     (positions, cost) once cost - lower bound <= tol * cost; None once its
@@ -304,6 +316,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     bound sum_e y_e . D0c_e - R sum_v |g_v| (written at each stage end that
     raised it; y_e = w_e d_e / |d_e| for a problem solved as it stands);
     an uncertified or decided problem has no certificate, and NaN duals.
+    A tally, when given, adds up the batch's counts of certified, pruned,
+    uncertified and decided problems and its Newton iterations.
     """
     T, n, dim = pos.shape
     k, n_edges = anchors.shape[1], edges.shape[1]
@@ -340,7 +354,6 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], groups[live]
     floor = SMOOTH_FLOOR * R
     Bt = B.transpose(0, 2, 1)
-    BBt = (Bt[:, :, None, :] * Bt[:, None, :, :]).reshape(len(live), nf * nf, n_edges)
     inert = np.repeat(~touched[live], dim, axis=1).astype(float)
     scale = w.sum(axis=1)
     X = pos[live, k:].copy()
@@ -418,12 +431,16 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         m = len(live)
         u = w / r
         grad = (Bt @ (u[..., None] * d)).reshape(m, nf * dim)
-        # Hessian of one smoothed norm: w (I - d d^T / r^2) / r
+        # Hessian of one smoothed norm: w (I - d d^T / r^2) / r; H = B^T (B (x) K)
+        # in one product, rows (vertex, axis) and columns (axis, vertex, axis)
         K = u[..., None, None] * (eye - d[..., :, None] * d[..., None, :] / (r * r)[..., None, None])
-        H = (BBt @ K.reshape(m, n_edges, dim * dim)).reshape(m, nf, nf, dim, dim)
-        H = H.transpose(0, 1, 3, 2, 4).reshape(m, nf * dim, nf * dim)
+        KB = (K[:, :, :, None, :] * B[:, :, None, :, None]).reshape(m, n_edges, -1)
+        del K  # the transients of a Newton step are the batch's memory peak
+        H = (Bt @ KB).reshape(m, nf * dim, nf * dim)
+        del KB
         H[:, diag, diag] += inert
         p = -np.linalg.solve(H, grad[..., None])[..., 0]
+        del H
         lam2 = -np.einsum("ti,ti->t", grad, p)  # squared Newton decrements
         ended = lam2 <= STAGE_DECREMENT * scale * eps * eps / R
         stuck = ~ended & (steps >= max_iters)
@@ -433,10 +450,12 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             g = slice(None) if len(go) == m else go
             P = p[g].reshape(-1, nf, dim)
             dP = B[g] @ P
-            # the full step first: the problems it fails try every shorter t at once
+            # the full step first; the problems it fails try t = 1/2 ... 1/16 at
+            # once, and those that fail these too every shorter t
             rest = np.flatnonzero(line_search(g, ts[:1], P, dP, lam2))
-            if len(rest):
-                rest = rest[line_search(go[rest], ts[1:], P[rest], dP[rest], lam2)]
+            for chunk in (ts[1:5], ts[5:]):
+                if len(rest):
+                    rest = rest[line_search(go[rest], chunk, P[rest], dP[rest], lam2)]
             ended[go[rest]] = True  # no progress at this smoothing
         done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         se = np.flatnonzero(ended)
@@ -505,7 +524,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         keep = ~(done | pruned)
         if not keep.all():
             live = live[keep]
-            B, Bt, BBt, D0, D0c, w = B[keep], Bt[keep], BBt[keep], D0[keep], D0c[keep], w[keep]
+            B, Bt, D0, D0c, w = B[keep], Bt[keep], D0[keep], D0c[keep], w[keep]
             R, floor, grp = R[keep], floor[keep], grp[keep]
             inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
             last_eps, last_X, lower_best = last_eps[keep], last_X[keep], lower_best[keep]
@@ -513,6 +532,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, %d decided, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
                counts["uncertified"], counts["decided"], iterations, len(set(groups.tolist())))
+    if tally is not None:
+        tally.update(counts, iterations=iterations)
     return out, duals
 
 
@@ -530,7 +551,7 @@ def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
 
 def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, alpha: float,
                  tol: float, groups: np.ndarray, cutoff: float = math.inf,
-                 decide: bool = False) -> list:
+                 decide: bool = False, tally: collections.Counter | None = None) -> list:
     """Position stage of stacked trees of the same shape, one ``_minimize_length`` batch.
 
     pos (T, n, d) starts every tree with its k terminals first, edges
@@ -538,10 +559,10 @@ def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, 
     name its instance.  Returns the entries, (positions, cost) or None for
     a pruned tree, and the kernel's duals (T, E, d).  A tree left
     uncertified logs a warning and is kept at its last iterate, scored at
-    its true cost; its duals are NaN.
+    its true cost; its duals are NaN.  tally goes to the kernel.
     """
     out, duals = _minimize_length(pos, edges, _edge_weights(flows, alpha), pos[:, :k], tol,
-                                  10000, cutoff, groups=groups, decide=decide)
+                                  10000, cutoff, groups=groups, decide=decide, tally=tally)
     for i, res in enumerate(out):
         if isinstance(res, OptimizeError):
             _log.warning("instance %d topology %s not certified: %s", groups[i],
@@ -773,12 +794,21 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     over the terminals without one, or, once a move has been kept, after
     the k - 1 scans of the other terminals: the moved terminal's own rescan
     cannot improve, as its candidates were dropped or certified no cheaper
-    in the scan that moved it, and its old edge costs more.  Each scan,
-    insertion or regraft, is one batched position solve of the candidates'
-    arrays, screened against the cost to beat; an uncertified solve logs a
-    warning and keeps its last iterate.  The result is contracted like the
-    oracle's, so its boundary is exact.  No optimality promise: the tests
-    compare it against the exhaustive optimum on oracle-range instances.
+    in the scan that moved it, and its old edge costs more.  Each insertion
+    scan is one batched position solve of the candidates' arrays.  The
+    regraft scans of consecutive terminals go to one batch, a window, one
+    group per scan: they all start from the current tree and share its cost
+    as their cutoff, and a scan's answers do not depend on the others in its
+    batch.  The scans are then taken in order, exactly as one at a time: the
+    first that improves is kept and the scans after it are discarded.  A
+    window holds one scan after a move and twice as many after a window
+    without one, never more than are left before the search ends nor
+    more candidates than REGRAFT_WINDOW_PROBLEMS (but always one scan).
+    An uncertified solve logs a warning and keeps its last iterate; each
+    search logs its scans, windows, moves and Newton iterations at DEBUG.
+    The result is contracted like the oracle's, so its boundary is exact.
+    No optimality promise: the tests compare it against the exhaustive
+    optimum on oracle-range instances.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
     k = len(net.masses)
@@ -786,42 +816,68 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         return currents.empty_path(net.dim)
     order = np.argsort(-np.abs(net.masses), kind="stable")
     points, masses = net.points[order], net.masses[order]
+    tally = collections.Counter()
 
-    def scan(tree, pos, t, s, last, cutoff, skip=None, decide=False):
-        # t hung from s on every edge but skip, s started at the centroid; the
-        # terminals after last are not in the tree yet: terminal 0 carries them
-        m = masses.copy()
-        m[0] += m[last + 1:].sum()
-        m[last + 1:] = 0.0
+    def scan(tree, pos, t, s, skip=None):
+        # t hung from s on every edge but skip, s started at the centroid
         hosts = [e for e in range(len(tree)) if e != skip]
-        cands = [_insert(tree, e, t, s) for e in hosts]
         ends = np.array(tree)[hosts]
         starts = np.repeat(pos[None], len(hosts), axis=0)
         starts[:, s] = (pos[ends[:, 0]] + pos[ends[:, 1]] + pos[t]) / 3.0
-        order = np.array([_strip_order(c, len(pos)) for c in cands])
-        flows = _tree_flows(order, m[None], len(pos))[0]
-        solved, _ = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL,
-                                 np.zeros(len(cands), int), cutoff, decide)
-        kept = [(*res, f, c) for res, f, c in zip(solved, flows, cands) if res is not None]
-        return min(kept, key=lambda s: s[1]) if kept else None
+        return starts, [_insert(tree, e, t, s) for e in hosts]
+
+    def solve(scans, m, cutoff, decide=False):
+        # the best (positions, cost, flows, tree) of every scan, None where all
+        # its candidates were pruned: one batch, one group per scan
+        starts = np.concatenate([starts for starts, _ in scans])
+        cands = [c for _, group in scans for c in group]
+        groups = np.repeat(np.arange(len(scans)), [len(group) for _, group in scans])
+        order = np.array([_strip_order(c, starts.shape[1]) for c in cands])
+        flows = _tree_flows(order, m[None], starts.shape[1])[0]
+        solved, _ = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL, groups,
+                                 cutoff, decide, tally)
+        best = [None] * len(scans)
+        for res, f, c, g in zip(solved, flows, cands, groups.tolist()):
+            if res is not None and (best[g] is None or res[1] < best[g][1]):
+                best[g] = (*res, f, c)
+        return best
 
     # the search state: positions, cost, edge flows and edges of the current
     # tree; the last insertion and every regraft scan have all terminals in,
     # so its flows are final, and the one edge of k = 2 carries terminal 1's mass
     pos, flows, tree = np.vstack([points, np.zeros((k - 2, net.dim))]), masses[1:], ((0, 1),)
     for t in range(2, k):
-        # only the last insertion's cost is compared later: the others need
-        # their best tree, not a certified cost
-        pos, cost, flows, tree = scan(tree, pos, t, k + t - 2, t, math.inf, decide=t < k - 1)
+        # terminal 0 carries the terminals not in yet; only the last
+        # insertion's cost is compared later: the others need their best
+        # tree, not a certified cost
+        m = masses.copy()
+        m[0] += m[t + 1:].sum()
+        m[t + 1:] = 0.0
+        (pos, cost, flows, tree), = solve([scan(tree, pos, t, k + t - 2)], m, math.inf,
+                                          decide=t < k - 1)
     stale = 0  # terminals in a row whose regrafts found no improvement
     settled = k  # stale scans that end the search
-    t = 0
+    t, width = 0, 1
+    # a detached tree has 2k - 5 edges, and a scan skips the one it joined
+    most = max(REGRAFT_WINDOW_PROBLEMS // max(2 * k - 6, 1), 1)
+    windows = solved_scans = discarded = moves = 0
     while k > 3 and stale < settled:
-        edges, s = _detach(tree, t)
-        stale += 1
-        solved = scan(edges, pos, t, s, k - 1, cost, skip=len(edges) - 1)
-        if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
-            # the moved terminal's own rescan cannot improve (see above)
-            (pos, cost, flows, tree), stale, settled = solved, 0, k - 1
-        t = (t + 1) % k
+        window = [(t + j) % k for j in range(min(width, settled - stale, most))]
+        scans = []
+        for u in window:
+            edges, s = _detach(tree, u)
+            scans.append(scan(edges, pos, u, s, skip=len(edges) - 1))
+        windows, solved_scans, width = windows + 1, solved_scans + len(window), 2 * width
+        for j, (u, solved) in enumerate(zip(window, solve(scans, masses, cost))):
+            stale += 1
+            if solved is not None and solved[1] < (1.0 - LOCAL_TOL) * cost:
+                # the moved terminal's own rescan cannot improve (see above)
+                (pos, cost, flows, tree), stale, settled = solved, 0, k - 1
+                moves, discarded, width = moves + 1, discarded + len(window) - j - 1, 1
+                break
+        t = (u + 1) % k
+    _log.debug("local search on %d atoms: %d insertion scans, %d regraft windows, "
+               "%d regraft scans solved, %d discarded, %d moves accepted, "
+               "%d Newton iterations", k, max(k - 2, 0), windows, solved_scans, discarded,
+               moves, tally["iterations"])
     return _tree_answer(pos, tree, flows)[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -888,24 +889,176 @@ def test_decided_scan_picks_the_certified_scans_tree(caplog):
 @pytest.mark.parametrize("index, moved", [(2, True), (4, False)])
 def test_regrafts_skip_the_moved_terminals_rescan(index, moved, monkeypatch):
     # after an accepted regraft the search ends once the k - 1 other
-    # terminals are rescanned without a gain; with none, after all k
+    # terminals are rescanned without a gain; with none, after all k.  A
+    # batch holds one scan per group, and the scans after an improving one
+    # in its batch are discarded: they are not counted
     mu_minus, mu_plus, alpha = _generator_instances(index + 1)[index]
     k = len((mu_plus - mu_minus).masses)
-    kernel, best = optimizer._minimize_length, []
+    kernel, batches = optimizer._minimize_length, []
 
-    def counted(*args, **kwargs):
-        out, duals = kernel(*args, **kwargs)
-        best.append(min((res[1] for res in out if isinstance(res, tuple)), default=math.inf))
+    def counted(*args, groups, **kwargs):
+        out, duals = kernel(*args, groups=groups, **kwargs)
+        costs = np.full(groups.max() + 1, math.inf)
+        for g, res in zip(groups.tolist(), out):
+            if isinstance(res, tuple):
+                costs[g] = min(costs[g], res[1])
+        batches.append(costs.tolist())
         return out, duals
 
     monkeypatch.setattr(optimizer, "_minimize_length", counted)
     optimizer.local_search(mu_minus, mu_plus, alpha)
+    assert all(len(batch) == 1 for batch in batches[:k - 2])  # one batch per insertion
+    best = [batch[0] for batch in batches[:k - 2]]  # per scan, discarded ones left out
+    cost = best[-1]
+    for batch in batches[k - 2:]:
+        for c in batch:
+            best.append(c)
+            if c < (1.0 - optimizer.LOCAL_TOL) * cost:
+                cost = c
+                break
     cost, last_move = best[k - 3], -1  # the last insertion's, then per regraft scan
     for j, c in enumerate(best[k - 2:]):
         if c < (1.0 - optimizer.LOCAL_TOL) * cost:
             cost, last_move = c, j
     assert (last_move >= 0) == moved
     assert len(best) - (k - 2) - (last_move + 1) == (k - 1 if moved else k)
+
+
+def _sequential_local_search(mu_minus, mu_plus, alpha):
+    """``local_search`` with one regraft scan per batch, as it ran before its
+    scans were solved in windows: the reference the windows must equal."""
+    net = optimizer._merged_terminals(mu_minus, mu_plus, alpha)
+    k = len(net.masses)
+    order = np.argsort(-np.abs(net.masses), kind="stable")
+    points, masses = net.points[order], net.masses[order]
+
+    def scan(tree, pos, t, s, last, cutoff, skip=None, decide=False):
+        m = masses.copy()
+        m[0] += m[last + 1:].sum()
+        m[last + 1:] = 0.0
+        hosts = [e for e in range(len(tree)) if e != skip]
+        cands = [optimizer._insert(tree, e, t, s) for e in hosts]
+        ends = np.array(tree)[hosts]
+        starts = np.repeat(pos[None], len(hosts), axis=0)
+        starts[:, s] = (pos[ends[:, 0]] + pos[ends[:, 1]] + pos[t]) / 3.0
+        order = np.array([optimizer._strip_order(c, len(pos)) for c in cands])
+        flows = optimizer._tree_flows(order, m[None], len(pos))[0]
+        solved, _ = optimizer._solve_trees(starts, np.array(cands), flows, k, alpha,
+                                           optimizer.LOCAL_TOL, np.zeros(len(cands), int),
+                                           cutoff, decide)
+        kept = [(*res, f, c) for res, f, c in zip(solved, flows, cands) if res is not None]
+        return min(kept, key=lambda s: s[1]) if kept else None
+
+    pos, flows, tree = np.vstack([points, np.zeros((k - 2, net.dim))]), masses[1:], ((0, 1),)
+    for t in range(2, k):
+        pos, cost, flows, tree = scan(tree, pos, t, k + t - 2, t, math.inf, decide=t < k - 1)
+    stale, settled, t = 0, k, 0
+    while k > 3 and stale < settled:
+        edges, s = optimizer._detach(tree, t)
+        stale += 1
+        solved = scan(edges, pos, t, s, k - 1, cost, skip=len(edges) - 1)
+        if solved is not None and solved[1] < (1.0 - optimizer.LOCAL_TOL) * cost:
+            (pos, cost, flows, tree), stale, settled = solved, 0, k - 1
+        t = (t + 1) % k
+    return optimizer._tree_answer(pos, tree, flows)[0]
+
+
+def _local_search_lines(caplog) -> list:
+    """The numbers of every local search's DEBUG line, in the order it logs them."""
+    return [[int(x) for x in re.findall(r"\d+", r.getMessage())]
+            for r in caplog.records if r.getMessage().startswith("local search on ")]
+
+
+def test_windowed_regrafts_equal_one_scan_per_batch(caplog):
+    # the windows take the sequential search's every decision, so the paths
+    # are bit-identical; on these instances a move is accepted mid-window
+    # and the scans after it are discarded, and on the 80th a later scan of
+    # its window improves more than the first that improves
+    instances = [_generator_instances(80)[i] for i in (10, 35, 51, 79)]
+    alpha, _, sources, sinks = LOCAL12_BASE[1]
+    instances.append((atoms2(*sources), atoms2(*sinks), alpha))
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        for mu_minus, mu_plus, alpha in instances:
+            windowed = optimizer.local_search(mu_minus, mu_plus, alpha)
+            reference = _sequential_local_search(mu_minus, mu_plus, alpha)
+            assert np.array_equal(windowed.vertices, reference.vertices)
+            for got, want in zip(zip(*windowed.edges), zip(*reference.edges)):
+                assert np.array_equal(got, want)  # tails, heads and flows
+    lines = _local_search_lines(caplog)
+    assert len(lines) == len(instances)
+    assert all(windows < solved for _, _, windows, solved, *_ in lines)
+    assert sum(discarded for *_, discarded, _, _ in lines) > 0
+
+
+def test_local_search_logs_its_scans_windows_and_iterations(caplog):
+    # one DEBUG line per search, whose counts are those of its batches
+    mu_minus, mu_plus, alpha = _generator_instances(11)[10]
+    k = len((mu_plus - mu_minus).masses)
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        optimizer.local_search(mu_minus, mu_plus, alpha)
+    ((atoms, insertions, windows, solved, discarded, moves, iterations),) = \
+        _local_search_lines(caplog)
+    batches = [[int(x) for x in re.findall(r"\d+", r.getMessage())]
+               for r in caplog.records if r.getMessage().startswith("position batch")]
+    assert (atoms, insertions) == (k, k - 2)
+    assert windows == len(batches) - insertions
+    assert solved == sum(batch[-1] for batch in batches[insertions:]) > windows
+    assert 0 < discarded < solved and moves >= 1
+    assert iterations == sum(batch[-2] for batch in batches)
+
+
+def _regraft_window(rng, k, dim, alpha, n_scans):
+    """The regraft scans of terminals 0..n_scans-1 on a solved random tree of a
+    random k-atom instance, as local search stacks them in one window: the
+    starts, edges, weights and groups, one group per scan, and the tree's
+    cost, which is every scan's cutoff."""
+    mu_minus, mu_plus = balanced_clouds(rng, k // 2, k - k // 2, dim)
+    net, n = mu_plus - mu_minus, 2 * k - 2
+    assert len(net.masses) == k
+
+    def flows(trees):
+        order = np.array([optimizer._strip_order(tree, n) for tree in trees])
+        return optimizer._tree_flows(order, net.masses[None], n)[0]
+
+    tree = _random_tree(rng, k)
+    start = np.vstack([net.points, net.points.mean(axis=0) + 0.3 * rng.standard_normal((k - 2, dim))])
+    ((pos, cost),), _ = optimizer._solve_trees(start[None], np.array([tree]), flows([tree]), k,
+                                               alpha, optimizer.LOCAL_TOL, np.zeros(1, int))
+    starts, cands = [], []
+    for t in range(n_scans):
+        edges, s = optimizer._detach(tree, t)
+        for e, (a, b) in enumerate(edges[:-1]):
+            starts.append(pos.copy())
+            starts[-1][s] = (pos[a] + pos[b] + pos[t]) / 3.0
+            cands.append(optimizer._insert(edges, e, t, s))
+    groups = np.repeat(np.arange(n_scans), 2 * k - 6)
+    return np.array(starts), np.array(cands), optimizer._edge_weights(flows(cands), alpha), \
+        groups, cost
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6, 1.0])
+def test_stacked_groups_solve_as_each_group_alone(alpha, dim):
+    # a group's entries and duals do not depend on the groups stacked with
+    # it under a shared cutoff: the regraft windows rely on this
+    rng = np.random.default_rng(int(10 * alpha) + 100 * dim)
+    for k in (4, 7, 12):
+        pos, edges, w, groups, cutoff = _regraft_window(rng, k, dim, alpha, 3)
+        out, duals = optimizer._minimize_length(pos, edges, w, pos[:, :k], optimizer.LOCAL_TOL,
+                                                10000, cutoff, groups=groups)
+        assert any(res is None for res in out)
+        for g in range(3):
+            rows = np.flatnonzero(groups == g)
+            alone, alone_duals = optimizer._minimize_length(
+                pos[rows], edges[rows], w[rows], pos[rows, :k], optimizer.LOCAL_TOL, 10000,
+                cutoff, groups=np.zeros(len(rows), int))
+            assert np.array_equal(duals[rows], alone_duals, equal_nan=True)
+            for res, ref in zip((out[i] for i in rows), alone):
+                assert type(res) is type(ref)
+                if isinstance(res, tuple):
+                    assert np.array_equal(res[0], ref[0]) and res[1] == ref[1]
+                elif res is not None:
+                    assert np.array_equal(res.best, ref.best)
 
 
 def _stalled(pos, edges, *args, **kwargs):
