@@ -59,10 +59,7 @@ tree is then improved by terminal regrafts, each taking the best of its
 scan.  An insertion before the last needs only its best tree: its scan
 stops once bounds have dropped every other candidate.  The last insertion
 and every regraft candidate are scored by the certified solve.  Regraft
-scans are solved speculatively in windows of consecutive terminals, which
-double in width while no scan improves; a window's scans are taken in
-order and those after an accepted move are discarded, so every decision,
-and every bit of the answer, is the one-scan-at-a-time search's.
+scans are solved speculatively, in windows of consecutive terminals.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
@@ -90,8 +87,9 @@ ORACLE_MAX_ATOMS = 6
 # certified relative gap of every local search solve, and the least relative
 # gain that counts as an improving move
 LOCAL_TOL = 1e-10
-# most candidate trees in one window of local search's regraft scans: at k =
-# 12 a scan has 18, and the kernel's transients stay near one scan's memory
+# most candidate trees in one window of local search's regraft scans, which
+# holds at least one scan of 2k - 6: this bounds the position batch's memory
+# (at k = 12, a window of two scans peaks at about 0.7 MB under tracemalloc)
 REGRAFT_WINDOW_PROBLEMS = 40
 # smoothing continuation of the position stage: eps runs from SMOOTH_START to
 # SMOOTH_FLOOR terminal radii R, cut by SMOOTH_FACTOR per stage; a stage ends
@@ -345,7 +343,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         duals[i] = np.divide(w[i], norm, out=np.zeros(n_edges), where=norm > 0)[:, None] * D0[i]
     live = np.flatnonzero(touched.any(axis=1))
     counts = {"certified": T - len(live), "pruned": 0, "uncertified": 0, "decided": 0}
-    eye = np.eye(dim)
+    eye = np.eye(dim)[:, :, None, None]
     ts = 0.5 ** np.arange(20)
     diag = np.arange(nf * dim)
     incumbent = np.full(int(groups.max()) + 1, math.inf)  # least stage-end cost per group
@@ -431,12 +429,16 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         m = len(live)
         u = w / r
         grad = (Bt @ (u[..., None] * d)).reshape(m, nf * dim)
-        # Hessian of one smoothed norm: w (I - d d^T / r^2) / r; H = B^T (B (x) K)
-        # in one product, rows (vertex, axis) and columns (axis, vertex, axis)
-        K = u[..., None, None] * (eye - d[..., :, None] * d[..., None, :] / (r * r)[..., None, None])
-        KB = (K[:, :, :, None, :] * B[:, :, None, :, None]).reshape(m, n_edges, -1)
-        del K  # the transients of a Newton step are the batch's memory peak
-        H = (Bt @ KB).reshape(m, nf * dim, nf * dim)
+        # Hessian of one smoothed norm: w (I - d d^T / r^2) / r, and H = B^T (B (x) K)
+        # in one product, rows (vertex, axis) and columns (axis, vertex, axis).
+        # K and B (x) K are built axis first, (dim, ..., m, E), so that every
+        # product runs over whole (m, E) planes, and are released before the
+        # solve: the transients of a Newton step are the batch's memory peak
+        dT = np.ascontiguousarray(d.transpose(2, 0, 1))
+        K = u * (eye - dT[:, None] * dT[None, :] / (r * r))
+        KB = K[:, None] * np.ascontiguousarray(B.transpose(2, 0, 1))[None, :, None]
+        del dT, K
+        H = (Bt @ KB.reshape(-1, m, n_edges).transpose(1, 2, 0)).reshape(m, nf * dim, nf * dim)
         del KB
         H[:, diag, diag] += inert
         p = -np.linalg.solve(H, grad[..., None])[..., 0]
@@ -796,19 +798,16 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     cannot improve, as its candidates were dropped or certified no cheaper
     in the scan that moved it, and its old edge costs more.  Each insertion
     scan is one batched position solve of the candidates' arrays.  The
-    regraft scans of consecutive terminals go to one batch, a window, one
-    group per scan: they all start from the current tree and share its cost
-    as their cutoff, and a scan's answers do not depend on the others in its
-    batch.  The scans are then taken in order, exactly as one at a time: the
-    first that improves is kept and the scans after it are discarded.  A
-    window holds one scan after a move and twice as many after a window
-    without one, never more than are left before the search ends nor
-    more candidates than REGRAFT_WINDOW_PROBLEMS (but always one scan).
-    An uncertified solve logs a warning and keeps its last iterate; each
-    search logs its scans, windows, moves and Newton iterations at DEBUG.
-    The result is contracted like the oracle's, so its boundary is exact.
-    No optimality promise: the tests compare it against the exhaustive
-    optimum on oracle-range instances.
+    regraft scans of consecutive terminals, a window, are one batch with a
+    group per scan, all cut off at the current cost; a group solves as it
+    would alone, so taking the scans in order and discarding those after
+    the first move decides exactly as one scan at a time.  A window holds
+    one scan after a move and doubles after a window without one, up to
+    the scans left and REGRAFT_WINDOW_PROBLEMS candidates.  An uncertified
+    solve logs a warning and keeps its last iterate; each search logs its
+    counts at DEBUG.  The result is contracted like the oracle's, so its
+    boundary is exact.  No optimality promise: the tests compare it against
+    the exhaustive optimum on oracle-range instances.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
     k = len(net.masses)
