@@ -1021,7 +1021,8 @@ def _regraft_window(rng, k, dim, alpha, n_scans):
         return optimizer._tree_flows(order, net.masses[None], n)[0]
 
     tree = _random_tree(rng, k)
-    start = np.vstack([net.points, net.points.mean(axis=0) + 0.3 * rng.standard_normal((k - 2, dim))])
+    spread = 0.3 * rng.standard_normal((k - 2, dim))
+    start = np.vstack([net.points, net.points.mean(axis=0) + spread])
     ((pos, cost),), _ = optimizer._solve_trees(start[None], np.array([tree]), flows([tree]), k,
                                                alpha, optimizer.LOCAL_TOL, np.zeros(1, int))
     starts, cands = [], []
