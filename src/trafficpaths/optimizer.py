@@ -877,6 +877,6 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         t = (u + 1) % k
     _log.debug("local search on %d atoms: %d insertion scans, %d regraft windows, "
                "%d regraft scans solved, %d discarded, %d moves accepted, "
-               "%d Newton iterations", k, max(k - 2, 0), windows, solved_scans, discarded,
+               "%d Newton iterations", k, k - 2, windows, solved_scans, discarded,
                moves, tally["iterations"])
     return _tree_answer(pos, tree, flows)[0]
