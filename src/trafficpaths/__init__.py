@@ -7,9 +7,9 @@ tracks optimizers along the quantization, and assembles explicit
 cheaper competitors out of suboptimal paths.
 """
 
-from .currents import (AtomicMeasure, Config, TrafficPath, add, alpha_mass,
-                       boundary, empty_path, from_segments, mass, overlay,
-                       push_forward, restrict, reverse, scale, subtract)
+from .currents import (AtomicMeasure, TrafficPath, add, alpha_mass, boundary,
+                       empty_path, from_segments, mass, overlay, push_forward,
+                       restrict, reverse, scale, subtract)
 from .decomposition import (Curve, PathMeasure, good_decomposition, is_acyclic,
                             reconstruct, remove_cycles)
 from .geometry import Ball, BallRegion, cover_compact
@@ -27,8 +27,8 @@ from .stability import (CompetitorConfig, ExperimentConfig, TargetSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "Ball", "BallRegion", "CompetitorConfig", "Config",
-    "Curve", "ExperimentConfig", "GridComplex", "OptimizeError",
+    "AtomicMeasure", "Ball", "BallRegion", "CompetitorConfig", "Curve",
+    "ExperimentConfig", "GridComplex", "OptimizeError",
     "OracleRangeError", "PathMeasure", "TargetSpec", "Topology", "TrafficPath",
     "add", "alpha_mass", "boundary", "brute_force_optimal",
     "build_competitor", "cheap_subtransport", "check_high_multiplicity_lsc",

@@ -22,7 +22,7 @@ from . import currents, metrics, optimizer, stability
 from . import decomposition as dcmp
 from .currents import AtomicMeasure, TrafficPath
 from .geometry import Ball
-from .stability import read_point, read_value
+from .stability import load_json_object, read_atoms, read_point, read_value
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +82,6 @@ def measure_to_json(mu: AtomicMeasure) -> list:
     return [{"point": [float(x) for x in p], "mass": float(m)} for p, m in mu.atoms()]
 
 
-def measure_from_json(raw, field: str, dim: int) -> AtomicMeasure:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"field '{field}' must be a nonempty list of atoms")
-    atoms = []
-    for k, a in enumerate(raw):
-        if not isinstance(a, dict) or "point" not in a or "mass" not in a:
-            raise ValueError(f"field '{field}[{k}]' needs 'point' and 'mass'")
-        atoms.append((read_point(a["point"], f"{field}[{k}].point", dim),
-                      read_value(float, a["mass"], f"{field}[{k}].mass")))
-    return AtomicMeasure.from_atoms(atoms, dim=dim)
-
-
 def path_to_json(t: TrafficPath) -> dict:
     return {
         "vertices": [[float(x) for x in v] for v in t.vertices],
@@ -142,9 +130,8 @@ class Instance:
         return out
 
 
-def instance_from_dict(d: dict) -> Instance:
-    if not isinstance(d, dict):
-        raise ValueError("instance file must be a JSON object")
+def load_instance(path: str) -> Instance:
+    d = load_json_object(path)
     for key in ("dimension", "alpha", "mu_minus", "mu_plus"):
         if key not in d:
             raise ValueError(f"missing field: {key}")
@@ -154,24 +141,14 @@ def instance_from_dict(d: dict) -> Instance:
     alpha = read_value(float, d["alpha"], "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("field 'alpha' must lie in [0, 1]")
-    mu_minus = measure_from_json(d["mu_minus"], "mu_minus", dim)
-    mu_plus = measure_from_json(d["mu_plus"], "mu_plus", dim)
-    if not (mu_minus.is_nonnegative() and mu_plus.is_nonnegative()):
-        raise ValueError("field 'mu_minus'/'mu_plus' atoms must have positive mass")
-    if abs(mu_minus.total() - mu_plus.total()) > 1e-9:
-        raise ValueError("field 'mu_plus' does not balance 'mu_minus' within 1e-9")
+    radius = read_value(float, d.get("ambient_radius", 4.0), "ambient_radius")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("field 'ambient_radius' must be finite and positive")
+    mu_minus, mu_plus = (AtomicMeasure.from_atoms(read_atoms(d[key], key, dim), dim=dim)
+                         for key in ("mu_minus", "mu_plus"))
+    stability.check_balance(mu_minus, mu_plus)
     path = path_from_json(d["path"], dim) if "path" in d else None
-    return Instance(dim, alpha, read_value(float, d.get("ambient_radius", 4.0), "ambient_radius"),
-                    mu_minus, mu_plus, path)
-
-
-def load_instance(path: str) -> Instance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    return instance_from_dict(raw)
+    return Instance(dim, alpha, radius, mu_minus, mu_plus, path)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +271,7 @@ def cmd_flatnorm(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json_object(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = stability.experiment_from_dict(raw)
@@ -332,8 +308,7 @@ def cmd_competitor(args) -> int:
     opt_inst = load_instance(args.opt)
     if opt_inst.path is None:
         raise ValueError("missing field: path (in the optimal instance)")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json_object(args.config)
     cc = stability.CompetitorConfig.from_dict(raw)
     radius = raw.get("cover_radius")
     covers = _auto_covers(opt_inst.path, cc, inst.dimension,

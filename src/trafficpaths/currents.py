@@ -131,27 +131,6 @@ def clears_sphere_threshold(alpha: float, dim: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Config:
-    """Ambient parameters shared across a computation."""
-
-    alpha: float
-    dimension: int
-    ambient_radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.dimension not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
-        if not self.ambient_radius > 0:
-            raise ValueError("ambient_radius must be positive")
-
-    def sphere_reduction_ok(self) -> bool:
-        """Whether alpha clears the sphere-connection threshold 1 - 1/(d-1)."""
-        return clears_sphere_threshold(self.alpha, self.dimension)
-
-
-@dataclass(frozen=True)
 class AtomicMeasure:
     """Signed atomic measure: points (k, d) with signed masses (k,).
 

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import currents
 from .currents import AtomicMeasure, TrafficPath
@@ -332,8 +330,9 @@ class GridComplex:
         return (self.x0 - GRID_SLACK <= x <= self.x0 + self.nx * self.h + GRID_SLACK
                 and self.y0 - GRID_SLACK <= y <= self.y0 + self.ny * self.h + GRID_SLACK)
 
-    def boundary_matrix(self) -> sparse.csr_matrix:
-        """Edge x face incidence of the 2-chain boundary operator."""
+    def boundary_matrix(self):
+        """Edge x face incidence of the 2-chain boundary operator, a scipy.sparse CSR matrix."""
+        from scipy import sparse
         # face f = j nx + i, in order: bottom, right, top, left
         j, i = np.divmod(np.arange(self.n_faces), self.nx)
         vedge = self.n_hedges + j * (self.nx + 1) + i
@@ -428,6 +427,10 @@ def flat_chain_norm(grid: GridComplex, t_chain: np.ndarray) -> float:
     primal simplex; t . phi is the norm by LP duality.  A zero chain is 0.0
     without an LP.
     """
+    # scipy is imported here and in boundary_matrix only: no other path needs
+    # it, and importing it costs more than importing the rest of the package
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     cut = _chain_box(grid, t_chain)
     if cut is None:
         return 0.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import certificate, constructors, currents, metrics, optimizer
 from . import decomposition as dcmp
-from .currents import AtomicMeasure, Config, TrafficPath
+from .currents import AtomicMeasure, TrafficPath
 from .decomposition import Curve, PathMeasure
 from .geometry import BallRegion, as_point
 
@@ -141,27 +141,59 @@ def read_point(raw, field: str, dim: int | None = None) -> tuple:
     return p
 
 
+def read_atoms(raw, field: str, dim: int | None = None) -> tuple:
+    """A JSON atom list as ((point, mass), ...), the rules of every file that holds one.
+
+    The list is nonempty, each atom has a 'point' and a finite mass >= 0,
+    and every point has dim coordinates (without dim, the first point's).
+    """
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"field '{field}' must be a nonempty list of atoms")
+    atoms = []
+    for k, a in enumerate(raw):
+        if not isinstance(a, dict) or "point" not in a or "mass" not in a:
+            raise ValueError(f"field '{field}[{k}]' needs 'point' and 'mass'")
+        p = read_point(a["point"], f"{field}[{k}].point", dim)
+        m = read_value(float, a["mass"], f"{field}[{k}].mass")
+        if not 0.0 <= m < math.inf:
+            raise ValueError(f"field '{field}[{k}].mass' must be finite and nonnegative")
+        atoms.append((p, m))
+        dim = len(p)
+    return tuple(atoms)
+
+
+def check_balance(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure) -> None:
+    """The marginals of an instance or a trial carry the same total mass."""
+    if not abs(mu_minus.total() - mu_plus.total()) <= 1e-9:
+        raise ValueError("field 'mu_plus' does not balance 'mu_minus' within 1e-9")
+
+
+def load_json_object(path: str) -> dict:
+    """The JSON object a file holds; anything else raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"file '{path}' must hold a JSON object")
+    return raw
+
+
 def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
     if not isinstance(d, dict):
         raise ValueError("target spec must be an object")
     kind = d.get("kind", "points")
     if kind == "points":
-        raw = d.get("atoms")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("target spec field 'atoms' must be a nonempty list")
-        atoms = []
-        for k, a in enumerate(raw):
-            if not isinstance(a, dict) or "point" not in a or "mass" not in a:
-                raise ValueError("atom entries need 'point' and 'mass' fields")
-            atoms.append((read_point(a["point"], f"atoms[{k}].point"),
-                          read_value(float, a["mass"], f"atoms[{k}].mass")))
-        return TargetSpec(kind="points", atoms=tuple(atoms),
+        return TargetSpec(kind="points", atoms=read_atoms(d.get("atoms"), "atoms"),
                           perturbation=read_value(float, d.get("perturbation", 0.0),
                                                   "perturbation"), seed=seed)
     if kind == "cantor":
+        mass = read_value(float, d.get("mass", 1.0), "mass")
+        if not 0.0 < mass < math.inf:
+            raise ValueError("field 'mass' must be finite and positive")
         return TargetSpec(kind="cantor", origin=read_point(d.get("origin", (0.0, 0.0)), "origin"),
-                          length=read_value(float, d.get("length", 1.0), "length"),
-                          mass=read_value(float, d.get("mass", 1.0), "mass"),
+                          length=read_value(float, d.get("length", 1.0), "length"), mass=mass,
                           axis=read_point(d["axis"], "axis") if "axis" in d else None, seed=seed)
     raise ValueError(f"unknown target kind: {kind}")
 
@@ -172,21 +204,30 @@ def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    config: Config
+    alpha: float
+    dimension: int
     minus: TargetSpec
     plus: TargetSpec
     schedule: tuple
-    seed: int = 0
     optimality_tol: float = 1e-4
     convergence_tol: float = 5e-2
 
     def __post_init__(self):
-        if not self.config.sphere_reduction_ok():
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("field 'alpha' must lie in (0, 1]")
+        if self.dimension not in (2, 3):
+            raise ValueError("field 'dimension' must be 2 or 3")
+        if not currents.clears_sphere_threshold(self.alpha, self.dimension):
             raise ValueError("alpha below the stability threshold for this dimension")
         if not self.schedule:
             raise ValueError("schedule must be nonempty")
+        for name, spec in (("mu_minus", self.minus), ("mu_plus", self.plus)):
+            if spec.dim() != self.dimension:
+                raise ValueError(f"field '{name}' is {spec.dim()}-d "
+                                 f"but 'dimension' is {self.dimension}")
         supp_m = quantize(self.minus, 0)
         supp_p = quantize(self.plus, 0)
+        check_balance(supp_m, supp_p)
         gap = min(float(np.linalg.norm(p - q))
                   for p, _ in supp_m.atoms() for q, _ in supp_p.atoms())
         if gap <= 1e-9:
@@ -197,34 +238,24 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     for key in ("alpha", "dimension", "mu_minus", "mu_plus", "schedule"):
         if key not in d:
             raise ValueError(f"missing field: {key}")
-    cfg = Config(alpha=read_value(float, d["alpha"], "alpha"),
-                 dimension=read_value(int, d["dimension"], "dimension"),
-                 ambient_radius=read_value(float, d.get("ambient_radius", 4.0), "ambient_radius"))
     seed = read_value(int, d.get("seed", 0), "seed")
     schedule = d["schedule"]
     # type(n) is int: a JSON boolean is no integer
     if not isinstance(schedule, list) or not all(type(n) is int and n >= 0 for n in schedule):
         raise ValueError("field 'schedule' must be a list of nonnegative integers")
-    minus = target_from_dict(d["mu_minus"], seed=seed)
-    plus = target_from_dict(d["mu_plus"], seed=seed + 1)
-    for name, spec in (("mu_minus", minus), ("mu_plus", plus)):
-        if spec.dim() != cfg.dimension:
-            raise ValueError(f"field '{name}' is {spec.dim()}-d "
-                             f"but 'dimension' is {cfg.dimension}")
     return ExperimentConfig(
-        config=cfg,
-        minus=minus,
-        plus=plus,
+        alpha=read_value(float, d["alpha"], "alpha"),
+        dimension=read_value(int, d["dimension"], "dimension"),
+        minus=target_from_dict(d["mu_minus"], seed=seed),
+        plus=target_from_dict(d["mu_plus"], seed=seed + 1),
         schedule=tuple(schedule),
-        seed=seed,
         optimality_tol=read_value(float, d.get("optimality_tol", 1e-4), "optimality_tol"),
         convergence_tol=read_value(float, d.get("convergence_tol", 5e-2), "convergence_tol"),
     )
 
 
 def load_experiment(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return experiment_from_dict(json.load(fh))
+    return experiment_from_dict(load_json_object(path))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +325,8 @@ def run_stability_trial(cfg: ExperimentConfig) -> TrialReport:
     checks it from the oracle's certificate, by at most optimality_tol
     plus the truncation error; a limit without a certificate is not.
     """
-    alpha = cfg.config.alpha
-    d = cfg.config.dimension
+    alpha = cfg.alpha
+    d = cfg.dimension
     notes = []
 
     specs = (cfg.minus, cfg.plus)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from trafficpaths import currents, metrics
+from trafficpaths import currents
 from trafficpaths.geometry import Ball, as_point, segment_sphere_params
 
 
@@ -130,15 +130,17 @@ def endpoint_measures(pi) -> tuple:
 
 
 def counting_milp(monkeypatch) -> list:
-    """Patch metrics.milp to record each call's (args, kwargs); returns the list they land in."""
+    """Patch scipy.optimize.milp to record each call's (args, kwargs); returns the list they land in."""
+    import scipy.optimize
+
     calls = []
-    real = metrics.milp
+    real = scipy.optimize.milp
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "milp", counted)
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
     return calls
 
 

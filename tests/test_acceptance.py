@@ -228,7 +228,7 @@ def test_criterion_7_stability_trials_all_alphas():
     alphas = []
     for path in configs:
         cfg = stability.load_experiment(path)
-        alphas.append(cfg.config.alpha)
+        alphas.append(cfg.alpha)
         report = stability.run_stability_trial(cfg)
         assert report.verdicts["costs_bounded"], path
         assert report.verdicts["gaps_monotone"], path

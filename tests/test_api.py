@@ -3,8 +3,8 @@
 import trafficpaths
 
 PUBLIC_NAMES = [
-    "AtomicMeasure", "Ball", "BallRegion", "CompetitorConfig", "Config",
-    "Curve", "ExperimentConfig", "GridComplex", "OptimizeError",
+    "AtomicMeasure", "Ball", "BallRegion", "CompetitorConfig", "Curve",
+    "ExperimentConfig", "GridComplex", "OptimizeError",
     "OracleRangeError", "PathMeasure", "TargetSpec", "Topology", "TrafficPath",
     "add", "alpha_mass", "boundary", "brute_force_optimal",
     "build_competitor", "cheap_subtransport", "check_high_multiplicity_lsc",

@@ -28,8 +28,8 @@ def _limit_certificate():
     """The certificate of the shipped alpha = 0.4 trial's limit: 5 atoms, 15 trees."""
     cfg = stability.load_experiment(str(ROOT / "configs" / "stability_alpha04.json"))
     limits = [stability.quantize(s, 0) for s in (cfg.minus, cfg.plus)]
-    ((t, cert, _),) = optimizer.brute_force_many([limits], cfg.config.alpha)
-    return t, cert, cfg.config.alpha
+    ((t, cert, _),) = optimizer.brute_force_many([limits], cfg.alpha)
+    return t, cert, cfg.alpha
 
 
 def _with(cert, edges=None, duals=None):

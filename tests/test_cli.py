@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trafficpaths
 from trafficpaths import cli, optimizer
 
 
@@ -176,6 +181,51 @@ def test_exit_code_2_on_a_grid_step_that_spaces_no_grid(step, tmp_path, capsys):
     assert capsys.readouterr().err == want
 
 
+def _with_path(file, **overrides):
+    doc = json.loads(write_instance(file, **overrides).read_text(encoding="utf-8"))
+    doc["path"] = {"vertices": [[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]],
+                   "edges": [[0, 2, 1.0], [1, 2, 1.0]]}
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    return file
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("command", ["solve-svg", "flatnorm-against"])
+def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, tmp_path, capsys):
+    # solve --svg used to divide by 0 at 0 and mirror the picture below it, and
+    # flatnorm --against failed on NaN with "cannot convert float NaN to integer"
+    bad = _with_path(tmp_path / "bad.json", ambient_radius=radius)
+    if command == "solve-svg":
+        argv = ["--out", str(tmp_path / "o.json"), "solve", "--in", str(bad),
+                "--svg", str(tmp_path / "o.svg")]
+    else:
+        argv = ["flatnorm", "--in", str(_with_path(tmp_path / "good.json")),
+                "--against", str(bad)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: field 'ambient_radius' must be finite and positive\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "file '{path}' must hold a JSON object"),
+    ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+], ids=["list", "invalid"])
+@pytest.mark.parametrize("command", ["solve", "seeded-stability", "competitor"])
+def test_exit_code_2_on_a_file_that_holds_no_json_object(command, text, message, tmp_path,
+                                                         capsys):
+    # "--seed 3 stability" on a list used to die with a TypeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    argv = {"solve": ["solve", "--in", str(bad)],
+            "seeded-stability": ["--seed", "3", "stability", "--config", str(bad)],
+            "competitor": ["competitor", "--in", str(_with_path(tmp_path / "tn.json")),
+                           "--opt", str(_with_path(tmp_path / "topt.json")),
+                           "--config", str(bad)]}[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n"
+
+
 def test_svg_render(tmp_path):
     inst = write_instance(tmp_path / "i.json")
     out = tmp_path / "o.json"
@@ -190,7 +240,7 @@ def test_svg_render(tmp_path):
 
 def _trial_config() -> dict:
     return {
-        "alpha": 0.6, "dimension": 2, "ambient_radius": 4.0,
+        "alpha": 0.6, "dimension": 2,
         "mu_minus": {"kind": "points",
                      "atoms": [{"point": [0.0, -1.0], "mass": 1.0}],
                      "perturbation": 0.0},
@@ -244,6 +294,13 @@ def _atoms_in_3d(cfg: dict) -> dict:
     return cfg
 
 
+def _negated(cfg: dict) -> dict:
+    for side in ("mu_minus", "mu_plus"):
+        for atom in cfg[side]["atoms"]:
+            atom["mass"] = -atom["mass"]
+    return cfg
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: _set(cfg, ("schedule",), 4),
      "field 'schedule' must be a list of nonnegative integers"),
@@ -264,9 +321,26 @@ def _atoms_in_3d(cfg: dict) -> dict:
     # a boolean is no integer: this trial used to run and report "n": true
     (lambda cfg: _set(cfg, ("schedule",), [True, 2]),
      "field 'schedule' must be a list of nonnegative integers"),
+    # a trial whose marginals were both negative ran with source and sink swapped
+    (_negated, "field 'atoms[0].mass' must be finite and nonnegative"),
+    (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "mass"), float("inf")),
+     "field 'atoms[0].mass' must be finite and nonnegative"),
+    # the trial used to fail with "points must share one dimension"
+    (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "point"), [1.0, 1.0, 0.0]),
+     "field 'atoms[1].point' has wrong dimension"),
+    (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1), {"mass": 0.5}),
+     "field 'atoms[1]' needs 'point' and 'mass'"),
+    # an unbalanced trial used to reach the oracle before it failed
+    (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "mass"), 0.25),
+     "field 'mu_plus' does not balance 'mu_minus' within 1e-9"),
+    (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": 0.0}),
+     "field 'mass' must be finite and positive"),
+    (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": -1.0}),
+     "field 'mass' must be finite and positive"),
 ], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
         "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms",
-        "schedule-bool"])
+        "schedule-bool", "negative-masses", "mass-inf", "mixed-dimensions", "atom-no-point",
+        "unbalanced", "cantor-mass-zero", "cantor-mass-negative"])
 def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys, monkeypatch):
     # every field is checked when the config is read, before any solve
     monkeypatch.setattr(optimizer, "brute_force_many", None)
@@ -289,6 +363,28 @@ def test_stability_cli_deterministic(tmp_path):
         assert rc == 0
         outs.append((out.read_bytes(), csv.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_a_solve_and_a_trial_leave_scipy_unimported(tmp_path):
+    # only the grid LP of flatnorm --against needs scipy, and importing it
+    # costs more than importing the rest of the package
+    inst = write_instance(tmp_path / "i.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_set(_trial_config(), ("schedule",), [1, 2])), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from trafficpaths import cli\n"
+        f"assert cli.main(['--out', {str(tmp_path / 'o.json')!r}, 'solve', '--in', {str(inst)!r}]) == 0\n"
+        # two levels are too few to converge: exit 1 reports the verdicts
+        f"assert cli.main(['--out', {str(tmp_path / 'r.json')!r}, 'stability', '--config', {str(cfg)!r}]) == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
+    )
+    src = str(pathlib.Path(trafficpaths.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _competitor_files(tmp_path, **config):

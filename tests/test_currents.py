@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficpaths import currents, geometry
-from trafficpaths.currents import AtomicMeasure, Config
+from trafficpaths.currents import AtomicMeasure
 from trafficpaths.geometry import Ball, BallRegion
+from trafficpaths.stability import ExperimentConfig, TargetSpec
 
 from conftest import AffineMap, BallProjection, ScanPointIndex, random_acyclic_path
 
@@ -105,14 +106,23 @@ def test_measure_restrict():
     assert mu.restrict(region).total() == pytest.approx(1.0)
 
 
+def _experiment(alpha: float, dimension: int) -> ExperimentConfig:
+    def one_atom(x: float) -> TargetSpec:
+        return TargetSpec(atoms=(((x,) + (0.0,) * (dimension - 1), 1.0),))
+
+    return ExperimentConfig(alpha=alpha, dimension=dimension, minus=one_atom(0.0),
+                            plus=one_atom(1.0), schedule=(1,))
+
+
 def test_config_threshold():
-    assert Config(alpha=0.6, dimension=2, ambient_radius=4.0).sphere_reduction_ok()
-    assert Config(alpha=0.6, dimension=3, ambient_radius=4.0).sphere_reduction_ok()
-    assert not Config(alpha=0.4, dimension=3, ambient_radius=4.0).sphere_reduction_ok()
+    assert _experiment(alpha=0.6, dimension=2).alpha == 0.6
+    assert _experiment(alpha=0.6, dimension=3).dimension == 3
+    with pytest.raises(ValueError, match="threshold"):
+        _experiment(alpha=0.4, dimension=3)
     with pytest.raises(ValueError, match="alpha"):
-        Config(alpha=1.5, dimension=2, ambient_radius=4.0)
+        _experiment(alpha=1.5, dimension=2)
     with pytest.raises(ValueError, match="dimension"):
-        Config(alpha=0.6, dimension=4, ambient_radius=4.0)
+        _experiment(alpha=0.6, dimension=4)
 
 
 # ---------------------------------------------------------------------------

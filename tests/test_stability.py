@@ -10,7 +10,7 @@ import pytest
 from trafficpaths import currents, metrics, optimizer, stability
 from trafficpaths import decomposition as dcmp
 from trafficpaths.cli import canonical_json
-from trafficpaths.currents import AtomicMeasure, Config
+from trafficpaths.currents import AtomicMeasure
 from trafficpaths.geometry import Ball, BallRegion
 
 from conftest import balanced_clouds, counting_milp
@@ -87,7 +87,6 @@ def _experiment_dict(**overrides):
     d = {
         "alpha": 0.5,
         "dimension": 2,
-        "ambient_radius": 4.0,
         "mu_minus": {"kind": "points",
                      "atoms": [{"point": [0.0, 0.0], "mass": 1.0}],
                      "perturbation": 0.0},
@@ -130,6 +129,15 @@ def test_experiment_ignores_a_retired_grid_step():
     # unknown field does
     cfg = stability.experiment_from_dict(_experiment_dict(grid_step=0.25))
     assert cfg == stability.experiment_from_dict(_experiment_dict())
+
+
+def test_experiment_ignores_a_retired_ambient_radius():
+    # no trial reads a radius: a config written with one still loads, even an
+    # invalid one, and the seed lives only in the two targets
+    cfg = stability.experiment_from_dict(_experiment_dict(ambient_radius=0.0, seed=13))
+    assert cfg == stability.experiment_from_dict(_experiment_dict(seed=13))
+    assert (cfg.minus.seed, cfg.plus.seed) == (13, 14)
+    assert not hasattr(cfg, "ambient_radius") and not hasattr(cfg, "seed")
 
 
 def test_experiment_rejects_alpha_below_threshold():
@@ -240,7 +248,7 @@ def test_trial_certifies_its_limit_from_its_own_batch(name, monkeypatch, caplog)
     (line,) = [r.getMessage() for r in caplog.records
                if r.name == "trafficpaths.stability" and " limit: " in r.getMessage()]
     bound = report.limit_cost - report.optimal_gap
-    assert line == (f"alpha {cfg.config.alpha:g} limit: 15 trees checked, "
+    assert line == (f"alpha {cfg.alpha:g} limit: 15 trees checked, "
                     f"certified bound {bound:.12g}, path cost {report.limit_cost:.12g}")
 
 
