@@ -142,8 +142,8 @@ def load_instance(path: str) -> Instance:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("field 'alpha' must lie in [0, 1]")
     radius = read_value(float, d.get("ambient_radius", 4.0), "ambient_radius")
-    if not 0.0 < radius < math.inf:
-        raise ValueError("field 'ambient_radius' must be finite and positive")
+    if radius <= 0.0:
+        raise ValueError("field 'ambient_radius' must be positive")
     mu_minus, mu_plus = (AtomicMeasure.from_atoms(read_atoms(d[key], key, dim), dim=dim)
                          for key in ("mu_minus", "mu_plus"))
     stability.check_balance(mu_minus, mu_plus)

@@ -120,16 +120,19 @@ def quantize(spec: TargetSpec, n: int) -> AtomicMeasure:
 def read_value(convert, raw, field: str):
     """convert(raw) for a JSON field; a value of the wrong type raises ValueError naming it.
 
-    A float field takes a JSON number and an int field only a JSON integer:
-    neither takes a string or a boolean, and neither rounds.
+    A float field takes a finite JSON number and an int field only a JSON
+    integer: neither takes a string or a boolean, and neither rounds.
     """
     number = {int: int, float: (int, float)}.get(convert)
     try:
         if number and (isinstance(raw, bool) or not isinstance(raw, number)):
             raise TypeError
-        return convert(raw)
+        value = convert(raw)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field '{field}' has a value of the wrong type or shape") from None
+    if convert is float and not math.isfinite(value):
+        raise ValueError(f"field '{field}' must be finite")
+    return value
 
 
 def read_point(raw, field: str, dim: int | None = None) -> tuple:
@@ -144,7 +147,7 @@ def read_point(raw, field: str, dim: int | None = None) -> tuple:
 def read_atoms(raw, field: str, dim: int | None = None) -> tuple:
     """A JSON atom list as ((point, mass), ...), the rules of every file that holds one.
 
-    The list is nonempty, each atom has a 'point' and a finite mass >= 0,
+    The list is nonempty, each atom has a 'point' and a mass >= 0,
     and every point has dim coordinates (without dim, the first point's).
     """
     if not isinstance(raw, list) or not raw:
@@ -155,8 +158,8 @@ def read_atoms(raw, field: str, dim: int | None = None) -> tuple:
             raise ValueError(f"field '{field}[{k}]' needs 'point' and 'mass'")
         p = read_point(a["point"], f"{field}[{k}].point", dim)
         m = read_value(float, a["mass"], f"{field}[{k}].mass")
-        if not 0.0 <= m < math.inf:
-            raise ValueError(f"field '{field}[{k}].mass' must be finite and nonnegative")
+        if m < 0.0:
+            raise ValueError(f"field '{field}[{k}].mass' must be nonnegative")
         atoms.append((p, m))
         dim = len(p)
     return tuple(atoms)
@@ -190,11 +193,14 @@ def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
                                                   "perturbation"), seed=seed)
     if kind == "cantor":
         mass = read_value(float, d.get("mass", 1.0), "mass")
-        if not 0.0 < mass < math.inf:
-            raise ValueError("field 'mass' must be finite and positive")
+        if mass <= 0.0:
+            raise ValueError("field 'mass' must be positive")
+        axis = read_point(d["axis"], "axis") if "axis" in d else None
+        if axis is not None and not any(axis):
+            raise ValueError("field 'axis' must be nonzero")
         return TargetSpec(kind="cantor", origin=read_point(d.get("origin", (0.0, 0.0)), "origin"),
                           length=read_value(float, d.get("length", 1.0), "length"), mass=mass,
-                          axis=read_point(d["axis"], "axis") if "axis" in d else None, seed=seed)
+                          axis=axis, seed=seed)
     raise ValueError(f"unknown target kind: {kind}")
 
 
@@ -228,6 +234,9 @@ class ExperimentConfig:
         supp_m = quantize(self.minus, 0)
         supp_p = quantize(self.plus, 0)
         check_balance(supp_m, supp_p)
+        for name, supp in (("mu_minus", supp_m), ("mu_plus", supp_p)):
+            if not len(supp.masses):
+                raise ValueError(f"field '{name}' carries no mass")
         gap = min(float(np.linalg.norm(p - q))
                   for p, _ in supp_m.atoms() for q, _ in supp_p.atoms())
         if gap <= 1e-9:

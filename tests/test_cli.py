@@ -181,6 +181,18 @@ def test_exit_code_2_on_a_grid_step_that_spaces_no_grid(step, tmp_path, capsys):
     assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize("coord", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_exit_code_2_on_a_point_off_the_map(coord, tmp_path, capsys):
+    # a NaN point failed with "cannot convert float NaN to integer", and an
+    # infinite one ran the whole solve before its output was refused
+    doc = json.loads(write_instance(tmp_path / "i.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set(doc, ("mu_minus", 1, "point"), [coord, 2.0])),
+                   encoding="utf-8")
+    assert cli.main(["solve", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: field 'mu_minus[1].point' must be finite\n"
+
+
 def _with_path(file, **overrides):
     doc = json.loads(write_instance(file, **overrides).read_text(encoding="utf-8"))
     doc["path"] = {"vertices": [[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0]],
@@ -189,10 +201,12 @@ def _with_path(file, **overrides):
     return file
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")],
-                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("radius, rule", [
+    (0.0, "positive"), (-1.0, "positive"), (float("nan"), "finite"), (float("inf"), "finite"),
+], ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("command", ["solve-svg", "flatnorm-against"])
-def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, tmp_path, capsys):
+def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, rule, tmp_path,
+                                                             capsys):
     # solve --svg used to divide by 0 at 0 and mirror the picture below it, and
     # flatnorm --against failed on NaN with "cannot convert float NaN to integer"
     bad = _with_path(tmp_path / "bad.json", ambient_radius=radius)
@@ -203,7 +217,7 @@ def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, t
         argv = ["flatnorm", "--in", str(_with_path(tmp_path / "good.json")),
                 "--against", str(bad)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: field 'ambient_radius' must be finite and positive\n"
+    assert capsys.readouterr().err == f"error: field 'ambient_radius' must be {rule}\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -294,11 +308,13 @@ def _atoms_in_3d(cfg: dict) -> dict:
     return cfg
 
 
-def _negated(cfg: dict) -> dict:
-    for side in ("mu_minus", "mu_plus"):
-        for atom in cfg[side]["atoms"]:
-            atom["mass"] = -atom["mass"]
-    return cfg
+def _masses_times(factor: float):
+    def edit(cfg: dict) -> dict:
+        for side in ("mu_minus", "mu_plus"):
+            for atom in cfg[side]["atoms"]:
+                atom["mass"] *= factor
+        return cfg
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -322,9 +338,9 @@ def _negated(cfg: dict) -> dict:
     (lambda cfg: _set(cfg, ("schedule",), [True, 2]),
      "field 'schedule' must be a list of nonnegative integers"),
     # a trial whose marginals were both negative ran with source and sink swapped
-    (_negated, "field 'atoms[0].mass' must be finite and nonnegative"),
+    (_masses_times(-1.0), "field 'atoms[0].mass' must be nonnegative"),
     (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "mass"), float("inf")),
-     "field 'atoms[0].mass' must be finite and nonnegative"),
+     "field 'atoms[0].mass' must be finite"),
     # the trial used to fail with "points must share one dimension"
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "point"), [1.0, 1.0, 0.0]),
      "field 'atoms[1].point' has wrong dimension"),
@@ -333,14 +349,27 @@ def _negated(cfg: dict) -> dict:
     # an unbalanced trial used to reach the oracle before it failed
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "mass"), 0.25),
      "field 'mu_plus' does not balance 'mu_minus' within 1e-9"),
+    # zero masses balance: the trial used to fail with "min() arg is an empty sequence"
+    (_masses_times(0.0), "field 'mu_minus' carries no mass"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": 0.0}),
-     "field 'mass' must be finite and positive"),
+     "field 'mass' must be positive"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": -1.0}),
-     "field 'mass' must be finite and positive"),
+     "field 'mass' must be positive"),
+    # a NaN perturbation or length, or a zero axis, failed with "cannot
+    # convert float NaN to integer"
+    (lambda cfg: _set(cfg, ("mu_plus", "perturbation"), float("nan")),
+     "field 'perturbation' must be finite"),
+    (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "length": float("nan")}),
+     "field 'length' must be finite"),
+    (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "axis": [0.0, 0.0]}),
+     "field 'axis' must be nonzero"),
+    (lambda cfg: _set(cfg, ("mu_plus", "atoms", 0, "point"), [0.0, float("inf")]),
+     "field 'atoms[0].point' must be finite"),
 ], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
         "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms",
         "schedule-bool", "negative-masses", "mass-inf", "mixed-dimensions", "atom-no-point",
-        "unbalanced", "cantor-mass-zero", "cantor-mass-negative"])
+        "unbalanced", "zero-masses", "cantor-mass-zero", "cantor-mass-negative",
+        "perturbation-nan", "cantor-length-nan", "cantor-axis-zero", "point-inf"])
 def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys, monkeypatch):
     # every field is checked when the config is read, before any solve
     monkeypatch.setattr(optimizer, "brute_force_many", None)
