@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from trafficpaths import currents
 from trafficpaths.geometry import Ball, as_point, segment_sphere_params
@@ -131,8 +132,6 @@ def endpoint_measures(pi) -> tuple:
 
 def counting_milp(monkeypatch) -> list:
     """Patch scipy.optimize.milp to record each call's (args, kwargs); returns the list they land in."""
-    import scipy.optimize
-
     calls = []
     real = scipy.optimize.milp
 
