@@ -311,8 +311,11 @@ def cmd_competitor(args) -> int:
     raw = load_json_object(args.config)
     cc = stability.CompetitorConfig.from_dict(raw)
     radius = raw.get("cover_radius")
-    covers = _auto_covers(opt_inst.path, cc, inst.dimension,
-                          None if radius is None else read_value(float, radius, "cover_radius"))
+    if radius is not None:
+        radius = read_value(float, radius, "cover_radius")
+        if radius <= 0.0:
+            raise ValueError("field 'cover_radius' must be positive")
+    covers = _auto_covers(opt_inst.path, cc, inst.dimension, radius)
     pi_n = dcmp.good_decomposition(inst.path)
     pi_opt = dcmp.good_decomposition(opt_inst.path)
     alpha = args.alpha if args.alpha is not None else inst.alpha

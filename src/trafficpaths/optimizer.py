@@ -276,6 +276,34 @@ def _min_norm_duals(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return M.transpose(0, 2, 1) @ np.linalg.solve(L + P, rhs)
 
 
+def _armijo(X, d, r, eps, w, lam2, g, P, dP, t=None) -> np.ndarray:
+    """Armijo test of the steps t * P, dP = B P, from the iterates X of the
+    problems g of a stacked state (X, d, r, eps, w, lam2), given as indices
+    or a slice of all of them, which needs no gathers; moves those with a
+    passing t by the first one, updating X, d and r in place, and returns
+    the mask of the rest.  Without t the full step alone is tried, with no
+    t axis: 1.0 * P is exact, so it moves exactly as t = [1.0] does.
+    """
+    # f(X + tP) - f(X) for every t, written so that it stays exact far
+    # below the rounding of f itself
+    dg, rg, e2, step = d[g], r[g], (eps[g] * eps[g])[:, None], dP
+    bar = -0.25 * lam2[g] if t is None else -0.25 * t * lam2[g][:, None]
+    if t is not None:  # every t along a second axis
+        step, dg, rg, e2 = t[None, :, None, None] * dP[:, None], dg[:, None], rg[:, None], \
+            e2[..., None]
+    d_new = dg + step
+    r_new = np.sqrt(np.einsum("...j,...j->...", d_new, d_new) + e2)
+    change = np.einsum("t...e,te->t...", np.einsum("...j,...j->...", step, dg + d_new)
+                       / (rg + r_new), w[g])
+    passed = change <= bar
+    ok = passed if t is None else passed.any(axis=1)
+    at = (ok,) if t is None else (ok, passed.argmax(axis=1)[ok])
+    moved = np.arange(len(X))[g][ok]
+    X[moved] += P[ok] if t is None else t[at[1]][:, None, None] * P[ok]
+    d[moved], r[moved] = d_new[at], r_new[at]
+    return ~ok
+
+
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
                      tol: float, max_iters: int, cutoff: float = math.inf, *,
                      groups: np.ndarray, decide: bool = False,
@@ -351,11 +379,14 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     # per live problem: constants, then iterate state; rows follow live
     B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], groups[live]
     floor = SMOOTH_FLOOR * R
-    Bt = B.transpose(0, 2, 1)
+    # B^T, and B axis first (nf, m, E) for the Hessian's planes
+    Bt, BT = B.transpose(0, 2, 1), np.ascontiguousarray(B.transpose(2, 0, 1))
     inert = np.repeat(~touched[live], dim, axis=1).astype(float)
+    has_inert = inert.any()  # else the diagonal add is skipped
     scale = w.sum(axis=1)
     X = pos[live, k:].copy()
     eps = SMOOTH_START * R
+    end_at = STAGE_DECREMENT * scale * eps * eps / R  # stage-end threshold, set as eps is cut
     steps = np.zeros(len(live), dtype=int)
     last_eps, last_X = np.full(len(live), np.nan), X.copy()  # previous stage end
     lower_best = np.full(len(live), -math.inf)
@@ -366,61 +397,43 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         return p
 
     def edge_vectors(sel, X, eps):
-        """Edge vectors of problems sel at X and their smoothed lengths r."""
+        """Edge vectors of problems sel at X, or at a stack (..., len(sel), nf, d)
+        of iterates, and their smoothed lengths r."""
         d = B[sel] @ X + D0[sel]
-        return d, np.sqrt(np.einsum("tej,tej->te", d, d) + (eps * eps)[:, None])
+        return d, np.sqrt(np.einsum("...j,...j->...", d, d) + (eps * eps)[:, None])
 
-    def lower_bound(sel, y):
+    def lower_bound(Bt, D0c, R, y):
         # valid for any y with |y_e| <= w_e: sum_e y_e . d_e <= cost at every
         # point, and the imbalance g at a free vertex x_v is charged R |g_v|
         # because an optimal x_v lies within R of center
-        g = Bt[sel] @ y
-        return (y * D0c[sel]).sum(axis=(1, 2)) - R[sel] * np.linalg.norm(g, axis=2).sum(axis=1)
+        g = Bt @ y
+        return (y * D0c).sum(axis=(1, 2)) - R * np.linalg.norm(g, axis=2).sum(axis=1)
 
     def bounds(sel):
         """Costs of problems sel, lower bounds on their optima and the duals y
         that give them, from y_e = w_e d_e / r_e."""
+        Bt_s, D0c_s, w_s, R_s, eps_s = Bt[sel], D0c[sel], w[sel], R[sel], eps[sel]
         d = B[sel] @ X[sel] + D0[sel]
         norm = np.linalg.norm(d, axis=2)
-        y = (w[sel] / np.sqrt(norm * norm + (eps[sel] * eps[sel])[:, None]))[..., None] * d
-        lower = lower_bound(sel, y)
-        short = (norm < np.sqrt(eps[sel] * R[sel])[:, None]) & (w[sel] > 0)
+        y = (w_s / np.sqrt(norm * norm + (eps_s * eps_s)[:, None]))[..., None] * d
+        lower = lower_bound(Bt_s, D0c_s, R_s, y)
+        short = (norm < np.sqrt(eps_s * R_s)[:, None]) & (w_s > 0)
         has = np.flatnonzero(short.any(axis=1))
         if len(has):
             # on edges that are collapsing d/r is rounding noise: take their y
             # as the min-norm solution of the balance at the free vertices,
             # clipped back into the balls |y_e| <= w_e
-            s, short, y_has = sel[has], short[has], y[has]
-            rhs = -(Bt[s] @ np.where(short[..., None], 0.0, y_has))
-            y_short = _min_norm_duals(Bt[s] * short[:, None, :], rhs)
-            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w[s], 1.0)
+            Bt_h, short, y_has = Bt_s[has], short[has], y[has]
+            rhs = -(Bt_h @ np.where(short[..., None], 0.0, y_has))
+            y_short = _min_norm_duals(Bt_h * short[:, None, :], rhs)
+            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w_s[has], 1.0)
             y_short /= np.maximum(excess, 1.0)[..., None]
             y_has = np.where(short[..., None], y_short, y_has)
-            lower_has = lower_bound(s, y_has)
+            lower_has = lower_bound(Bt_h, D0c_s[has], R_s[has], y_has)
             up = lower_has > lower[has]
             rows = has[up]
             lower[rows], y[rows] = lower_has[up], y_has[up]
-        return np.einsum("te,te->t", w[sel], norm), lower, y
-
-    def line_search(g, t, P, dP, lam2):
-        """Armijo test of the steps t * P of the live problems g (indices, or
-        a slice of all of them, which needs no gathers); moves those with a
-        passing t by the first one, returns the mask of the rest."""
-        dg, rg, eg = d[g], r[g], eps[g]
-        # f(X + tP) - f(X) for every t, written so that it stays exact far
-        # below the rounding of f itself
-        step = t[None, :, None, None] * dP[:, None]
-        d_new = dg[:, None] + step
-        r_new = np.sqrt(np.einsum("tsej,tsej->tse", d_new, d_new) + (eg * eg)[:, None, None])
-        change = np.einsum("tse,te->ts", np.einsum("tsej,tsej->tse", step, dg[:, None] + d_new)
-                           / (rg[:, None] + r_new), w[g])
-        passed = change <= -0.25 * t * lam2[g][:, None]
-        ok = passed.any(axis=1)
-        first = passed.argmax(axis=1)[ok]
-        moved = np.arange(len(X))[g][ok]
-        X[moved] += t[first][:, None, None] * P[ok]
-        d[moved], r[moved] = d_new[ok, first], r_new[ok, first]
-        return ~ok
+        return np.einsum("te,te->t", w_s, norm), lower, y
 
     d, r = edge_vectors(slice(None), X, eps)
     iterations = 0
@@ -436,17 +449,17 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         # solve: the transients of a Newton step are the batch's memory peak
         dT = np.ascontiguousarray(d.transpose(2, 0, 1))
         K = u * (eye - dT[:, None] * dT[None, :] / (r * r))
-        KB = K[:, None] * np.ascontiguousarray(B.transpose(2, 0, 1))[None, :, None]
+        KB = K[:, None] * BT[None, :, None]
         del dT, K
         H = (Bt @ KB.reshape(-1, m, n_edges).transpose(1, 2, 0)).reshape(m, nf * dim, nf * dim)
         del KB
-        H[:, diag, diag] += inert
+        if has_inert:
+            H[:, diag, diag] += inert
         p = -np.linalg.solve(H, grad[..., None])[..., 0]
         del H
         lam2 = -np.einsum("ti,ti->t", grad, p)  # squared Newton decrements
-        ended = lam2 <= STAGE_DECREMENT * scale * eps * eps / R
-        stuck = ~ended & (steps >= max_iters)
-        go = np.flatnonzero(~ended & ~stuck)
+        ended = lam2 <= end_at
+        go = np.flatnonzero(~ended & (steps < max_iters))
         if len(go):
             steps[go] += 1
             g = slice(None) if len(go) == m else go
@@ -454,11 +467,16 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             dP = B[g] @ P
             # the full step first; the problems it fails try t = 1/2 ... 1/16 at
             # once, and those that fail these too every shorter t
-            rest = np.flatnonzero(line_search(g, ts[:1], P, dP, lam2))
+            rest = np.flatnonzero(_armijo(X, d, r, eps, w, lam2, g, P, dP))
             for chunk in (ts[1:5], ts[5:]):
                 if len(rest):
-                    rest = rest[line_search(go[rest], chunk, P[rest], dP[rest], lam2)]
+                    rest = rest[_armijo(X, d, r, eps, w, lam2, go[rest], P[rest], dP[rest],
+                                        chunk)]
             ended[go[rest]] = True  # no progress at this smoothing
+        if len(go) == m and not ended.any():
+            continue  # no problem ended its stage or ran out of steps
+        stuck = ~ended  # out of steps: neither stepped nor ended
+        stuck[go] = False
         done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
         se = np.flatnonzero(ended)
         if len(se):
@@ -509,14 +527,16 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                     a, e0, e1 = adv[has], eps[adv[has]], new_eps[has]
                     guess = X[a] + ((e1 - e0) / (prev_eps[has] - e0))[:, None, None] \
                         * (prev_X[has] - X[a])
-                    (d_g, r_g), (d_x, r_x) = edge_vectors(a, guess, e1), edge_vectors(a, X[a], e1)
+                    (d_g, d_x), (r_g, r_x) = edge_vectors(a, np.stack((guess, X[a])), e1)
                     better = np.einsum("te,te->t", w[a], r_g) < np.einsum("te,te->t", w[a], r_x)
                     X[a[better]] = guess[better]
                     d[a] = np.where(better[:, None, None], d_g, d_x)
                     r[a] = np.where(better[:, None], r_g, r_x)
                 eps[adv] = new_eps
+                end_at[adv] = STAGE_DECREMENT * scale[adv] * eps[adv] * eps[adv] / R[adv]
                 fresh = adv[~has]
-                d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], eps[fresh])
+                if len(fresh):
+                    d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], eps[fresh])
         for i in np.flatnonzero(stuck & ~(done | pruned)):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
                                          positions(live[i], X[i]))
@@ -527,10 +547,11 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         if not keep.all():
             live = live[keep]
             B, Bt, D0, D0c, w = B[keep], Bt[keep], D0[keep], D0c[keep], w[keep]
+            BT = np.ascontiguousarray(B.transpose(2, 0, 1))
             R, floor, grp = R[keep], floor[keep], grp[keep]
             inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
-            last_eps, last_X, lower_best = last_eps[keep], last_X[keep], lower_best[keep]
-            d, r = d[keep], r[keep]
+            end_at, last_eps, last_X = end_at[keep], last_eps[keep], last_X[keep]
+            lower_best, d, r = lower_best[keep], d[keep], r[keep]
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, %d decided, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
                counts["uncertified"], counts["decided"], iterations, len(set(groups.tolist())))

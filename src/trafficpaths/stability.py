@@ -183,24 +183,27 @@ def load_json_object(path: str) -> dict:
     return raw
 
 
-def target_from_dict(d: dict, seed: int = 0) -> TargetSpec:
+def target_from_dict(d: dict, side: str, seed: int = 0) -> TargetSpec:
+    """The marginal side ('mu_minus' or 'mu_plus') of a trial config; a bad
+    field raises ValueError naming it under the side, as 'mu_plus.atoms[0].point'."""
     if not isinstance(d, dict):
-        raise ValueError("target spec must be an object")
+        raise ValueError(f"field '{side}' must be an object")
     kind = d.get("kind", "points")
     if kind == "points":
-        return TargetSpec(kind="points", atoms=read_atoms(d.get("atoms"), "atoms"),
+        return TargetSpec(kind="points", atoms=read_atoms(d.get("atoms"), f"{side}.atoms"),
                           perturbation=read_value(float, d.get("perturbation", 0.0),
-                                                  "perturbation"), seed=seed)
+                                                  f"{side}.perturbation"), seed=seed)
     if kind == "cantor":
-        mass = read_value(float, d.get("mass", 1.0), "mass")
+        mass = read_value(float, d.get("mass", 1.0), f"{side}.mass")
         if mass <= 0.0:
-            raise ValueError("field 'mass' must be positive")
-        axis = read_point(d["axis"], "axis") if "axis" in d else None
+            raise ValueError(f"field '{side}.mass' must be positive")
+        axis = read_point(d["axis"], f"{side}.axis") if "axis" in d else None
         if axis is not None and not any(axis):
-            raise ValueError("field 'axis' must be nonzero")
-        return TargetSpec(kind="cantor", origin=read_point(d.get("origin", (0.0, 0.0)), "origin"),
-                          length=read_value(float, d.get("length", 1.0), "length"), mass=mass,
-                          axis=axis, seed=seed)
+            raise ValueError(f"field '{side}.axis' must be nonzero")
+        return TargetSpec(kind="cantor",
+                          origin=read_point(d.get("origin", (0.0, 0.0)), f"{side}.origin"),
+                          length=read_value(float, d.get("length", 1.0), f"{side}.length"),
+                          mass=mass, axis=axis, seed=seed)
     raise ValueError(f"unknown target kind: {kind}")
 
 
@@ -255,8 +258,8 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         alpha=read_value(float, d["alpha"], "alpha"),
         dimension=read_value(int, d["dimension"], "dimension"),
-        minus=target_from_dict(d["mu_minus"], seed=seed),
-        plus=target_from_dict(d["mu_plus"], seed=seed + 1),
+        minus=target_from_dict(d["mu_minus"], "mu_minus", seed=seed),
+        plus=target_from_dict(d["mu_plus"], "mu_plus", seed=seed + 1),
         schedule=tuple(schedule),
         optimality_tol=read_value(float, d.get("optimality_tol", 1e-4), "optimality_tol"),
         convergence_tol=read_value(float, d.get("convergence_tol", 5e-2), "convergence_tol"),

@@ -321,15 +321,15 @@ def _masses_times(factor: float):
     (lambda cfg: _set(cfg, ("schedule",), 4),
      "field 'schedule' must be a list of nonnegative integers"),
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 0, "point"), 5),
-     f"field 'atoms[0].point' {WRONG_TYPE}"),
+     f"field 'mu_plus.atoms[0].point' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "origin": 5}),
-     f"field 'origin' {WRONG_TYPE}"),
+     f"field 'mu_minus.origin' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("optimality_tol",), [1e-4]), f"field 'optimality_tol' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("dimension",), 2.9), f"field 'dimension' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("seed",), 1.5), f"field 'seed' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("alpha",), "0.6"), f"field 'alpha' {WRONG_TYPE}"),
     (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "mass"), True),
-     f"field 'atoms[0].mass' {WRONG_TYPE}"),
+     f"field 'mu_minus.atoms[0].mass' {WRONG_TYPE}"),
     # a 3-D config over 2-D atoms used to run the trial as if it were 3-D
     (lambda cfg: _set(cfg, ("dimension",), 3), "field 'mu_minus' is 2-d but 'dimension' is 3"),
     # a 2-D config over 3-D atoms failed with "grid rasterization is planar only"
@@ -338,38 +338,44 @@ def _masses_times(factor: float):
     (lambda cfg: _set(cfg, ("schedule",), [True, 2]),
      "field 'schedule' must be a list of nonnegative integers"),
     # a trial whose marginals were both negative ran with source and sink swapped
-    (_masses_times(-1.0), "field 'atoms[0].mass' must be nonnegative"),
+    (_masses_times(-1.0), "field 'mu_minus.atoms[0].mass' must be nonnegative"),
     (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "mass"), float("inf")),
-     "field 'atoms[0].mass' must be finite"),
+     "field 'mu_minus.atoms[0].mass' must be finite"),
     # the trial used to fail with "points must share one dimension"
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "point"), [1.0, 1.0, 0.0]),
-     "field 'atoms[1].point' has wrong dimension"),
+     "field 'mu_plus.atoms[1].point' has wrong dimension"),
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1), {"mass": 0.5}),
-     "field 'atoms[1]' needs 'point' and 'mass'"),
+     "field 'mu_plus.atoms[1]' needs 'point' and 'mass'"),
     # an unbalanced trial used to reach the oracle before it failed
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 1, "mass"), 0.25),
      "field 'mu_plus' does not balance 'mu_minus' within 1e-9"),
     # zero masses balance: the trial used to fail with "min() arg is an empty sequence"
     (_masses_times(0.0), "field 'mu_minus' carries no mass"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": 0.0}),
-     "field 'mass' must be positive"),
+     "field 'mu_minus.mass' must be positive"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "mass": -1.0}),
-     "field 'mass' must be positive"),
+     "field 'mu_minus.mass' must be positive"),
     # a NaN perturbation or length, or a zero axis, failed with "cannot
     # convert float NaN to integer"
     (lambda cfg: _set(cfg, ("mu_plus", "perturbation"), float("nan")),
-     "field 'perturbation' must be finite"),
+     "field 'mu_plus.perturbation' must be finite"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "length": float("nan")}),
-     "field 'length' must be finite"),
+     "field 'mu_minus.length' must be finite"),
     (lambda cfg: _set(cfg, ("mu_minus",), {"kind": "cantor", "axis": [0.0, 0.0]}),
-     "field 'axis' must be nonzero"),
+     "field 'mu_minus.axis' must be nonzero"),
+    # each marginal's fields are named under its side: both used to read 'atoms[0].point'
     (lambda cfg: _set(cfg, ("mu_plus", "atoms", 0, "point"), [0.0, float("inf")]),
-     "field 'atoms[0].point' must be finite"),
+     "field 'mu_plus.atoms[0].point' must be finite"),
+    (lambda cfg: _set(cfg, ("mu_minus", "atoms", 0, "point"), [0.0, float("inf")]),
+     "field 'mu_minus.atoms[0].point' must be finite"),
+    (lambda cfg: _set(cfg, ("mu_plus",), {"kind": "cantor", "mass": 0.0}),
+     "field 'mu_plus.mass' must be positive"),
 ], ids=["schedule", "atom-point", "cantor-origin", "optimality-tol", "dimension-float",
         "seed-float", "alpha-string", "mass-bool", "3d-config-2d-atoms", "2d-config-3d-atoms",
         "schedule-bool", "negative-masses", "mass-inf", "mixed-dimensions", "atom-no-point",
         "unbalanced", "zero-masses", "cantor-mass-zero", "cantor-mass-negative",
-        "perturbation-nan", "cantor-length-nan", "cantor-axis-zero", "point-inf"])
+        "perturbation-nan", "cantor-length-nan", "cantor-axis-zero", "point-inf",
+        "minus-point-inf", "plus-cantor-mass-zero"])
 def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys, monkeypatch):
     # every field is checked when the config is read, before any solve
     monkeypatch.setattr(optimizer, "brute_force_many", None)
@@ -446,6 +452,15 @@ def test_exit_code_2_on_a_wrongly_typed_competitor_field(field, value, tmp_path,
     assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
                      "--opt", str(ptop), "--config", str(pcc)]) == 2
     assert capsys.readouterr().err == f"error: field '{field}' {WRONG_TYPE}\n"
+
+
+@pytest.mark.parametrize("radius", [0, -1e-3])
+def test_exit_code_2_on_a_cover_radius_that_is_not_positive(radius, tmp_path, capsys):
+    # the radius used to reach geometry.Ball, whose message did not name the field
+    ptn, ptop, pcc = _competitor_files(tmp_path, cover_radius=radius)
+    assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
+                     "--opt", str(ptop), "--config", str(pcc)]) == 2
+    assert capsys.readouterr().err == "error: field 'cover_radius' must be positive\n"
 
 
 def test_competitor_cli(tmp_path):

@@ -1062,6 +1062,48 @@ def test_stacked_groups_solve_as_each_group_alone(alpha, dim):
                     assert np.array_equal(res.best, ref.best)
 
 
+def _edge_differences(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """v[a] - v[b] for every edge (a, b) of every problem: d = B X + D0 at positions v."""
+    rows = np.arange(len(v))[:, None]
+    return v[rows, edges[..., 0]] - v[rows, edges[..., 1]]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+def test_full_step_trial_moves_as_the_t_axis_trial(alpha, dim):
+    # the first Armijo trial runs without a t axis; on states where some
+    # problems fail the full step it moves exactly the problems, and to the
+    # same bits, that the trial of t = [1.0] moves, and leaves the rest alone
+    rng = np.random.default_rng(int(10 * alpha) + 100 * dim + 7)
+    for k in (5, 8, 12):
+        pos, edges, w, _, _ = _regraft_window(rng, k, dim, alpha, 3)
+        T, rows = len(pos), np.arange(len(pos))[:, None]
+        eps = 10.0 ** rng.uniform(-8.0, -1.0, T)
+        d = _edge_differences(pos, edges)
+        r = np.sqrt((d * d).sum(axis=2) + (eps * eps)[:, None])
+        # down the gradient of the smoothed length
+        grad, y = np.zeros_like(pos), (w / r)[..., None] * d
+        np.add.at(grad, (rows, edges[..., 0]), y)
+        np.add.at(grad, (rows, edges[..., 1]), -y)
+        P = -0.05 * grad[:, k:]
+        dP = _edge_differences(np.concatenate([np.zeros((T, k, dim)), P], axis=1), edges)
+        # a decrement of half or twice the decrease f(X) - f(X + P): the full
+        # step fails where it is twice, and where f does not decrease
+        r_full = np.sqrt(((d + dP) ** 2).sum(axis=2) + (eps * eps)[:, None])
+        lam2 = 4.0 * np.abs(((r_full - r) * w).sum(axis=1)) * np.where(rows[:, 0] % 2, 0.5, 2.0)
+        for g in (slice(None), np.flatnonzero(rng.random(T) < 0.7)):
+            states = [(pos[:, k:].copy(), d.copy(), r.copy()) for _ in range(2)]
+            rests = [optimizer._armijo(X, d_, r_, eps, w, lam2, g, P[g], dP[g], *t)
+                     for (X, d_, r_), t in zip(states, ((), (np.array([1.0]),)))]
+            assert np.array_equal(rests[0], rests[1])
+            assert 0 < rests[0].sum() < len(rests[0])
+            for got, want in zip(*states):
+                assert np.array_equal(got, want)
+            (X, _, _), moved = states[0], np.arange(T)[g]
+            assert np.array_equal(X[moved[rests[0]]], pos[moved[rests[0]], k:])
+            assert np.array_equal(X[moved[~rests[0]]], pos[moved[~rests[0]], k:] + P[g][~rests[0]])
+
+
 def _stalled(pos, edges, *args, **kwargs):
     """A position kernel that certifies nothing: every problem keeps its start."""
     return ([optimizer.OptimizeError("position stage did not certify its gap", p) for p in pos],
