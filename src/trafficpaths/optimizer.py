@@ -298,6 +298,10 @@ def _armijo(X, d, r, eps, w, lam2, g, P, dP, t=None) -> np.ndarray:
     passed = change <= bar
     ok = passed if t is None else passed.any(axis=1)
     at = (ok,) if t is None else (ok, passed.argmax(axis=1)[ok])
+    if t is None and isinstance(g, slice) and ok.all():  # no gathers
+        X += P
+        d[...], r[...] = d_new, r_new
+        return ~ok
     moved = np.arange(len(X))[g][ok]
     X[moved] += P[ok] if t is None else t[at[1]][:, None, None] * P[ok]
     d[moved], r[moved] = d_new[at], r_new[at]
@@ -461,8 +465,8 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         ended = lam2 <= end_at
         go = np.flatnonzero(~ended & (steps < max_iters))
         if len(go):
-            steps[go] += 1
             g = slice(None) if len(go) == m else go
+            steps[g] += 1
             P = p[g].reshape(-1, nf, dim)
             dP = B[g] @ P
             # the full step first; the problems it fails try t = 1/2 ... 1/16 at
@@ -472,9 +476,9 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                 if len(rest):
                     rest = rest[_armijo(X, d, r, eps, w, lam2, go[rest], P[rest], dP[rest],
                                         chunk)]
+            if len(go) == m and not len(rest):
+                continue  # no problem ended its stage or ran out of steps
             ended[go[rest]] = True  # no progress at this smoothing
-        if len(go) == m and not ended.any():
-            continue  # no problem ended its stage or ran out of steps
         stuck = ~ended  # out of steps: neither stepped nor ended
         stuck[go] = False
         done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)

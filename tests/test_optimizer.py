@@ -1068,6 +1068,19 @@ def _edge_differences(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return v[rows, edges[..., 0]] - v[rows, edges[..., 1]]
 
 
+def _full_step_trials(X, d, r, eps, w, lam2, g, P, dP):
+    """``_armijo``'s full-step trial without and with a t axis, each on its own
+    copy of the state, which must agree bit for bit: the mask of the problems
+    that fail it, and the positions it leaves."""
+    states = [(X.copy(), d.copy(), r.copy()) for _ in range(2)]
+    rests = [optimizer._armijo(*state, eps, w, lam2, g, P[g], dP[g], *t)
+             for state, t in zip(states, ((), (np.array([1.0]),)))]
+    assert np.array_equal(rests[0], rests[1])
+    for got, want in zip(*states):
+        assert np.array_equal(got, want)
+    return rests[0], states[0][0]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
 def test_full_step_trial_moves_as_the_t_axis_trial(alpha, dim):
@@ -1085,23 +1098,23 @@ def test_full_step_trial_moves_as_the_t_axis_trial(alpha, dim):
         grad, y = np.zeros_like(pos), (w / r)[..., None] * d
         np.add.at(grad, (rows, edges[..., 0]), y)
         np.add.at(grad, (rows, edges[..., 1]), -y)
-        P = -0.05 * grad[:, k:]
+        X, P = pos[:, k:], -0.05 * grad[:, k:]
         dP = _edge_differences(np.concatenate([np.zeros((T, k, dim)), P], axis=1), edges)
         # a decrement of half or twice the decrease f(X) - f(X + P): the full
         # step fails where it is twice, and where f does not decrease
         r_full = np.sqrt(((d + dP) ** 2).sum(axis=2) + (eps * eps)[:, None])
         lam2 = 4.0 * np.abs(((r_full - r) * w).sum(axis=1)) * np.where(rows[:, 0] % 2, 0.5, 2.0)
-        for g in (slice(None), np.flatnonzero(rng.random(T) < 0.7)):
-            states = [(pos[:, k:].copy(), d.copy(), r.copy()) for _ in range(2)]
-            rests = [optimizer._armijo(X, d_, r_, eps, w, lam2, g, P[g], dP[g], *t)
-                     for (X, d_, r_), t in zip(states, ((), (np.array([1.0]),)))]
-            assert np.array_equal(rests[0], rests[1])
-            assert 0 < rests[0].sum() < len(rests[0])
-            for got, want in zip(*states):
-                assert np.array_equal(got, want)
-            (X, _, _), moved = states[0], np.arange(T)[g]
-            assert np.array_equal(X[moved[rests[0]]], pos[moved[rests[0]], k:])
-            assert np.array_equal(X[moved[~rests[0]]], pos[moved[~rests[0]], k:] + P[g][~rests[0]])
+        rest, moved = _full_step_trials(X, d, r, eps, w, lam2, slice(None), P, dP)
+        assert 0 < rest.sum() < T
+        assert np.array_equal(moved[rest], X[rest])
+        assert np.array_equal(moved[~rest], X[~rest] + P[~rest])
+        some = np.flatnonzero(rng.random(T) < 0.7)
+        assert np.array_equal(_full_step_trials(X, d, r, eps, w, lam2, some, P, dP)[0], rest[some])
+        # the problems that pass, stacked alone: all take the full step
+        ok = np.flatnonzero(~rest)
+        rest_ok, moved_ok = _full_step_trials(X[ok], d[ok], r[ok], eps[ok], w[ok], lam2[ok],
+                                              slice(None), P[ok], dP[ok])
+        assert not rest_ok.any() and np.array_equal(moved_ok, X[ok] + P[ok])
 
 
 def _stalled(pos, edges, *args, **kwargs):
