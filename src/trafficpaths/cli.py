@@ -130,7 +130,8 @@ class Instance:
         return out
 
 
-def load_instance(path: str) -> Instance:
+def load_instance(path: str, alpha: float | None = None) -> Instance:
+    """The instance in the file; alpha, when given (``--alpha``), overrides its exponent."""
     d = load_json_object(path)
     for key in ("dimension", "alpha", "mu_minus", "mu_plus"):
         if key not in d:
@@ -138,9 +139,11 @@ def load_instance(path: str) -> Instance:
     dim = read_value(int, d["dimension"], "dimension")
     if dim not in (2, 3):
         raise ValueError("field 'dimension' must be 2 or 3")
-    alpha = read_value(float, d["alpha"], "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("field 'alpha' must lie in [0, 1]")
+    file_alpha = read_value(float, d["alpha"], "alpha")
+    for value, name in ((file_alpha, "field 'alpha'"), (alpha, "--alpha")):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    alpha = file_alpha if alpha is None else alpha
     radius = read_value(float, d.get("ambient_radius", 4.0), "ambient_radius")
     if radius <= 0.0:
         raise ValueError("field 'ambient_radius' must be positive")
@@ -204,17 +207,13 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.infile)
-    alpha = args.alpha if args.alpha is not None else inst.alpha
-    if args.dim is not None and args.dim != inst.dimension:
-        raise ValueError("field 'dimension' does not match --dim")
+    inst = load_instance(args.infile, args.alpha)
     if args.method == "oracle":
-        t = optimizer.brute_force_optimal(inst.mu_minus, inst.mu_plus, alpha,
+        t = optimizer.brute_force_optimal(inst.mu_minus, inst.mu_plus, inst.alpha,
                                           tol=args.tol)
     else:
-        t = optimizer.local_search(inst.mu_minus, inst.mu_plus, alpha)
-    cost = optimizer.path_cost(t, alpha)
-    inst.alpha = alpha
+        t = optimizer.local_search(inst.mu_minus, inst.mu_plus, inst.alpha)
+    cost = currents.alpha_mass(t, inst.alpha)
     inst.path = t
     doc = inst.to_json()
     doc["cost"] = cost
@@ -222,13 +221,13 @@ def cmd_solve(args) -> int:
     _write(canonical_json(doc), args.out)
     if args.svg:
         _write(render_svg(inst), args.svg)
-    print(f"cost {_fmt_float(cost)} ({args.method}, alpha={_fmt_float(alpha)})",
+    print(f"cost {_fmt_float(cost)} ({args.method}, alpha={_fmt_float(inst.alpha)})",
           file=sys.stderr)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    inst = load_instance(args.infile)
+    inst = load_instance(args.infile, args.alpha)
     if inst.path is None:
         raise ValueError("missing field: path")
     pi = dcmp.good_decomposition(inst.path)
@@ -285,9 +284,8 @@ def cmd_stability(args) -> int:
     return 0 if report.verdicts["optimal"] else 1
 
 
-def _auto_covers(t_opt: TrafficPath, cc: stability.CompetitorConfig,
+def _auto_covers(bnd: AtomicMeasure, cc: stability.CompetitorConfig,
                  dim: int, radius: float | None):
-    bnd = currents.boundary(t_opt)
     minus, plus = bnd.negative_part(), bnd.positive_part()
     pts = [p for p, _ in minus.atoms()] + [p for p, _ in plus.atoms()]
     sep = min(float(np.linalg.norm(p - q))
@@ -302,12 +300,16 @@ def _auto_covers(t_opt: TrafficPath, cc: stability.CompetitorConfig,
 
 
 def cmd_competitor(args) -> int:
-    inst = load_instance(args.infile)
+    inst = load_instance(args.infile, args.alpha)
     if inst.path is None:
         raise ValueError("missing field: path")
-    opt_inst = load_instance(args.opt)
+    opt_inst = load_instance(args.opt, args.alpha)
     if opt_inst.path is None:
         raise ValueError("missing field: path (in the optimal instance)")
+    opt_bnd = currents.boundary(opt_inst.path)
+    if len(opt_bnd.masses) < 2:
+        raise ValueError("field 'path' (in the optimal instance) must have a boundary "
+                         "of at least two atoms")
     raw = load_json_object(args.config)
     cc = stability.CompetitorConfig.from_dict(raw)
     radius = raw.get("cover_radius")
@@ -315,12 +317,11 @@ def cmd_competitor(args) -> int:
         radius = read_value(float, radius, "cover_radius")
         if radius <= 0.0:
             raise ValueError("field 'cover_radius' must be positive")
-    covers = _auto_covers(opt_inst.path, cc, inst.dimension, radius)
+    covers = _auto_covers(opt_bnd, cc, inst.dimension, radius)
     pi_n = dcmp.good_decomposition(inst.path)
     pi_opt = dcmp.good_decomposition(opt_inst.path)
-    alpha = args.alpha if args.alpha is not None else inst.alpha
     report = stability.build_competitor(inst.path, pi_n, opt_inst.path, pi_opt,
-                                        covers, cc, alpha)
+                                        covers, cc, inst.alpha)
     doc = stability.competitor_json_dict(report)
     _write(canonical_json(doc), args.out)
     for name, flag in report.checks.items():
@@ -341,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="branched transport toolkit: solve, inspect and stress "
                     "discrete traffic paths")
     p.add_argument("--alpha", type=float, default=None,
-                   help="override the instance's cost exponent")
-    p.add_argument("--dim", type=int, default=None, choices=(2, 3),
-                   help="expected ambient dimension (validation only)")
+                   help="override the cost exponent of every instance file read")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="certified relative optimality gap of the exact oracle")
     p.add_argument("--seed", type=int, default=None,

@@ -257,8 +257,7 @@ def sphere_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, ball: Ball
     return currents.push_forward(disk_path, wrap)
 
 
-def cone_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, apex,
-                   alpha: float) -> TrafficPath:
+def cone_transport(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, apex) -> TrafficPath:
     """Star transport through a single apex point.
 
     Cost is at most sum over atoms of mass^alpha * distance-to-apex; the
@@ -375,7 +374,7 @@ def cheap_subtransport(t: TrafficPath, pi: dcmp.PathMeasure, nu_minus: AtomicMea
     cut_plus, conns_plus, sigma_plus = _sphere_gathered_side(
         pi, nu_plus, mu_plus, False, mesh, ambient, alpha, dim)
     apex = 0.5 * (np.mean(sigma_minus.points, axis=0) + np.mean(sigma_plus.points, axis=0))
-    cone = cone_transport(sigma_minus, sigma_plus, apex, alpha)
+    cone = cone_transport(sigma_minus, sigma_plus, apex)
     # overlay keeps the first vertex it meets, so the order is fixed
     segs = cut_minus + cut_plus + conns_minus + conns_plus + cone.segments()
     return currents.overlay(segs, dim=dim)

@@ -26,11 +26,12 @@ computed for all segments at once with ``geometry.row_dots``, whose
 entries equal the 1-d dot products, so every answer is bit-identical
 to a segment-by-segment evaluation.
 
-Masses: mass(T) is the total variation (sum of theta * length) and
-alpha_mass(T, a) the concave transport energy (sum of theta^a * length)
-for a in (0, 1].  alpha_mass is subadditive under ``add``, positively
-homogeneous of degree alpha in theta, and contracts under 1-Lipschitz
-push-forwards; the tests pin all three.
+Masses: alpha_mass(T, a) is the concave transport energy (sum of
+theta^a * length) for a in [0, 1]: at a = 0 it is the length of the
+support (the Steiner cost), and mass(T) = alpha_mass(T, 1) is the total
+variation (sum of theta * length).  alpha_mass is subadditive under
+``add``, positively homogeneous of degree alpha in theta, and contracts
+under 1-Lipschitz push-forwards; the tests pin all three.
 """
 
 from __future__ import annotations
@@ -450,12 +451,13 @@ def scale(t: TrafficPath, factor: float) -> TrafficPath:
 
 
 def mass(t: TrafficPath) -> float:
-    return sum(th * float(np.linalg.norm(b - a)) for a, b, th in t.segments())
+    return alpha_mass(t, 1.0)
 
 
 def alpha_mass(t: TrafficPath, alpha: float) -> float:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    """Sum of theta^alpha * length; at alpha = 0 the length of the support."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     return sum(th ** alpha * float(np.linalg.norm(b - a)) for a, b, th in t.segments())
 
 

@@ -93,7 +93,7 @@ class PathMeasure:
 
 
 
-def _find_cycle(n_vertices: int, adjacency: dict[int, list[int]]) -> list[int] | None:
+def _find_cycle(adjacency: dict[int, list[int]]) -> list[int] | None:
     """A directed cycle as a vertex list, or None.  Iterative DFS."""
     color = {}
     parent = {}
@@ -138,7 +138,7 @@ def remove_cycles(t: currents.TrafficPath) -> currents.TrafficPath:
         for (i, j), th in flows.items():
             if th > WEIGHT_TOL:
                 adj.setdefault(i, []).append(j)
-        cycle = _find_cycle(len(t.vertices), adj)
+        cycle = _find_cycle(adj)
         if cycle is None:
             break
         edges = [(cycle[k], cycle[(k + 1) % len(cycle)]) for k in range(len(cycle))]
@@ -155,7 +155,7 @@ def is_acyclic(t: currents.TrafficPath) -> bool:
     adj: dict[int, list[int]] = {}
     for i, j, _ in t.edges:
         adj.setdefault(i, []).append(j)
-    return _find_cycle(len(t.vertices), adj) is None
+    return _find_cycle(adj) is None
 
 
 def good_decomposition(t: currents.TrafficPath) -> PathMeasure:

@@ -63,7 +63,7 @@ scans are solved speculatively, in windows of consecutive terminals.
 
 alpha = 0 is accepted as the pure Steiner-tree mode: every edge with
 nonzero flow gets unit weight, which is the Fermat-point regime, and
-``path_cost`` reports the plain length.
+``currents.alpha_mass`` reports the plain length.
 """
 
 from __future__ import annotations
@@ -573,7 +573,7 @@ def _check_tol(tol: float) -> None:
 def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
     """Cost weight |f|^alpha of every edge flow, 1 at alpha = 0, and 0 without flow."""
     th = np.abs(flows)
-    return np.where(th > FLOW_TOL, 1.0 if alpha == 0.0 else th ** alpha, 0.0)
+    return np.where(th > FLOW_TOL, th ** alpha, 0.0)
 
 
 def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, alpha: float,
@@ -775,7 +775,7 @@ def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityRep
     """
     bnd = currents.boundary(t)
     ((opt, cert, _),) = brute_force_many([(bnd.negative_part(), bnd.positive_part())], alpha)
-    cost, oracle_cost = path_cost(t, alpha), path_cost(opt, alpha)
+    cost, oracle_cost = currents.alpha_mass(t, alpha), currents.alpha_mass(opt, alpha)
     try:
         lower = 0.0 if cert is None else certificate.checked_lower_bound(cert, alpha)
     except certificate.CertificateError as exc:
@@ -783,15 +783,6 @@ def is_optimal(t: TrafficPath, alpha: float, tol: float = 1e-6) -> OptimalityRep
         lower = -math.inf
     gap = cost - lower
     return OptimalityReport(gap <= tol, gap, cost, oracle_cost, lower)
-
-
-def _steiner_cost(t: TrafficPath) -> float:
-    return sum(float(np.linalg.norm(b - a)) for a, b, _ in t.segments())
-
-
-def path_cost(t: TrafficPath, alpha: float) -> float:
-    """alpha-mass of a path; at alpha = 0 (Steiner mode) its plain length."""
-    return _steiner_cost(t) if alpha == 0.0 else currents.alpha_mass(t, alpha)
 
 
 def _detach(tree: tuple, t: int) -> tuple[tuple, int]:

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from trafficpaths import certificate, optimizer, stability
+from trafficpaths import certificate, currents, optimizer, stability
 from trafficpaths.certificate import ALLOWANCE, CertificateError, checked_lower_bound
 from trafficpaths.currents import AtomicMeasure
 
@@ -43,7 +43,7 @@ def test_two_atoms_bound_is_the_segment_cost(alpha):
     exact = 5.0 * 2.0 ** alpha
     assert len(cert.edges) == 1
     assert checked_lower_bound(cert, alpha) == pytest.approx(exact, rel=ALLOWANCE)
-    assert optimizer.path_cost(t, alpha) == pytest.approx(exact, rel=1e-12)
+    assert currents.alpha_mass(t, alpha) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("points, masses, alpha, exact", [
@@ -61,7 +61,7 @@ def test_symmetric_y_bound_is_the_exact_cost(points, masses, alpha, exact):
 
 def test_shipped_limit_is_certified_to_its_cost():
     t, cert, alpha = _limit_certificate()
-    cost = optimizer.path_cost(t, alpha)
+    cost = currents.alpha_mass(t, alpha)
     bound = checked_lower_bound(cert, alpha)
     assert len(cert.edges) == 15
     assert -1e-12 * cost <= cost - bound <= 1e-9 * cost
@@ -158,7 +158,7 @@ def test_unbalanced_duals_are_charged_at_the_branch_points(case):
         t, cert, alpha = _limit_certificate()
     star = sum(abs(m) ** alpha * np.linalg.norm(p - cert.points.mean(axis=0))
                for p, m in zip(cert.points, cert.masses))
-    cost = optimizer.path_cost(t, alpha)
+    cost = currents.alpha_mass(t, alpha)
     assert star > cost * (1.0 + 1e-3)
     assert checked_lower_bound(_with(cert, duals=_star_duals(cert, alpha)), alpha) <= cost
 
@@ -169,7 +169,7 @@ def test_oracle_certificates_bound_their_answers(alpha):
     for k_minus, k_plus, dim in ((1, 2, 2), (2, 2, 3), (2, 3, 2), (3, 3, 3)):
         mu_minus, mu_plus = balanced_clouds(rng, k_minus, k_plus, dim=dim)
         ((t, cert, _),) = optimizer.brute_force_many([(mu_minus, mu_plus)], alpha)
-        cost = optimizer.path_cost(t, alpha)
+        cost = currents.alpha_mass(t, alpha)
         assert -1e-12 * cost <= cost - checked_lower_bound(cert, alpha) <= 2e-9 * cost
 
 

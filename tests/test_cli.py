@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import trafficpaths
-from trafficpaths import cli, optimizer
+from trafficpaths import cli, currents, optimizer
 
 
 def write_instance(path, **overrides):
@@ -485,3 +485,60 @@ def test_solve_at_alpha_zero_reports_steiner_length(tmp_path):
         costs[method] = json.loads(out.read_text(encoding="utf-8"))["cost"]
     assert abs(costs["oracle"] - (2.0 + np.sqrt(3.0))) <= 1e-9
     assert costs["local"] >= costs["oracle"] - 1e-9
+
+
+def test_decompose_of_an_alpha_zero_solve_reports_its_cost(tmp_path):
+    # decompose used to exit 2 on the alpha = 0 file solve itself writes
+    inst = write_instance(tmp_path / "i.json", alpha=0.0)
+    solved, out = tmp_path / "s.json", tmp_path / "d.json"
+    assert cli.main(["--out", str(solved), "solve", "--in", str(inst)]) == 0
+    assert cli.main(["--out", str(out), "decompose", "--in", str(solved)]) == 0
+    cost = json.loads(solved.read_text(encoding="utf-8"))["cost"]
+    assert json.loads(out.read_text(encoding="utf-8"))["path_cost"] == cost
+
+
+def test_decompose_reports_the_cost_at_the_alpha_flag(tmp_path):
+    # --alpha used to be ignored here: path_cost was the file's M_0.5, not M_1
+    solved, out = tmp_path / "s.json", tmp_path / "d.json"
+    assert cli.main(["--out", str(solved), "solve", "--in",
+                     str(write_instance(tmp_path / "i.json"))]) == 0
+    assert cli.main(["--alpha", "1.0", "--out", str(out), "decompose",
+                     "--in", str(solved)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    path = cli.load_instance(str(solved)).path
+    assert doc["path_cost"] == doc["path_mass"] == float("%.12g" % currents.mass(path))
+    assert doc["path_cost"] != float("%.12g" % currents.alpha_mass(path, 0.5))
+
+
+@pytest.mark.parametrize("command", ["solve", "decompose", "competitor"])
+def test_exit_code_2_on_an_alpha_flag_off_the_unit_interval(command, tmp_path, capsys):
+    ptn, ptop, pcc = _competitor_files(tmp_path)
+    argv = {"solve": ["solve", "--in", str(ptn)],
+            "decompose": ["decompose", "--in", str(ptn)],
+            "competitor": ["competitor", "--in", str(ptn), "--opt", str(ptop),
+                           "--config", str(pcc)]}[command]
+    assert cli.main(["--alpha", "1.5", "--out", str(tmp_path / "o.json")] + argv) == 2
+    assert capsys.readouterr().err == "error: --alpha must lie in [0, 1]\n"
+
+
+def test_dim_flag_is_gone(tmp_path):
+    inst = write_instance(tmp_path / "i.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--dim", "2", "solve", "--in", str(inst)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("path", [
+    {"vertices": [], "edges": []},
+    {"vertices": [[-1.0, 0.0], [1.0, 0.0]], "edges": [[0, 1, 1.0], [1, 0, 1.0]]},
+], ids=["empty", "cancelling"])
+def test_exit_code_2_on_an_optimal_path_without_boundary(path, tmp_path, capsys):
+    # _auto_covers used to take min() of an empty sequence here
+    ptn, ptop, pcc = _competitor_files(tmp_path)
+    doc = json.loads(ptop.read_text(encoding="utf-8"))
+    doc["path"] = path
+    ptop.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
+                     "--opt", str(ptop), "--config", str(pcc)]) == 2
+    assert capsys.readouterr().err == ("error: field 'path' (in the optimal instance) must "
+                                       "have a boundary of at least two atoms\n")

@@ -148,7 +148,7 @@ def test_cone_transport_routes_through_apex():
     mu_minus = atoms2(((-1.0, 0.0), 1.0))
     mu_plus = atoms2(((1.0, 0.0), 0.5), ((1.0, 1.0), 0.5))
     apex = np.array([0.0, 2.0])
-    t = constructors.cone_transport(mu_minus, mu_plus, apex, alpha=0.7)
+    t = constructors.cone_transport(mu_minus, mu_plus, apex)
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
     assert any(np.linalg.norm(v - apex) <= 1e-9 for v in t.vertices)
 

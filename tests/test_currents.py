@@ -199,6 +199,25 @@ def test_add_subtract_reverse_scale():
         2.0 ** 0.5 * currents.alpha_mass(t, 0.5))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_alpha_mass_ends_at_the_support_length_and_the_mass(dim):
+    # alpha 0 is the Steiner cost, the plain length of the support, and
+    # alpha 1 the mass: both are bit-identical to those sums spelled out
+    rng = np.random.default_rng(28 + dim)
+    for _ in range(200):
+        t = random_acyclic_path(rng, max_edges=12, dim=dim)
+        length = sum(float(np.linalg.norm(b - a)) for a, b, _ in t.segments())
+        mass = sum(th * float(np.linalg.norm(b - a)) for a, b, th in t.segments())
+        assert currents.alpha_mass(t, 0.0) == length
+        assert currents.alpha_mass(t, 1.0) == currents.mass(t) == mass
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_alpha_mass_rejects_an_exponent_off_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        currents.alpha_mass(currents.from_segments([seg(0, 0, 1, 0, 1.0)]), alpha)
+
+
 def test_scale_rejects_negative():
     t = currents.from_segments([seg(0, 0, 1, 0, 1.0)])
     with pytest.raises(ValueError):

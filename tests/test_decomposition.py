@@ -49,6 +49,12 @@ def test_remove_cycles_drops_pure_loop():
     assert out.is_empty()
 
 
+def test_find_cycle_reads_only_the_adjacency():
+    assert dcmp._find_cycle({0: [1], 1: [2], 2: [0]}) == [0, 1, 2]
+    assert dcmp._find_cycle({5: [7], 7: [9, 5]}) == [5, 7]
+    assert dcmp._find_cycle({0: [1, 2], 1: [2]}) is None
+
+
 def test_remove_cycles_keeps_boundary_and_reduces_mass():
     t = currents.from_segments([
         seg(0, 0, 1, 0, 1.0),
