@@ -6,6 +6,9 @@ canonical: object keys sorted, floats printed with %.12g, so writing,
 reloading and rewriting a file reproduces it byte for byte.  Exit codes:
 0 success, 2 input or schema violation (the message names the offending
 field), 3 instance outside the exhaustive solver's range.
+
+Only --out comes before the subcommand; every other flag belongs to the
+subcommand that reads it, and argparse rejects it anywhere else.
 """
 
 from __future__ import annotations
@@ -154,6 +157,16 @@ def load_instance(path: str, alpha: float | None = None) -> Instance:
     return Instance(dim, alpha, radius, mu_minus, mu_plus, path)
 
 
+def load_pair(path: str, other: str, alpha: float | None,
+              fields: tuple[str, ...]) -> tuple[Instance, Instance]:
+    """The instances in two files, which must agree on every named field."""
+    pair = load_instance(path, alpha), load_instance(other, alpha)
+    for field in fields:
+        if getattr(pair[0], field) != getattr(pair[1], field):
+            raise ValueError(f"field '{field}' differs between the two files")
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
 
@@ -209,8 +222,10 @@ def _write(text: str, out: str | None) -> None:
 def cmd_solve(args) -> int:
     inst = load_instance(args.infile, args.alpha)
     if args.method == "oracle":
-        t = optimizer.brute_force_optimal(inst.mu_minus, inst.mu_plus, inst.alpha,
-                                          tol=args.tol)
+        tol = optimizer.ORACLE_TOL if args.tol is None else args.tol
+        t = optimizer.brute_force_optimal(inst.mu_minus, inst.mu_plus, inst.alpha, tol)
+    elif args.tol is not None:
+        raise ValueError("--tol is for --method oracle; local search certifies at LOCAL_TOL")
     else:
         t = optimizer.local_search(inst.mu_minus, inst.mu_plus, inst.alpha)
     cost = currents.alpha_mass(t, inst.alpha)
@@ -244,10 +259,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_flatnorm(args) -> int:
     h = metrics.GridComplex.check_step(args.grid_step, "--grid-step")
-    a = load_instance(args.infile)
-    b = load_instance(args.against)
-    if a.dimension != b.dimension:
-        raise ValueError("field 'dimension' differs between the two files")
+    a, b = load_pair(args.infile, args.against, None, ("dimension",))
     if a.path is not None and b.path is not None:
         if a.dimension != 2:
             raise ValueError("grid flat distance is planar only")
@@ -270,11 +282,7 @@ def cmd_flatnorm(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    raw = load_json_object(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = stability.experiment_from_dict(raw)
-    report = stability.run_stability_trial(cfg)
+    report = stability.run_stability_trial(stability.load_experiment(args.config))
     doc = stability.report_json_dict(report)
     _write(canonical_json(doc), args.out)
     if args.csv:
@@ -300,10 +308,9 @@ def _auto_covers(bnd: AtomicMeasure, cc: stability.CompetitorConfig,
 
 
 def cmd_competitor(args) -> int:
-    inst = load_instance(args.infile, args.alpha)
+    inst, opt_inst = load_pair(args.infile, args.opt, args.alpha, ("dimension", "alpha"))
     if inst.path is None:
         raise ValueError("missing field: path")
-    opt_inst = load_instance(args.opt, args.alpha)
     if opt_inst.path is None:
         raise ValueError("missing field: path (in the optimal instance)")
     opt_bnd = currents.boundary(opt_inst.path)
@@ -341,23 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trafficpaths",
         description="branched transport toolkit: solve, inspect and stress "
                     "discrete traffic paths")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="override the cost exponent of every instance file read")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="certified relative optimality gap of the exact oracle")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the experiment seed")
     p.add_argument("--out", default=None,
                    help="output file (default: stdout)")
     sub = p.add_subparsers(dest="command", required=True)
+    alpha_flag = argparse.ArgumentParser(add_help=False)
+    alpha_flag.add_argument("--alpha", type=float, default=None,
+                            help="override the cost exponent of every instance file read")
 
-    ps = sub.add_parser("solve", help="find a minimal path for an instance")
+    ps = sub.add_parser("solve", parents=[alpha_flag], help="find a minimal path for an instance")
     ps.add_argument("--in", dest="infile", required=True)
     ps.add_argument("--method", choices=("oracle", "local"), default="oracle")
+    ps.add_argument("--tol", type=float, default=None,
+                    help=f"the oracle's certified relative gap (default {optimizer.ORACLE_TOL:g})")
     ps.add_argument("--svg", default=None, help="also render the result")
     ps.set_defaults(func=cmd_solve)
 
-    pd = sub.add_parser("decompose", help="split a path into weighted curves")
+    pd = sub.add_parser("decompose", parents=[alpha_flag], help="split a path into weighted curves")
     pd.add_argument("--in", dest="infile", required=True)
     pd.set_defaults(func=cmd_decompose)
 
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--csv", default=None, help="also write per-level rows")
     pt.set_defaults(func=cmd_stability)
 
-    pc = sub.add_parser("competitor", help="build the surgery competitor")
+    pc = sub.add_parser("competitor", parents=[alpha_flag], help="build the surgery competitor")
     pc.add_argument("--in", dest="infile", required=True)
     pc.add_argument("--opt", required=True, help="instance file with the optimal path")
     pc.add_argument("--config", required=True, help="surgery budget JSON")

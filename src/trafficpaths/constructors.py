@@ -16,7 +16,7 @@ boundary of the path it runs along.
 
 Conventions.  Measures fed to the builders are nonnegative atomic
 measures; balance (equal totals on both sides) is validated at 1e-9.
-Sphere supports are validated to sit on the sphere at 1e-9.  Circles
+Sphere supports and punctures are validated by Ball.on_sphere.  Circles
 and spheres are discretized with DEFAULT_SEGMENTS (32) segments per
 full circle; vertices always lie on the sphere itself, so the chord
 deviation is the sagitta, of order radius / segments^2 (about 5e-3 *
@@ -126,9 +126,9 @@ class SphereWrapMap:
 
     def __post_init__(self):
         self.puncture = as_point(self.puncture)
-        c, r = self.sphere.center, self.sphere.radius
-        if abs(float(np.linalg.norm(self.puncture - c)) - r) > 1e-6 * max(1.0, r):
+        if not self.sphere.on_sphere(self.puncture):
             raise ValueError("puncture must lie on the sphere")
+        c = self.sphere.center
         self.axis = (self.puncture - c) / np.linalg.norm(self.puncture - c)
         probe = np.array([1.0, 0.0, 0.0])
         if abs(float(self.axis @ probe)) > 0.9:
@@ -170,7 +170,7 @@ class SphereWrapMap:
 
 def _sphere_atoms_checked(mu: AtomicMeasure, ball: Ball) -> None:
     for p, _ in mu.atoms():
-        if not ball.on_sphere(p, tol=1e-9 * max(1.0, ball.radius)):
+        if not ball.on_sphere(p):
             raise ValueError("atom not on the sphere")
 
 
@@ -319,8 +319,7 @@ def _sphere_gathered_side(pi: dcmp.PathMeasure, nu: AtomicMeasure, mu: AtomicMea
     contacts = [(piece.end() if at_start else piece.start(), w) for piece, w in pieces]
     groups: dict[int, list] = {}
     for p, w in contacts:
-        hit = next((k for k, b in enumerate(balls)
-                    if b.on_sphere(p, tol=1e-9 * max(1.0, b.radius))), None)
+        hit = next((k for k, b in enumerate(balls) if b.on_sphere(p)), None)
         if hit is None:
             raise ValueError("cut point missed every cover sphere")
         groups.setdefault(hit, []).append((p, w))

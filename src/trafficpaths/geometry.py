@@ -63,9 +63,11 @@ class Ball:
         d = float(np.linalg.norm(as_point(p) - self.center))
         return d <= self.radius if self.closed else d < self.radius
 
-    def on_sphere(self, p, tol: float = ON_SPHERE_TOL) -> bool:
+    def on_sphere(self, p) -> bool:
+        """Whether p lies on the boundary sphere, to ON_SPHERE_TOL relative
+        to a radius above 1 and absolute below."""
         d = float(np.linalg.norm(as_point(p) - self.center))
-        return abs(d - self.radius) <= tol
+        return abs(d - self.radius) <= ON_SPHERE_TOL * max(1.0, self.radius)
 
     def open_copy(self) -> "Ball":
         return replace(self, closed=False)

@@ -84,6 +84,8 @@ from .currents import AtomicMeasure, TrafficPath
 COLLISION_TOL = 1e-7
 FLOW_TOL = 1e-12
 ORACLE_MAX_ATOMS = 6
+# default certified relative gap of every topology the oracle keeps
+ORACLE_TOL = 1e-9
 # certified relative gap of every local search solve, and the least relative
 # gain that counts as an improving move
 LOCAL_TOL = 1e-10
@@ -667,7 +669,7 @@ def _tree_answer(pos: np.ndarray, edges, flows: np.ndarray
 
 
 def brute_force_optimal(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float,
-                        tol: float = 1e-9) -> TrafficPath:
+                        tol: float = ORACLE_TOL) -> TrafficPath:
     """Exhaustive Gilbert-Steiner oracle for instances of at most ORACLE_MAX_ATOMS atoms.
 
     Every topology not pruned by its lower bound is solved to a certified
@@ -688,7 +690,7 @@ class Certificate(NamedTuple):
     duals: np.ndarray  # (T, 2k-3, d), NaN for a tree left uncertified
 
 
-def brute_force_many(instances: list, alpha: float, tol: float = 1e-9) -> list:
+def brute_force_many(instances: list, alpha: float, tol: float = ORACLE_TOL) -> list:
     """``brute_force_optimal`` of every (mu_minus, mu_plus) pair of instances,
     with its answer's Certificate and SolvedTree: (path, certificate, tree)
     per instance.  The certificate and the tree are None for an instance

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -66,7 +67,7 @@ def test_cached_parser_carries_no_option_into_the_next_call(tmp_path):
     cli.build_parser.cache_clear()
     assert cli.main(["--out", str(alone), "solve", "--in", str(inst)]) == 0
     cli.build_parser.cache_clear()
-    assert cli.main(["--alpha", "0.3", "--out", str(first), "solve", "--in", str(inst)]) == 0
+    assert cli.main(["--out", str(first), "solve", "--alpha", "0.3", "--in", str(inst)]) == 0
     assert cli.main(["--out", str(second), "solve", "--in", str(inst)]) == 0
     assert json.loads(first.read_text())["alpha"] == 0.3
     assert second.read_bytes() == alone.read_bytes()
@@ -94,7 +95,7 @@ def test_exit_code_2_on_schema_violation(tmp_path):
 @pytest.mark.parametrize("tol", ["-1", "nan"])
 def test_exit_code_2_on_a_tol_the_oracle_cannot_certify(tol, tmp_path, capsys):
     inst = write_instance(tmp_path / "i.json")
-    assert cli.main([f"--tol={tol}", "solve", "--in", str(inst)]) == 2
+    assert cli.main(["solve", f"--tol={tol}", "--in", str(inst)]) == 2
     want = f"error: tol must be a finite number >= 0, not {float(tol)!r}\n"
     assert capsys.readouterr().err == want
 
@@ -225,14 +226,14 @@ def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, r
     ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
           "line 1 column 2 (char 1)"),
 ], ids=["list", "invalid"])
-@pytest.mark.parametrize("command", ["solve", "seeded-stability", "competitor"])
+@pytest.mark.parametrize("command", ["solve", "stability", "competitor"])
 def test_exit_code_2_on_a_file_that_holds_no_json_object(command, text, message, tmp_path,
                                                          capsys):
-    # "--seed 3 stability" on a list used to die with a TypeError traceback
+    # a seeded stability trial on a list used to die with a TypeError traceback
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
     argv = {"solve": ["solve", "--in", str(bad)],
-            "seeded-stability": ["--seed", "3", "stability", "--config", str(bad)],
+            "stability": ["stability", "--config", str(bad)],
             "competitor": ["competitor", "--in", str(_with_path(tmp_path / "tn.json")),
                            "--opt", str(_with_path(tmp_path / "topt.json")),
                            "--config", str(bad)]}[command]
@@ -387,13 +388,14 @@ def test_exit_code_2_on_a_bad_trial_config_field(edit, message, tmp_path, capsys
 
 def test_stability_cli_deterministic(tmp_path):
     cfg = _trial_config()
+    cfg["seed"] = 7
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg), encoding="utf-8")
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / f"{tag}.json"
         csv = tmp_path / f"{tag}.csv"
-        rc = cli.main(["--seed", "7", "--out", str(out), "stability",
+        rc = cli.main(["--out", str(out), "stability",
                        "--config", str(p), "--csv", str(csv)])
         assert rc == 0
         outs.append((out.read_bytes(), csv.read_bytes()))
@@ -502,7 +504,7 @@ def test_decompose_reports_the_cost_at_the_alpha_flag(tmp_path):
     solved, out = tmp_path / "s.json", tmp_path / "d.json"
     assert cli.main(["--out", str(solved), "solve", "--in",
                      str(write_instance(tmp_path / "i.json"))]) == 0
-    assert cli.main(["--alpha", "1.0", "--out", str(out), "decompose",
+    assert cli.main(["--out", str(out), "decompose", "--alpha", "1.0",
                      "--in", str(solved)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     path = cli.load_instance(str(solved)).path
@@ -517,7 +519,8 @@ def test_exit_code_2_on_an_alpha_flag_off_the_unit_interval(command, tmp_path, c
             "decompose": ["decompose", "--in", str(ptn)],
             "competitor": ["competitor", "--in", str(ptn), "--opt", str(ptop),
                            "--config", str(pcc)]}[command]
-    assert cli.main(["--alpha", "1.5", "--out", str(tmp_path / "o.json")] + argv) == 2
+    argv[1:1] = ["--alpha", "1.5"]
+    assert cli.main(["--out", str(tmp_path / "o.json")] + argv) == 2
     assert capsys.readouterr().err == "error: --alpha must lie in [0, 1]\n"
 
 
@@ -526,6 +529,97 @@ def test_dim_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--dim", "2", "solve", "--in", str(inst)])
     assert exc.value.code == 2
+
+
+def test_every_flag_belongs_to_the_command_that_reads_it():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    assert flags == {"out"}
+    pairs = {(command, a.dest) for command, p in sub.choices.items() for a in p._actions
+             if a.dest in ("alpha", "tol", "seed")}
+    assert pairs == {("solve", "alpha"), ("decompose", "alpha"), ("competitor", "alpha"),
+                     ("solve", "tol")}
+
+
+_COMMANDS = {
+    "solve": ["solve", "--in", "{tn}"],
+    "decompose": ["decompose", "--in", "{tn}"],
+    "flatnorm": ["flatnorm", "--in", "{tn}", "--against", "{topt}"],
+    "stability": ["stability", "--config", "{cfg}"],
+    "competitor": ["competitor", "--in", "{tn}", "--opt", "{topt}", "--config", "{cc}"],
+}
+_FLAGS = {"alpha": ["--alpha", "0.3"], "tol": ["--tol", "1e-6"], "seed": ["--seed", "7"]}
+# the (command, flag) pairs that used to be accepted before the subcommand and read by nothing
+_UNREAD = [("flatnorm", "alpha"), ("stability", "alpha"), ("decompose", "tol"),
+           ("flatnorm", "tol"), ("stability", "tol"), ("competitor", "tol")] + \
+          [(command, "seed") for command in _COMMANDS]
+_MISPLACED = [(command, flag, where) for command, flag in _UNREAD
+              for where in ("before", "after")] + \
+             [(command, "alpha", "before") for command in ("solve", "decompose", "competitor")] + \
+             [("solve", "tol", "before")]
+
+
+@pytest.mark.parametrize("command, flag, where", _MISPLACED,
+                         ids=["-".join(case) for case in _MISPLACED])
+def test_exit_code_2_on_a_flag_the_command_does_not_read(command, flag, where, tmp_path):
+    # "--alpha 0.3 ... stability" used to run and report the config's alpha of 0.6
+    ptn, ptop, pcc = _competitor_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_trial_config()), encoding="utf-8")
+    files = {"tn": ptn, "topt": ptop, "cc": pcc, "cfg": cfg}
+    head, *rest = (a.format(**files) for a in _COMMANDS[command])
+    argv = _FLAGS[flag] + [head] + rest if where == "before" else [head] + _FLAGS[flag] + rest
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(out)] + argv)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_exit_code_2_on_a_tol_flag_for_local_search(tmp_path, capsys):
+    # local search certifies at its own LOCAL_TOL: --tol used to be ignored here
+    inst = write_instance(tmp_path / "i.json")
+    out = tmp_path / "o.json"
+    assert cli.main(["--out", str(out), "solve", "--in", str(inst), "--method", "local",
+                     "--tol", "1e-6"]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _differing_optimal_file(ptop, field):
+    doc = json.loads(ptop.read_text(encoding="utf-8"))
+    if field == "dimension":
+        doc["dimension"] = 3
+        for atom in doc["mu_minus"] + doc["mu_plus"]:
+            atom["point"].append(0.0)
+        for v in doc["path"]["vertices"]:
+            v.append(0.0)
+    else:
+        doc["alpha"] = 0.9
+    ptop.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("field", ["dimension", "alpha"])
+def test_exit_code_2_on_competitor_files_that_differ(field, tmp_path, capsys):
+    # another dimension used to fail on broadcasting shapes (2,) and (3,), another
+    # alpha in --opt was ignored
+    ptn, ptop, pcc = _competitor_files(tmp_path)
+    _differing_optimal_file(ptop, field)
+    assert cli.main(["--out", str(tmp_path / "report.json"), "competitor", "--in", str(ptn),
+                     "--opt", str(ptop), "--config", str(pcc)]) == 2
+    assert capsys.readouterr().err == f"error: field '{field}' differs between the two files\n"
+
+
+def test_competitor_alpha_flag_makes_both_files_agree(tmp_path):
+    ptn, ptop, pcc = _competitor_files(tmp_path)
+    same, flagged = tmp_path / "same.json", tmp_path / "flagged.json"
+    assert cli.main(["--out", str(same), "competitor", "--in", str(ptn), "--opt", str(ptop),
+                     "--config", str(pcc)]) == 0
+    _differing_optimal_file(ptop, "alpha")
+    assert cli.main(["--out", str(flagged), "competitor", "--alpha", "0.6", "--in", str(ptn),
+                     "--opt", str(ptop), "--config", str(pcc)]) == 0
+    assert flagged.read_bytes() == same.read_bytes()
 
 
 @pytest.mark.parametrize("path", [

@@ -21,6 +21,14 @@ def test_ball_membership_open_vs_closed():
     assert not b.on_sphere([0.5, 0.0])
 
 
+@pytest.mark.parametrize("radius, offset, on", [
+    (1000.0, 5e-7, True), (1000.0, 2e-6, False), (0.5, 5e-10, True), (0.5, 5e-9, False),
+])
+def test_on_sphere_tolerance_is_relative_above_radius_one(radius, offset, on):
+    b = Ball(np.array([1.0, -2.0, 0.5]), radius)
+    assert b.on_sphere(b.center + np.array([0.0, radius + offset, 0.0])) is on
+
+
 def test_ball_rejects_bad_radius():
     with pytest.raises(ValueError):
         Ball(np.array([0.0, 0.0]), 0.0)
