@@ -229,7 +229,7 @@ def test_exit_code_2_on_an_ambient_radius_that_frames_nothing(command, radius, r
 @pytest.mark.parametrize("command", ["solve", "stability", "competitor"])
 def test_exit_code_2_on_a_file_that_holds_no_json_object(command, text, message, tmp_path,
                                                          capsys):
-    # a seeded stability trial on a list used to die with a TypeError traceback
+    # with the retired --seed flag, stability on a list used to die with a TypeError traceback
     bad = tmp_path / "bad.json"
     bad.write_text(text, encoding="utf-8")
     argv = {"solve": ["solve", "--in", str(bad)],
