@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -387,7 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, argv = build_parser(), sys.argv[1:] if argv is None else argv
+    # argparse takes a command's flag given before the command for an unknown
+    # one, and its value for the command: name the flag and its commands instead
+    # (a flag that abbreviates a global one, as --ou does --out, is left to argparse)
+    commands, own = parser._subparsers._group_actions[0].choices, parser._option_string_actions
+    for arg in itertools.takewhile(lambda a: a not in commands, argv):
+        flag = arg.partition("=")[0]
+        if flag.startswith("--") and not any(o.startswith(flag) for o in own):
+            takers = ", ".join(c for c, p in commands.items() if flag in p._option_string_actions)
+            parser.error(f"{flag} goes after the command that reads it ({takers or 'none does'})")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except optimizer.OracleRangeError as exc:

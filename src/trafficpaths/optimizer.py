@@ -29,15 +29,17 @@ sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from a
 tenth of the radius R of the terminals; each iteration takes one batched
 step for every live problem.
 After each of its stages a problem's dual y_e = w_e d_e / r_e gives a
-rigorous lower bound: on collapsing edges y is re-solved as the min-norm
-balance at the free vertices (one solve with the grounded Laplacian of
-those edges, no SVD) and clipped to |y_e| <= w_e, and any remaining
-imbalance g is charged R |g|, valid because an optimum lies in the
-terminals' convex hull.  A problem is finished once its certified
-relative gap is within tol, and dropped as soon as its lower bound
-exceeds the least cost any problem of its group has reached at a stage
-end, which bounds the group optimum from above (branch-and-bound in the
-spirit of Smith, Algorithmica 1992).  A caller
+rigorous lower bound, with any imbalance g at a free vertex charged R |g|,
+valid because an optimum lies in the terminals' convex hull.  Every
+problem that ends a stage also repairs that y: on its collapsing edges y
+is re-solved as the min-norm balance at the free vertices (one solve with
+the grounded Laplacian of those edges, no SVD; a problem without such an
+edge gets its y back unchanged) and clipped to |y_e| <= w_e, and the
+larger of the two bounds, computed together, is kept.  A problem is
+finished once its certified relative gap is within tol, and dropped as
+soon as its lower bound exceeds the least cost any problem of its group
+has reached at a stage end, which bounds the group optimum from above
+(branch-and-bound in the spirit of Smith, Algorithmica 1992).  A caller
 that needs only a group's best tree, not its cost, may have the last
 problem left in a group returned uncertified once all others are dropped.
 The duals are kept: for every certified or pruned problem the kernel
@@ -248,11 +250,24 @@ def _tree_flows(order: np.ndarray, masses: np.ndarray, n: int) -> np.ndarray:
     return flows
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of a real array, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+# the boolean identity of size n, built once per size and shared as a read-only view
+_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n, dtype=bool), (n, n)))
+
+
 def _reachable(linked: np.ndarray) -> np.ndarray:
     """Transitive closure of symmetric, reflexive adjacency matrices (..., n, n), as 0/1
-    floats: each squaring doubles the length of the paths it covers."""
+    floats: each squaring doubles the length of the paths it covers, and is clipped
+    to 1, so no walk count overflows at any n.  A path has at most n - 1 edges, and
+    no more than the stack holds off the diagonal, which bounds the squarings."""
+    n = linked.shape[-1]
+    longest = min(n - 1, (int(np.count_nonzero(linked)) - linked.size // max(n, 1)) // 2)
     closure = linked.astype(float)
-    for _ in range(max(linked.shape[-1] - 2, 0).bit_length()):
+    for _ in range(max(longest - 1, 0).bit_length()):
         closure = np.minimum(closure @ closure, 1.0)
     return closure
 
@@ -271,24 +286,25 @@ def _min_norm_duals(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     per problem instead of an SVD.
     """
     L = M @ M.transpose(0, 2, 1)
-    same = _reachable((L != 0) | np.eye(M.shape[1], dtype=bool))
+    same = _reachable((L != 0) | _eye(M.shape[1]))
     # a row sum of L counts the vertex's edges to anchors
     anchored = (same @ L.sum(axis=2)[..., None])[..., 0] > 0.5
-    P = same * np.where(anchored, 0.0, 1.0 / same.sum(axis=2))[..., None]
+    P = same * (~anchored / same.sum(axis=2))[..., None]
     return M.transpose(0, 2, 1) @ np.linalg.solve(L + P, rhs)
 
 
-def _armijo(X, d, r, eps, w, lam2, g, P, dP, t=None) -> np.ndarray:
+def _armijo(X, d, r, e2, w, lam2, g, P, dP, t=None) -> np.ndarray:
     """Armijo test of the steps t * P, dP = B P, from the iterates X of the
-    problems g of a stacked state (X, d, r, eps, w, lam2), given as indices
-    or a slice of all of them, which needs no gathers; moves those with a
-    passing t by the first one, updating X, d and r in place, and returns
-    the mask of the rest.  Without t the full step alone is tried, with no
-    t axis: 1.0 * P is exact, so it moves exactly as t = [1.0] does.
+    problems g of a stacked state (X, d, r, e2, w, lam2), e2 the squared
+    smoothings, given as indices or a slice of all of them, which needs no
+    gathers; moves those with a passing t by the first one, updating X, d
+    and r in place, and returns the mask of the rest.  Without t the full
+    step alone is tried, with no t axis: 1.0 * P is exact, so it moves
+    exactly as t = [1.0] does.
     """
     # f(X + tP) - f(X) for every t, written so that it stays exact far
     # below the rounding of f itself
-    dg, rg, e2, step = d[g], r[g], (eps[g] * eps[g])[:, None], dP
+    dg, rg, e2, step = d[g], r[g], e2[g][:, None], dP
     bar = -0.25 * lam2[g] if t is None else -0.25 * t * lam2[g][:, None]
     if t is not None:  # every t along a second axis
         step, dg, rg, e2 = t[None, :, None, None] * dP[:, None], dg[:, None], rg[:, None], \
@@ -380,68 +396,73 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     eye = np.eye(dim)[:, :, None, None]
     ts = 0.5 ** np.arange(20)
     diag = np.arange(nf * dim)
-    incumbent = np.full(int(groups.max()) + 1, math.inf)  # least stage-end cost per group
+    # per group, the least of cutoff and every stage-end cost it reached
+    incumbent = np.full(int(groups.max()) + 1, float(cutoff))
     unpruned = np.bincount(groups)  # problems per group not pruned yet
     # per live problem: constants, then iterate state; rows follow live
-    B, D0, D0c, w, R, grp = B[live], D0[live], D0c[live], w[live], R[live], groups[live]
-    floor = SMOOTH_FLOOR * R
+    B, D0, D0c, w, grp = B[live], D0[live], D0c[live], w[live], groups[live]
     # B^T, and B axis first (nf, m, E) for the Hessian's planes
     Bt, BT = B.transpose(0, 2, 1), np.ascontiguousarray(B.transpose(2, 0, 1))
     inert = np.repeat(~touched[live], dim, axis=1).astype(float)
     has_inert = inert.any()  # else the diagonal add is skipped
-    scale = w.sum(axis=1)
     X = pos[live, k:].copy()
-    eps = SMOOTH_START * R
-    end_at = STAGE_DECREMENT * scale * eps * eps / R  # stage-end threshold, set as eps is cut
     steps = np.zeros(len(live), dtype=int)
-    last_eps, last_X = np.full(len(live), np.nan), X.copy()  # previous stage end
-    lower_best = np.full(len(live), -math.inf)
+    last_X = X.copy()  # at the previous stage end
+    # the per-problem scalars are the columns of one table, which a compaction
+    # gathers at once: radius, smoothing floor, sum(w), eps and what is read of
+    # it (eps^2, the short-edge length sqrt(eps R) and the stage-end threshold,
+    # set as eps is cut), eps at the previous stage end and the best lower bound
+    table = np.empty((len(live), 9))
+    table[:, 0], table[:, 2], table[:, 7:] = R[live], w.sum(axis=1), (np.nan, -math.inf)
+    R, floor, scale, eps, e2, short_at, end_at, last_eps, lower_best = table.T
+    floor[:] = SMOOTH_FLOOR * R
+
+    def cut(rows, new):
+        eps[rows], e2[rows], short_at[rows] = new, new * new, np.sqrt(new * R[rows])
+        end_at[rows] = STAGE_DECREMENT * scale[rows] * new * new / R[rows]
+
+    cut(slice(None), SMOOTH_START * R)
 
     def positions(i, Xi):
         p = pos[i].copy()
         p[k:] = Xi
         return p
 
-    def edge_vectors(sel, X, eps):
+    def edge_vectors(sel, X, e2):
         """Edge vectors of problems sel at X, or at a stack (..., len(sel), nf, d)
-        of iterates, and their smoothed lengths r."""
+        of iterates, and their smoothed lengths r at squared smoothings e2."""
         d = B[sel] @ X + D0[sel]
-        return d, np.sqrt(np.einsum("...j,...j->...", d, d) + (eps * eps)[:, None])
-
-    def lower_bound(Bt, D0c, R, y):
-        # valid for any y with |y_e| <= w_e: sum_e y_e . d_e <= cost at every
-        # point, and the imbalance g at a free vertex x_v is charged R |g_v|
-        # because an optimal x_v lies within R of center
-        g = Bt @ y
-        return (y * D0c).sum(axis=(1, 2)) - R * np.linalg.norm(g, axis=2).sum(axis=1)
+        return d, np.sqrt(np.einsum("...j,...j->...", d, d) + e2[:, None])
 
     def bounds(sel):
         """Costs of problems sel, lower bounds on their optima and the duals y
-        that give them, from y_e = w_e d_e / r_e."""
-        Bt_s, D0c_s, w_s, R_s, eps_s = Bt[sel], D0c[sel], w[sel], R[sel], eps[sel]
-        d = B[sel] @ X[sel] + D0[sel]
-        norm = np.linalg.norm(d, axis=2)
-        y = (w_s / np.sqrt(norm * norm + (eps_s * eps_s)[:, None]))[..., None] * d
-        lower = lower_bound(Bt_s, D0c_s, R_s, y)
-        short = (norm < np.sqrt(eps_s * R_s)[:, None]) & (w_s > 0)
-        has = np.flatnonzero(short.any(axis=1))
-        if len(has):
-            # on edges that are collapsing d/r is rounding noise: take their y
-            # as the min-norm solution of the balance at the free vertices,
-            # clipped back into the balls |y_e| <= w_e
-            Bt_h, short, y_has = Bt_s[has], short[has], y[has]
-            rhs = -(Bt_h @ np.where(short[..., None], 0.0, y_has))
-            y_short = _min_norm_duals(Bt_h * short[:, None, :], rhs)
-            excess = np.linalg.norm(y_short, axis=2) / np.where(short, w_s[has], 1.0)
-            y_short /= np.maximum(excess, 1.0)[..., None]
-            y_has = np.where(short[..., None], y_short, y_has)
-            lower_has = lower_bound(Bt_h, D0c_s[has], R_s[has], y_has)
-            up = lower_has > lower[has]
-            rows = has[up]
-            lower[rows], y[rows] = lower_has[up], y_has[up]
-        return np.einsum("te,te->t", w_s, norm), lower, y
+        that give them: y_e = w_e d_e / r_e, or that y repaired on the
+        collapsing edges where the repair bounds higher."""
+        B_s, w_s = B[sel], w[sel]
+        Bt_s = B_s.transpose(0, 2, 1)  # the strides of Bt[sel]
+        d = B_s @ X[sel] + D0[sel]
+        norm = _norm(d)
+        y = (w_s / np.sqrt(norm * norm + e2[sel][:, None]))[..., None] * d
+        # on edges that are collapsing d/r is rounding noise: take their y as
+        # the min-norm solution of the balance at the free vertices, clipped
+        # back into the balls |y_e| <= w_e; a problem without one has M = 0,
+        # so P = I, and gets its own y back bit for bit
+        short = (norm < short_at[sel][:, None]) & (w_s > 0)
+        rhs = -(Bt_s @ np.where(short[..., None], 0.0, y))
+        y_short = _min_norm_duals(Bt_s * short[:, None, :], rhs)
+        y_short /= np.maximum(_norm(y_short) / np.where(short, w_s, 1.0), 1.0)[..., None]
+        # the bounds of both duals at once, valid for any y with |y_e| <= w_e:
+        # sum_e y_e . d_e <= cost at every point, and the imbalance g at a free
+        # vertex x_v is charged R |g_v| because an optimal x_v lies within R of
+        # center
+        ys = np.concatenate((y[None], np.where(short[..., None], y_short, y)[None]))
+        g = Bt_s @ ys
+        plain, repaired = (ys * D0c[sel]).sum(axis=(2, 3)) - R[sel] * _norm(g).sum(axis=2)
+        up = repaired > plain
+        return (np.einsum("te,te->t", w_s, norm), np.where(up, repaired, plain),
+                np.where(up[:, None, None], ys[1], y))
 
-    d, r = edge_vectors(slice(None), X, eps)
+    d, r = edge_vectors(slice(None), X, e2)
     iterations = 0
     while len(live):
         iterations += 1
@@ -473,22 +494,25 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
             dP = B[g] @ P
             # the full step first; the problems it fails try t = 1/2 ... 1/16 at
             # once, and those that fail these too every shorter t
-            rest = np.flatnonzero(_armijo(X, d, r, eps, w, lam2, g, P, dP))
+            rest = np.flatnonzero(_armijo(X, d, r, e2, w, lam2, g, P, dP))
             for chunk in (ts[1:5], ts[5:]):
                 if len(rest):
-                    rest = rest[_armijo(X, d, r, eps, w, lam2, go[rest], P[rest], dP[rest],
+                    rest = rest[_armijo(X, d, r, e2, w, lam2, go[rest], P[rest], dP[rest],
                                         chunk)]
             if len(go) == m and not len(rest):
                 continue  # no problem ended its stage or ran out of steps
             ended[go[rest]] = True  # no progress at this smoothing
         stuck = ~ended  # out of steps: neither stepped nor ended
         stuck[go] = False
-        done, pruned = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        gone = np.zeros(m, dtype=bool)  # certified, pruned, decided or uncertified
         se = np.flatnonzero(ended)
         if len(se):
-            cost, lower, y = bounds(se)
-            np.minimum.at(incumbent, grp[se], cost)
-            up = lower > lower_best[se]
+            # a slice of every problem needs no gathers, and keeps the strides
+            # a gather gives: so whenever every problem ends together
+            sel = slice(None) if len(se) == m else se
+            cost, lower, y = bounds(sel)
+            np.minimum.at(incumbent, grp[sel], cost)
+            up = lower > lower_best[sel]
             rows = se[up]
             lower_best[rows] = lower[up]
             duals[live[rows]] = y[up]
@@ -500,64 +524,63 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
                 else:
                     counts["pruned"] += 1
                     unpruned[grp[i]] -= 1
-                done[i] = True
+                gone[i] = True
             # bounds and incumbents move only at stage ends, and every problem
             # they prune leaves the batch at once, so only here can one go
-            pruned = ~done & (lower_best > np.minimum(cutoff, incumbent[grp]))
-            counts["pruned"] += int(pruned.sum())
-            np.subtract.at(unpruned, grp[pruned], 1)
+            pruned = ~gone & (lower_best > incumbent[grp])
+            if pruned.any():
+                counts["pruned"] += int(pruned.sum())
+                np.subtract.at(unpruned, grp[pruned], 1)
+                gone |= pruned
             if decide:
                 # every other problem of its group has an optimum above the
                 # group's incumbent, so this one holds the group's optimum
-                won = np.flatnonzero(~done & ~pruned & (unpruned[grp] == 1))
+                won = np.flatnonzero(~gone & (unpruned[grp] == 1))
                 if len(won):
-                    c_won = np.einsum("te,te->t", w[won],
-                                      np.linalg.norm(B[won] @ X[won] + D0[won], axis=2))
+                    c_won = np.einsum("te,te->t", w[won], _norm(B[won] @ X[won] + D0[won]))
                     for i, c in zip(won, c_won):
                         out[live[i]] = positions(live[i], X[i]), float(c)
                     duals[live[won]] = np.nan
-                    done[won] = True
+                    gone[won] = True
                     counts["decided"] += len(won)
-            rest = ~(done | pruned)[se]
-            at_floor = eps[se] <= floor[se]
-            stuck[se[rest & at_floor]] = True
-            adv = se[rest & ~at_floor]
+            going_on, at_floor = ended & ~gone, eps <= floor
+            stuck |= going_on & at_floor
+            adv = np.flatnonzero(going_on & ~at_floor)
             if len(adv):
-                new_eps = np.maximum(eps[adv] / SMOOTH_FACTOR, floor[adv])
-                prev_eps, prev_X = last_eps[adv], last_X[adv]
-                last_eps[adv], last_X[adv] = eps[adv], X[adv]
+                a = slice(None) if len(adv) == m else adv
+                new_eps = np.maximum(eps[a] / SMOOTH_FACTOR, floor[a])
                 # the smoothed minimizer is nearly affine in eps once eps is
                 # small: extrapolate from the last two stages when that helps
-                has = ~np.isnan(prev_eps)
-                if has.any():
-                    a, e0, e1 = adv[has], eps[adv[has]], new_eps[has]
-                    guess = X[a] + ((e1 - e0) / (prev_eps[has] - e0))[:, None, None] \
-                        * (prev_X[has] - X[a])
-                    (d_g, d_x), (r_g, r_x) = edge_vectors(a, np.stack((guess, X[a])), e1)
-                    better = np.einsum("te,te->t", w[a], r_g) < np.einsum("te,te->t", w[a], r_x)
-                    X[a[better]] = guess[better]
-                    d[a] = np.where(better[:, None, None], d_g, d_x)
-                    r[a] = np.where(better[:, None], r_g, r_x)
-                eps[adv] = new_eps
-                end_at[adv] = STAGE_DECREMENT * scale[adv] * eps[adv] * eps[adv] / R[adv]
-                fresh = adv[~has]
+                seen = ~np.isnan(last_eps[a])
+                ex, fresh = adv[seen], adv[~seen]
+                if len(ex):
+                    h, e0 = slice(None) if len(ex) == m else ex, eps[ex]
+                    guess = X[h] + ((new_eps[seen] - e0) / (last_eps[ex] - e0))[:, None, None] \
+                        * (last_X[h] - X[h])
+                last_eps[a], last_X[a] = eps[a], X[a]
+                cut(a, new_eps)
+                if len(ex):
+                    (d_g, d_x), (r_g, r_x) = edge_vectors(h, np.stack((guess, X[h])), e2[ex])
+                    better = np.einsum("te,te->t", w[h], r_g) < np.einsum("te,te->t", w[h], r_x)
+                    X[ex[better]] = guess[better]
+                    d[h] = np.where(better[:, None, None], d_g, d_x)
+                    r[h] = np.where(better[:, None], r_g, r_x)
                 if len(fresh):
-                    d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], eps[fresh])
-        for i in np.flatnonzero(stuck & ~(done | pruned)):
+                    d[fresh], r[fresh] = edge_vectors(fresh, X[fresh], e2[fresh])
+        for i in np.flatnonzero(stuck & ~gone):
             out[live[i]] = OptimizeError("position stage did not certify its gap",
                                          positions(live[i], X[i]))
             duals[live[i]] = np.nan
             counts["uncertified"] += 1
-            done[i] = True
-        keep = ~(done | pruned)
-        if not keep.all():
-            live = live[keep]
-            B, Bt, D0, D0c, w = B[keep], Bt[keep], D0[keep], D0c[keep], w[keep]
-            BT = np.ascontiguousarray(B.transpose(2, 0, 1))
-            R, floor, grp = R[keep], floor[keep], grp[keep]
-            inert, scale, X, eps, steps = inert[keep], scale[keep], X[keep], eps[keep], steps[keep]
-            end_at, last_eps, last_X = end_at[keep], last_eps[keep], last_X[keep]
-            lower_best, d, r = lower_best[keep], d[keep], r[keep]
+            gone[i] = True
+        if gone.any():
+            keep = ~gone
+            live, grp, steps = live[keep], grp[keep], steps[keep]
+            B, D0, D0c, w, inert = B[keep], D0[keep], D0c[keep], w[keep], inert[keep]
+            Bt, BT = B.transpose(0, 2, 1), np.ascontiguousarray(B.transpose(2, 0, 1))
+            X, last_X, d, r = X[keep], last_X[keep], d[keep], r[keep]
+            table = table[keep]
+            R, floor, scale, eps, e2, short_at, end_at, last_eps, lower_best = table.T
     _log.debug("position batch of %d: %d certified, %d pruned, %d uncertified, %d decided, "
                "%d Newton iterations, %d groups", T, counts["certified"], counts["pruned"],
                counts["uncertified"], counts["decided"], iterations, len(set(groups.tolist())))

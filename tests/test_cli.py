@@ -550,6 +550,7 @@ _COMMANDS = {
     "competitor": ["competitor", "--in", "{tn}", "--opt", "{topt}", "--config", "{cc}"],
 }
 _FLAGS = {"alpha": ["--alpha", "0.3"], "tol": ["--tol", "1e-6"], "seed": ["--seed", "7"]}
+_TAKERS = {"alpha": "solve, decompose, competitor", "tol": "solve", "seed": "none does"}
 # the (command, flag) pairs that used to be accepted before the subcommand and read by nothing
 _UNREAD = [("flatnorm", "alpha"), ("stability", "alpha"), ("decompose", "tol"),
            ("flatnorm", "tol"), ("stability", "tol"), ("competitor", "tol")] + \
@@ -562,7 +563,7 @@ _MISPLACED = [(command, flag, where) for command, flag in _UNREAD
 
 @pytest.mark.parametrize("command, flag, where", _MISPLACED,
                          ids=["-".join(case) for case in _MISPLACED])
-def test_exit_code_2_on_a_flag_the_command_does_not_read(command, flag, where, tmp_path):
+def test_exit_code_2_on_a_flag_the_command_does_not_read(command, flag, where, tmp_path, capsys):
     # "--alpha 0.3 ... stability" used to run and report the config's alpha of 0.6
     ptn, ptop, pcc = _competitor_files(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -575,6 +576,15 @@ def test_exit_code_2_on_a_flag_the_command_does_not_read(command, flag, where, t
         cli.main(["--out", str(out)] + argv)
     assert exc.value.code == 2
     assert not out.exists()
+    if where == "before":
+        # the message names the flag and the commands that take it, where
+        # argparse alone reported "argument command: invalid choice: '0.3'"
+        message = f"--{flag} goes after the command that reads it ({_TAKERS[flag]})"
+        assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(out), "=".join(_FLAGS[flag]), head] + rest)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_2_on_a_tol_flag_for_local_search(tmp_path, capsys):

@@ -460,7 +460,51 @@ def test_dual_repair_matches_pinv_reference():
             for i, tree in enumerate(trees):
                 assert np.linalg.norm(got[i] - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
                 seen.update(_short_components(tree, k, short[i]))
+            # a stack mixing rows with and without short edges, as a stage end
+            # repairs every ending problem: each row repairs as it does alone,
+            # and one without a short edge (M = 0) to exactly 0
+            mixed = short & (np.arange(len(trees)) % 2 == 0)[:, None]
+            M = B.transpose(0, 2, 1) * mixed[:, None, :]
+            got = optimizer._min_norm_duals(M, rhs)
+            for i in range(len(trees)):
+                assert np.array_equal(got[i], optimizer._min_norm_duals(M[i:i + 1], rhs[i:i + 1])[0])
+                assert mixed[i].any() or np.array_equal(got[i], np.zeros_like(got[i]))
     assert seen == {"isolated", "anchor-free", "two anchors", "grounded"}
+
+
+def _union_find_closure(linked):
+    """Which vertices of a symmetric 0/1 adjacency matrix share a component, by
+    union-find: the reference for ``_reachable``."""
+    root = list(range(len(linked)))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in zip(*np.nonzero(linked)):
+        root[find(a)] = find(b)
+    roots = np.array([find(v) for v in range(len(linked))])
+    return roots[:, None] == roots[None, :]
+
+
+def test_reachable_matches_union_find():
+    rng = np.random.default_rng(23)
+    for n in range(1, 41):
+        for density in (0.05, 0.1, 0.2, 0.5, 1.0):
+            linked = rng.random((3, n, n)) < density
+            linked |= linked.transpose(0, 2, 1) | np.eye(n, dtype=bool)
+            for got, one in zip(optimizer._reachable(linked), linked):
+                assert np.array_equal(got, _union_find_closure(one))
+    # a 300-vertex path, in a random vertex order: walk counts on it would
+    # overflow past about 256 vertices, so only a clipped or boolean closure
+    # stays exact
+    order = rng.permutation(300)
+    path = np.eye(300, dtype=bool)
+    path[order[:-1], order[1:]] = path[order[1:], order[:-1]] = True
+    assert np.array_equal(optimizer._reachable(path[None])[0], np.ones((300, 300)))
+    path[order[149], order[150]] = path[order[150], order[149]] = False
+    assert np.array_equal(optimizer._reachable(path[None])[0], _union_find_closure(path))
 
 
 def _reference_oracle(net, alpha, tol):
@@ -688,6 +732,22 @@ def test_collision_representatives_follow_chains():
             assert set(rep[at[:n]].tolist()) == {at[:n].min()}
             assert rep[at[n]] == rep[at[n + 1]] == min(at[n], at[n + 1])
             assert rep[at[n + 2]] == at[n + 2]
+
+
+def test_collision_representatives_of_clustered_points():
+    # clusters of points within COLLISION_TOL of their center, some chained
+    # beyond it, are represented by the lowest index of their union-find
+    # component of the closeness relation
+    rng = np.random.default_rng(29)
+    tol = optimizer.COLLISION_TOL
+    for dim in (2, 3):
+        for _ in range(20):
+            centers = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 8)), dim))
+            labels = rng.integers(len(centers), size=int(rng.integers(2, 30)))
+            pts = centers[labels] + rng.uniform(-0.6, 0.6, (len(labels), dim)) * tol / dim
+            close = np.linalg.norm(pts[:, None] - pts[None, :], axis=2) <= tol
+            rep = optimizer._collision_representatives(pts)
+            assert np.array_equal(rep, _union_find_closure(close).argmax(axis=1))
 
 
 def test_oracle_range_error():
