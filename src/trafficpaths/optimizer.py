@@ -26,8 +26,10 @@ A tree left uncertified is logged and kept at its last iterate, scored at
 its true cost.  In every problem the free vertices move jointly by damped
 Newton steps on the smoothed objective
 sum_e w_e sqrt(|x_a - x_b|^2 + eps^2), with eps cut stage by stage from a
-tenth of the radius R of the terminals; each iteration takes one batched
-step for every live problem.
+start its caller picks, in units of the radius R of the terminals: a
+tenth of R for the oracle's cold starts, a hundredth for local search,
+whose scans start from the kept tree's positions; each iteration takes
+one batched step for every live problem.
 After each of its stages a problem's dual y_e = w_e d_e / r_e gives a
 rigorous lower bound, with any imbalance g at a free vertex charged R |g|,
 valid because an optimum lies in the terminals' convex hull.  Every
@@ -95,10 +97,18 @@ LOCAL_TOL = 1e-10
 # holds at least one scan of 2k - 6: this bounds the position batch's memory
 # (at k = 12, a window of two scans peaks at about 0.7 MB under tracemalloc)
 REGRAFT_WINDOW_PROBLEMS = 40
-# smoothing continuation of the position stage: eps runs from SMOOTH_START to
+# smoothing continuation of the position stage: eps runs from its start to
 # SMOOTH_FLOOR terminal radii R, cut by SMOOTH_FACTOR per stage; a stage ends
-# when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R
+# when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R.
+# The oracle's cold starts, spread around the terminals' mean, begin at
+# SMOOTH_START; they ran slower from 0.01 R.  Local search's scans begin at
+# LOCAL_SMOOTH_START: each starts from the kept tree's positions, near its
+# candidates' optima, which a first stage at 0.1 R would mostly undo.  On
+# three random sets of local searches 0.01 R ran fewer Newton iterations
+# than 0.003, 0.005, 0.02, 0.03 or 0.1 R and kept every cost to 12 digits;
+# at 1e-4 R solves went uncertified and one Hessian stack was singular
 SMOOTH_START = 0.1
+LOCAL_SMOOTH_START = 0.01
 SMOOTH_FACTOR = 10.0
 SMOOTH_FLOOR = 1e-13
 STAGE_DECREMENT = 1e-6
@@ -328,7 +338,7 @@ def _armijo(X, d, r, e2, w, lam2, g, P, dP, t=None) -> np.ndarray:
 
 def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors: np.ndarray,
                      tol: float, max_iters: int, cutoff: float = math.inf, *,
-                     groups: np.ndarray, decide: bool = False,
+                     groups: np.ndarray, start: float = SMOOTH_START, decide: bool = False,
                      tally: collections.Counter | None = None) -> list:
     """Stacked smoothed Newton solve of sum_e w_e |x_a - x_b|, stopped on certified gaps.
 
@@ -338,8 +348,10 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
     stay put, and an optimum lies in their hull, so the center, radius R,
     smoothing floor and starting eps are per problem; the other vertices
     move, and one that touches no edge of positive weight keeps its place.
-    Problems of one group are alternatives for one instance: their best cost
-    bounds the group's optimum, and says nothing about any other group's.
+    Smoothing starts at eps = start * R: SMOOTH_START for positions far
+    from the optimum, less for positions near it.  Problems of one group
+    are alternatives for one instance: their best cost bounds the group's
+    optimum, and says nothing about any other group's.
     Each iteration runs one batched Newton step for every live problem: the
     stacked Hessians go to one ``np.linalg.solve``, and the Armijo line
     search takes, per problem, the first of t = 1, 1/2, ..., 2^-19 that
@@ -421,7 +433,7 @@ def _minimize_length(pos: np.ndarray, edges: np.ndarray, w: np.ndarray, anchors:
         eps[rows], e2[rows], short_at[rows] = new, new * new, np.sqrt(new * R[rows])
         end_at[rows] = STAGE_DECREMENT * scale[rows] * new * new / R[rows]
 
-    cut(slice(None), SMOOTH_START * R)
+    cut(slice(None), start * R)
 
     def positions(i, Xi):
         p = pos[i].copy()
@@ -603,18 +615,21 @@ def _edge_weights(flows: np.ndarray, alpha: float) -> np.ndarray:
 
 def _solve_trees(pos: np.ndarray, edges: np.ndarray, flows: np.ndarray, k: int, alpha: float,
                  tol: float, groups: np.ndarray, cutoff: float = math.inf,
-                 decide: bool = False, tally: collections.Counter | None = None) -> list:
+                 decide: bool = False, tally: collections.Counter | None = None, *,
+                 start: float) -> list:
     """Position stage of stacked trees of the same shape, one ``_minimize_length`` batch.
 
     pos (T, n, d) starts every tree with its k terminals first, edges
-    (T, E, 2) and signed flows (T, E) give its weights, and groups (T,)
-    name its instance.  Returns the entries, (positions, cost) or None for
-    a pruned tree, and the kernel's duals (T, E, d).  A tree left
-    uncertified logs a warning and is kept at its last iterate, scored at
-    its true cost; its duals are NaN.  tally goes to the kernel.
+    (T, E, 2) and signed flows (T, E) give its weights, groups (T,) name
+    its instance and smoothing starts at start * R.  Returns the entries,
+    (positions, cost) or None for a pruned tree, and the kernel's duals
+    (T, E, d).  A tree left uncertified logs a warning and is kept at its
+    last iterate, scored at its true cost; its duals are NaN.  tally goes
+    to the kernel.
     """
     out, duals = _minimize_length(pos, edges, _edge_weights(flows, alpha), pos[:, :k], tol,
-                                  10000, cutoff, groups=groups, decide=decide, tally=tally)
+                                  10000, cutoff, groups=groups, start=start, decide=decide,
+                                  tally=tally)
     for i, res in enumerate(out):
         if isinstance(res, OptimizeError):
             _log.warning("instance %d topology %s not certified: %s", groups[i],
@@ -765,7 +780,7 @@ def _oracle_topologies(nets: list, alpha: float, tol: float) -> list:
         flows = _tree_flows(trees.order, np.stack([nets[i].masses for i in members]), 2 * k - 2)
         solved, duals = _solve_trees(pos, np.tile(trees.edges, (len(members), 1, 1)),
                                      flows.reshape(len(pos), -1), k, alpha, tol,
-                                     np.repeat(members, T))
+                                     np.repeat(members, T), start=SMOOTH_START)
         for j, i in enumerate(members):
             group = solved[j * T:(j + 1) * T]
             t = min((t for t, res in enumerate(group) if res is not None),
@@ -844,11 +859,13 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
     would alone, so taking the scans in order and discarding those after
     the first move decides exactly as one scan at a time.  A window holds
     one scan after a move and doubles after a window without one, up to
-    the scans left and REGRAFT_WINDOW_PROBLEMS candidates.  An uncertified
-    solve logs a warning and keeps its last iterate; each search logs its
-    counts at DEBUG.  The result is contracted like the oracle's, so its
-    boundary is exact.  No optimality promise: the tests compare it against
-    the exhaustive optimum on oracle-range instances.
+    the scans left and REGRAFT_WINDOW_PROBLEMS candidates.  Every scan
+    starts from the current tree's positions, so every batch starts its
+    smoothing warm, at LOCAL_SMOOTH_START.  An uncertified solve logs a
+    warning and keeps its last iterate; each search logs its counts at
+    DEBUG.  The result is contracted like the oracle's, so its boundary is
+    exact.  No optimality promise: the tests compare it against the
+    exhaustive optimum on oracle-range instances.
     """
     net = _merged_terminals(mu_minus, mu_plus, alpha)
     k = len(net.masses)
@@ -875,7 +892,7 @@ def local_search(mu_minus: AtomicMeasure, mu_plus: AtomicMeasure, alpha: float
         order = np.array([_strip_order(c, starts.shape[1]) for c in cands])
         flows = _tree_flows(order, m[None], starts.shape[1])[0]
         solved, _ = _solve_trees(starts, np.array(cands), flows, k, alpha, LOCAL_TOL, groups,
-                                 cutoff, decide, tally)
+                                 cutoff, decide, tally, start=LOCAL_SMOOTH_START)
         best = [None] * len(scans)
         for res, f, c, g in zip(solved, flows, cands, groups.tolist()):
             if res is not None and (best[g] is None or res[1] < best[g][1]):

@@ -1,7 +1,9 @@
 """Shared builders: random acyclic traffic paths, balanced atom clouds, Lipschitz maps,
-the point-merge reference registry and a counter of flat-norm LP calls."""
+the point-merge reference registry and a counter of flat-norm LP calls; and a guard
+that fails every test during which a position solve is left uncertified."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -146,3 +148,42 @@ def counting_milp(monkeypatch) -> list:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260816)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "uncertified: the test leaves a position solve uncertified on purpose")
+
+
+class _UncertifiedSolves(logging.Handler):
+    """Collects the optimizer's warnings of position solves left uncertified."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if "not certified" in record.getMessage():
+            self.messages.append(record.getMessage())
+
+
+@pytest.fixture(autouse=True)
+def no_uncertified_solve(request):
+    """Fail a test during which ``trafficpaths.optimizer`` logs "not certified".
+
+    An uncertified solve keeps its last iterate and only warns, so a change
+    to the smoothing schedule that stops certifying would pass unnoticed;
+    tests that provoke the warning on purpose carry the uncertified marker.
+    """
+    if request.node.get_closest_marker("uncertified"):
+        yield
+        return
+    handler, logger = _UncertifiedSolves(), logging.getLogger("trafficpaths.optimizer")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.messages:
+        pytest.fail(f"{len(handler.messages)} position solves left uncertified, the first: "
+                    f"{handler.messages[0]}")

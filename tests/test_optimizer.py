@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import logging
 import math
 import re
@@ -679,6 +680,26 @@ def test_oracle_critical_branching_angle():
     assert cos_angle == pytest.approx(2.0 ** (2 * alpha - 1) - 1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("solver", [optimizer.brute_force_optimal, optimizer.local_search],
+                         ids=["oracle", "local"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("m1, m2", [(1.0, 0.5), (0.3, 0.9)])
+def test_unequal_masses_merge_at_the_closed_form_angle(solver, alpha, m1, m2):
+    # masses m1 and m2 merging into m1 + m2 meet at the angle theta with
+    # cos theta = ((m1 + m2)^2a - m1^2a - m2^2a) / (2 m1^a m2^a): 120 degrees
+    # at alpha = 0, 90 at alpha = 1/2.  Local search solves its one insertion
+    # from its warm smoothing start
+    sources, sink = ((-1.0, 2.0), (1.5, 2.5)), (0.0, -1.0)
+    t = solver(atoms2((sources[0], m1), (sources[1], m2)), atoms2((sink, m1 + m2)), alpha)
+    terminals = np.array([*sources, sink])
+    (junction,) = [v for v in t.vertices if np.linalg.norm(terminals - v, axis=1).min() > 0.1]
+    u1, u2 = terminals[:2] - junction
+    cos_angle = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
+    want = ((m1 + m2) ** (2 * alpha) - m1 ** (2 * alpha) - m2 ** (2 * alpha)) \
+        / (2.0 * m1 ** alpha * m2 ** alpha)
+    assert cos_angle == pytest.approx(want, abs=1e-8)
+
+
 def test_oracle_fermat_point_at_alpha_zero():
     A, B, C = (0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)
     t = optimizer.brute_force_optimal(atoms2((A, 1.0)),
@@ -791,6 +812,7 @@ def test_is_optimal_reports_the_checked_bound():
     assert report.optimal
 
 
+@pytest.mark.uncertified
 def test_is_optimal_without_a_certificate_is_not_optimal(caplog, monkeypatch):
     monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
     mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
@@ -1005,7 +1027,8 @@ def _sequential_local_search(mu_minus, mu_plus, alpha):
         flows = optimizer._tree_flows(order, m[None], len(pos))[0]
         solved, _ = optimizer._solve_trees(starts, np.array(cands), flows, k, alpha,
                                            optimizer.LOCAL_TOL, np.zeros(len(cands), int),
-                                           cutoff, decide)
+                                           cutoff, decide,
+                                           start=optimizer.LOCAL_SMOOTH_START)
         kept = [(*res, f, c) for res, f, c in zip(solved, flows, cands) if res is not None]
         return min(kept, key=lambda s: s[1]) if kept else None
 
@@ -1067,6 +1090,43 @@ def test_local_search_logs_its_scans_windows_and_iterations(caplog):
     assert iterations == sum(batch[-2] for batch in batches)
 
 
+def _recorded_starts(monkeypatch) -> list:
+    """The smoothing start of every ``_minimize_length`` call from now on, its
+    default filled in where the caller gives none; the real kernel runs."""
+    kernel, starts = optimizer._minimize_length, []
+    signature = inspect.signature(kernel)
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        starts.append(bound.arguments["start"])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_minimize_length", recorded)
+    return starts
+
+
+def test_each_solver_starts_its_smoothing_where_it_runs_fastest(monkeypatch, caplog):
+    # the oracle's cold starts, spread around the mean, begin at 0.1 R: they
+    # ran slower from 0.01 R.  Every batch of local search, each insertion
+    # scan and each regraft window, starts from the kept tree's positions
+    # and begins warm at 0.01 R
+    assert (optimizer.SMOOTH_START, optimizer.LOCAL_SMOOTH_START) == (0.1, 0.01)
+    mu_minus, mu_plus, alpha = _generator_instances(5)[4]  # six atoms
+    k = len((mu_plus - mu_minus).masses)
+    starts = _recorded_starts(monkeypatch)
+    optimizer.brute_force_many([(mu_minus, mu_plus)], alpha)
+    assert starts == [optimizer.SMOOTH_START]
+    with caplog.at_level(logging.DEBUG, logger="trafficpaths.optimizer"):
+        t = optimizer.local_search(mu_minus, mu_plus, alpha)
+    ((_, insertions, windows, *_),) = _local_search_lines(caplog)
+    assert insertions == k - 2 and windows >= 2
+    assert starts[1:] == [optimizer.LOCAL_SMOOTH_START] * (insertions + windows)
+    del starts[:]
+    assert optimizer.is_optimal(t, alpha)
+    assert starts == [optimizer.SMOOTH_START]
+
+
 def _regraft_window(rng, k, dim, alpha, n_scans):
     """The regraft scans of terminals 0..n_scans-1 on a solved random tree of a
     random k-atom instance, as local search stacks them in one window: the
@@ -1084,7 +1144,8 @@ def _regraft_window(rng, k, dim, alpha, n_scans):
     spread = 0.3 * rng.standard_normal((k - 2, dim))
     start = np.vstack([net.points, net.points.mean(axis=0) + spread])
     ((pos, cost),), _ = optimizer._solve_trees(start[None], np.array([tree]), flows([tree]), k,
-                                               alpha, optimizer.LOCAL_TOL, np.zeros(1, int))
+                                               alpha, optimizer.LOCAL_TOL, np.zeros(1, int),
+                                               start=optimizer.SMOOTH_START)
     starts, cands = [], []
     for t in range(n_scans):
         edges, s = optimizer._detach(tree, t)
@@ -1183,6 +1244,7 @@ def _stalled(pos, edges, *args, **kwargs):
             np.full(edges.shape[:2] + pos.shape[2:], np.nan))
 
 
+@pytest.mark.uncertified
 def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):
     monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
     mu_minus = atoms2(((-1.0, 2.0), 1.0), ((1.0, 2.0), 1.0))
@@ -1193,6 +1255,7 @@ def test_local_search_warns_on_uncertified_position_solve(caplog, monkeypatch):
     assert (currents.boundary(t) - (mu_plus - mu_minus)).tv() <= 1e-9
 
 
+@pytest.mark.uncertified
 def test_oracle_warns_on_uncertified_position_solve(caplog, monkeypatch):
     monkeypatch.setattr(optimizer, "_minimize_length", _stalled)
     mu_minus, mu_plus = balanced_clouds(np.random.default_rng(5), 2, 3)

@@ -252,6 +252,7 @@ def test_trial_certifies_its_limit_from_its_own_batch(name, monkeypatch, caplog)
                     f"certified bound {bound:.12g}, path cost {report.limit_cost:.12g}")
 
 
+@pytest.mark.uncertified
 def test_trial_with_an_uncertified_limit_tree_is_not_optimal(monkeypatch):
     # one tree of the limit (group 0) that was certified ends uncertified
     # instead: it keeps its iterate and its cost, but the limit has no
@@ -567,6 +568,23 @@ def test_competitor_rejects_bad_cover_side(minus, plus, n_minus, t_n_start, mess
                                     delta=0.01, N_minus=n_minus, N_plus=1)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _run_competitor(t_n, t_opt, {"minus": minus, "plus": plus}, cc, alpha)
+
+
+@pytest.mark.parametrize("eps1", [1e-17, 1e-30])
+def test_competitor_accepts_a_cover_holding_every_atom_below_an_ulp(eps1):
+    # eps1/4 is below half an ulp of the unit total, so total - eps1/4 rounds
+    # to the total: the covers hold every atom and must still pass, and a
+    # cover that misses the source must still be refused
+    t_n, t_opt, covers, _, alpha = _detour_setup()
+    cc = stability.CompetitorConfig(Delta=0.8, eps1=eps1, eps2=1e-5,
+                                    delta=0.01, N_minus=1, N_plus=1)
+    assert 1.0 - eps1 / 4.0 == 1.0
+    report = _run_competitor(t_n, t_opt, covers, cc, alpha)
+    assert report.ok
+    assert report.boundary_error_sel == report.boundary_error_full == 0.0
+    off = {"minus": [Ball(_SOURCE + [0.01, 0.0], 5e-4)], "plus": covers["plus"]}
+    with pytest.raises(ValueError, match="^cover truncation misses source mass$"):
+        _run_competitor(t_n, t_opt, off, cc, alpha)
 
 
 def test_competitor_truncated_cover_gives_zero_ratio_past_the_truncation():
