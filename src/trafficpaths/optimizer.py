@@ -102,11 +102,11 @@ REGRAFT_WINDOW_PROBLEMS = 40
 # when the squared Newton decrement is below STAGE_DECREMENT * sum(w) * eps^2 / R.
 # The oracle's cold starts, spread around the terminals' mean, begin at
 # SMOOTH_START; they ran slower from 0.01 R.  Local search's scans begin at
-# LOCAL_SMOOTH_START: each starts from the kept tree's positions, near its
-# candidates' optima, which a first stage at 0.1 R would mostly undo.  On
-# three random sets of local searches 0.01 R ran fewer Newton iterations
-# than 0.003, 0.005, 0.02, 0.03 or 0.1 R and kept every cost to 12 digits;
-# at 1e-4 R solves went uncertified and one Hessian stack was singular
+# LOCAL_SMOOTH_START, as each starts from the kept tree's positions, near its
+# candidates' optima.  On three random sets of local searches 0.01 R ran
+# fewer Newton iterations than 0.003, 0.005, 0.02, 0.03 or 0.1 R and kept
+# every cost to 12 digits; at 1e-4 R solves went uncertified and one
+# Hessian stack was singular
 SMOOTH_START = 0.1
 LOCAL_SMOOTH_START = 0.01
 SMOOTH_FACTOR = 10.0
